@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -118,7 +117,7 @@ def _side_json(result: ApproxCount) -> list[dict]:
             "log_xi": t.log_xi,
             "ell": t.ell,
             "kp_status": t.kp_status,
-            "cluster_count": t.cluster_count,
+            "config_count": t.config_count,
             "certified_bound": t.certified_bound,
         }
         for t in result.side_breakdown
@@ -220,16 +219,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
             exact_value=exact.value,
         )
     elif args.mode == "expander":
-        result = count_expander(
-            G, args.epsilon, p, force_method=args.force_method, workers=args.workers
-        )
+        result = count_expander(G, args.epsilon, p, force_method=args.force_method)
     elif args.mode == "hardcore":
         if lam is None:
             raise InvalidInputError("--mode hardcore requires --lambda")
         hp = HardCoreParams(lam, alpha)
-        result = count_hardcore_expander(
-            G, hp, args.epsilon, p, force_method=args.force_method, workers=args.workers
-        )
+        result = count_hardcore_expander(G, hp, args.epsilon, p, force_method=args.force_method)
     elif args.mode == "general":
         result = count_general(G, args.epsilon, args.delta, args.seed, p)
     elif args.mode == "general-exact":
@@ -251,7 +246,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "alpha": str(alpha),
             "c1": args.c1,
             "seed": args.seed,
-            "workers": args.workers,
             "force_method": args.force_method,
         },
     )
@@ -529,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--mode", default="oracle",
                        choices=["oracle", "expander", "hardcore", "general", "general-exact"])
     count.add_argument("--force-method", default=None, choices=["brute", "expander-CE"])
-    count.add_argument("--workers", type=int, default=min(2, os.cpu_count() or 1))
     count.add_argument("--dump-clusters", default=None,
                        help="write the per-side cluster terms to this JSON file")
     _add_common(count)
@@ -582,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

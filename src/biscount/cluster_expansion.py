@@ -1,11 +1,12 @@
 """Truncated cluster-expansion evaluation of ln Xi with certified error.
 
-The truncation keeps clusters of total size at most ell; under the
-convergence condition the discarded tail is exponentially small in ell, and
-the bound actually asserted depends on the weight model.  The condition
-itself is checked numerically per polymer up to a size cap; the asymptotic
-guarantee behind it only kicks in for large degree, so desk-scale failures
-are reported rather than hidden.
+The truncation keeps the grades <= ell of ln Xi, taken as the truncated
+log series of the size polynomial (Ursell clusters remain a test oracle);
+under the convergence condition the discarded tail is exponentially small
+in ell, and the bound actually asserted depends on the weight model.  The
+condition itself is checked numerically per polymer up to a size cap; the
+asymptotic guarantee behind it only kicks in for large degree, so
+desk-scale failures are reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .polymers import (
     Polymer,
     PolymerFamily,
     WeightModel,
-    enumerate_clusters,
     enumerate_polymers,
     iter_compatible_configs,
+    log_series_coefficients,
     xi_size_polynomial,
 )
 
@@ -181,18 +182,11 @@ class LogPartitionEstimate:
     certified_bound: float
     kp_status: str
     model: str
-    cluster_count: int
+    config_count: int
 
     @property
     def certified(self) -> bool:
         return self.kp_status == KP_VERIFIED
-
-
-def _kahan_add(total: float, comp: float, x: float) -> tuple[float, float]:
-    y = x - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
 
 
 def truncated_log_xi(
@@ -203,23 +197,20 @@ def truncated_log_xi(
     region: int | None = None,
     kp_status: str = KP_ASSUMED,
 ) -> LogPartitionEstimate:
-    """ln Xi(ell): sum of cluster terms with total size <= ell, accumulated
-    in ascending size with compensated summation."""
+    """ln Xi(ell) = a_1 + ... + a_ell, the log-series coefficients of the
+    size polynomial c_0..c_ell walked over the configurations of total size
+    <= ell (within the walk's configuration budget); equal to the sum of the
+    clusters of size <= ell.  Exact models sum in Fractions and round once."""
     if ell < 0:
         raise InvalidInputError("ell must be nonnegative")
     side_n = G.side_size(fam.side)
     n_eff = region.bit_count() if region is not None else side_n
     model = "hardcore" if m.variant == "hardcore" else "unweighted"
     universe = enumerate_polymers(G, fam, min(ell, side_n), region)
-    terms = sorted(
-        enumerate_clusters(universe, ell, m), key=lambda t: (t.size, t.indices)
-    )
-    total = 0.0
-    comp = 0.0
-    for t in terms:
-        total, comp = _kahan_add(total, comp, float(t.value))
+    coeffs = xi_size_polynomial(universe, m, upto=ell)
+    total = sum(log_series_coefficients(coeffs, ell)[1:])
     bound = truncation_bound(n_eff, G.d, ell, model) if n_eff else 0.0
-    return LogPartitionEstimate(total, ell, bound, kp_status, model, len(terms))
+    return LogPartitionEstimate(float(total), ell, bound, kp_status, model, coeffs.configs)
 
 
 def exact_xi(

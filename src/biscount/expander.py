@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -103,7 +102,7 @@ class SideTerm:
     log_xi: float
     ell: int
     kp_status: str
-    cluster_count: int = 0
+    config_count: int = 0
     certified_bound: float = 0.0
 
 
@@ -231,9 +230,7 @@ def _side_estimate(
     report = verify_kp(G, fam, m, kp, cap)
     status = KP_VERIFIED if report.all_pass else KP_FAILED
     est = truncated_log_xi(G, fam, m, ell, kp_status=status)
-    return SideTerm(
-        fam.side, est.log_value, ell, status, est.cluster_count, est.certified_bound
-    )
+    return SideTerm(fam.side, est.log_value, ell, status, est.config_count, est.certified_bound)
 
 
 def count_expander(
@@ -241,7 +238,6 @@ def count_expander(
     epsilon: float,
     params: ExpansionParams | None = None,
     force_method: str | None = None,
-    workers: int = 2,
 ) -> ApproxCount:
     """i(G) ~ 2^n (Xi^X(ell) + Xi^Y(ell)) over the expanding polymer family.
 
@@ -274,11 +270,8 @@ def count_expander(
     m = WeightModel.unweighted()
     kp = kp_unweighted(d)
 
-    def job(side: str) -> SideTerm:
-        return _side_estimate(G, PolymerFamily("expanding", side, p), m, kp, ell)
-
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, 2))) as pool:
-        term_x, term_y = pool.map(job, (X_SIDE, Y_SIDE))
+    fams = (PolymerFamily("expanding", side, p) for side in (X_SIDE, Y_SIDE))
+    term_x, term_y = (_side_estimate(G, fam, m, kp, ell) for fam in fams)
 
     log_value = n * LN2 + _logaddexp(term_x.log_xi, term_y.log_xi)
     flags: list[str] = []
@@ -348,7 +341,6 @@ def count_hardcore_expander(
     epsilon: float,
     params: ExpansionParams | None = None,
     force_method: str | None = None,
-    workers: int = 2,
 ) -> ApproxCount:
     """Z_G(lambda) ~ (1+lambda)^n (Xi^X(lambda,ell) + Xi^Y(lambda,ell)) over
     the small-set polymer family.
@@ -377,11 +369,8 @@ def count_hardcore_expander(
     m = WeightModel.hardcore(hp.lam)
     kp = kp_hardcore(d, hp.lam, hp.alpha, hp.c5)
 
-    def job(side: str) -> SideTerm:
-        return _side_estimate(G, PolymerFamily("small", side, p), m, kp, ell)
-
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, 2))) as pool:
-        term_x, term_y = pool.map(job, (X_SIDE, Y_SIDE))
+    fams = (PolymerFamily("small", side, p) for side in (X_SIDE, Y_SIDE))
+    term_x, term_y = (_side_estimate(G, fam, m, kp, ell) for fam in fams)
 
     log_value = n * _log_fraction(1 + hp.lam) + _logaddexp(term_x.log_xi, term_y.log_xi)
 
@@ -603,10 +592,10 @@ def _sequential_defect(
             blocked = _blocked_mask(G, side, p.bits, p.nbhd) & region
             weight = m.weight(p) if use_exact_xi else math.exp(m.log_weight(p))
             branches.append((p.bits, blocked, weight * xi_of(region & ~blocked)))
-        if use_exact_xi:
+        if use_exact_xi and xi_r != xi_without + sum(b[2] for b in branches):
             # the one-vertex peeling identity; exact arithmetic makes it a
             # hard invariant rather than a tolerance check
-            assert xi_r == xi_without + sum(b[2] for b in branches)
+            raise RuntimeError(f"peeling identity broken at vertex {v} of side {side}")
         u = rng.getrandbits(DRAW_BITS)
         if use_exact_xi:
             threshold = quantize(Fraction(xi_without) / Fraction(xi_r))

@@ -328,7 +328,7 @@ def count_general(
 
     term_logs: list[float] = []
     zero_estimates = 0
-    cluster_total = 0
+    config_total = 0
     for family in families:
         union = family.union_bits
         covered = neighborhood_bits(G, side, union).bit_count()
@@ -352,7 +352,7 @@ def count_general(
                 if not local <= full_universe:
                     raise InvalidInputError("restricted universe escaped the full one")
             est_xi = truncated_log_xi(G, fam_exp, m, big_l, region=region)
-            cluster_total += est_xi.cluster_count
+            config_total += est_xi.config_count
             log_term += est_xi.log_value
         term_logs.append(log_term)
 
@@ -369,7 +369,7 @@ def count_general(
         flags.append("kp-failed-at-cap")
     if not flags:
         flags.append("certified")
-    breakdown = (SideTerm(side, 0.0, big_l, kp_status, cluster_total),)
+    breakdown = (SideTerm(side, 0.0, big_l, kp_status, config_total),)
     notes = {
         "families": len(families),
         "nonempty_families": nonempty,

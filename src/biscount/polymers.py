@@ -5,8 +5,8 @@ neighborhood it occupies: the unweighted model charges 2^{-|N(gamma)|}, the
 hardcore model lambda^{|gamma|} (1+lambda)^{-|N(gamma)|}.  Two polymers are
 compatible when their union is not 2-linked, which for same-side sets means
 disjoint vertices and disjoint neighborhoods.  The partition function sums
-weight products over compatible collections; clusters and the Ursell
-function drive its log expansion.
+weight products over compatible collections; the log series of its size
+polynomial is the log expansion, and clusters give it term by term.
 """
 
 from __future__ import annotations
@@ -182,7 +182,10 @@ def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
     return masks
 
 
-def ursell(adj: Sequence[int], cap: int = 10) -> int:
+URSELL_CAP = 10  # largest multiset evaluated: O(3^k) time, 2^k memory
+
+
+def ursell(adj: Sequence[int], cap: int = URSELL_CAP) -> int:
     """Raw Ursell value of an incompatibility graph H on k vertices:
     the alternating sum of (-1)^{|E'|} over spanning connected edge subsets.
 
@@ -245,7 +248,7 @@ def _multiset_ursell(
             if owners[i] == owners[j] or incompat[owners[i]] >> owners[j] & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return ursell(adj, cap=max(10, k))
+    return ursell(adj, cap=URSELL_CAP)
 
 
 def enumerate_clusters(
@@ -261,7 +264,9 @@ def enumerate_clusters(
     connectivity is a support property).  Growth is rooted at the lowest
     universe index.  Terms use the symmetrized convention: raw Ursell value
     times the weight product divided by the product of multiplicity
-    factorials; their sum over all sizes is ln Xi.
+    factorials; their sum over all sizes is ln Xi.  More than URSELL_CAP
+    polymers in one cluster raise CapacityError.  A test oracle only:
+    ``truncated_log_xi`` takes the series route.
     """
     if ell < 1 or not universe:
         return
@@ -312,61 +317,81 @@ def enumerate_clusters(
 
 
 def iter_compatible_configs(
-    universe: Sequence[Polymer], max_configs: int = 1 << 22
+    universe: Sequence[Polymer], max_configs: int = 1 << 22, max_size: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Every collection of pairwise-compatible polymers as a tuple of
-    ascending universe indices; the empty collection comes first."""
+    ascending universe indices; the empty collection comes first.  With
+    ``max_size``, only those of total size at most ``max_size``: a polymer
+    too large for the budget left is masked out before it is tried."""
     k = len(universe)
     incompat = incompatibility_masks(universe)
+    sizes = [p.size for p in universe]
+    budget = sum(sizes) if max_size is None else max(max_size, 0)
+    fits = [0] * (budget + 1)  # fits[r]: the polymers of size at most r
+    for i, size in enumerate(sizes):
+        if size <= budget:
+            fits[size] |= 1 << i
+    for r in range(1, budget + 1):
+        fits[r] |= fits[r - 1]
     count = 0
 
-    def rec(start: int, blocked: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def walk(free: int, chosen: tuple[int, ...], room: int) -> Iterator[tuple[int, ...]]:
+        # free: the polymers after the last choice compatible with all of it
         nonlocal count
         count += 1
         if count > max_configs:
             raise CapacityError(f"more than {max_configs} polymer configurations")
         yield chosen
-        for i in range(start, k):
-            if not blocked >> i & 1:
-                yield from rec(i + 1, blocked | incompat[i], chosen + (i,))
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            left = room - sizes[i]
+            yield from walk(free & ~incompat[i] & fits[left], chosen + (i,), left)
 
-    yield from rec(0, 0, ())
+    yield from walk(fits[budget], (), budget)
+
+
+class SizePolynomial(list):
+    """Size-polynomial coefficients c_0, c_1, ... and ``configs``, the number
+    of configurations summed into them."""
+
+    configs = 0
 
 
 def xi_size_polynomial(
-    universe: Sequence[Polymer], m: WeightModel, max_configs: int = 1 << 22
-) -> list[Fraction]:
+    universe: Sequence[Polymer], m: WeightModel, max_configs: int = 1 << 22, upto: int | None = None
+) -> SizePolynomial:
     """Coefficients c_k = total weight of compatible configurations with
-    combined polymer size k; c_0 = 1 and sum(c) = Xi."""
-    if not m.exact_available:
-        raise InvalidInputError("size polynomial needs an exact weight model")
+    combined polymer size k; c_0 = 1 and sum(c) = Xi.  With ``upto``, only
+    c_0..c_upto, from the configurations of total size at most ``upto``.
+    Exact models give Fractions, the tilde model floats."""
     sizes = [p.size for p in universe]
-    weights = [m.weight(p) for p in universe]
-    top = sum(sizes)
-    coeffs = [Fraction(0)] * (top + 1)
-    for config in iter_compatible_configs(universe, max_configs):
-        w = Fraction(1)
+    exact = m.exact_available
+    weights = [m.weight(p) if exact else math.exp(m.log_weight(p)) for p in universe]
+    one = Fraction(1) if exact else 1.0
+    coeffs = SizePolynomial([one * 0] * ((sum(sizes) if upto is None else upto) + 1))
+    for walked, config in enumerate(iter_compatible_configs(universe, max_configs, upto), 1):
+        w = one
         s = 0
         for i in config:
             w *= weights[i]
             s += sizes[i]
         coeffs[s] += w
+    coeffs.configs = walked
     return coeffs
 
 
 def log_series_coefficients(coeffs: Sequence[Fraction], upto: int) -> list[Fraction]:
-    """Taylor coefficients a_l of ln(sum c_k z^k) around z=0, l = 0..upto.
-
-    The cluster expansion's grade-l terms must sum to exactly a_l; this
-    recurrence is the independent route used to pin that convention.
-    """
+    """Taylor coefficients a_l of ln(sum c_k z^k) around z=0, l = 0..upto, by
+    a_l = c_l - sum_{j<l} (j/l) a_j c_{l-j}: exact for Fraction (or int)
+    coefficients, in floats for float ones.  The cluster expansion's grade-l
+    terms sum to exactly a_l."""
     if not coeffs or coeffs[0] != 1:
         raise InvalidInputError("series log needs c_0 = 1")
-    c = [Fraction(coeffs[k]) if k < len(coeffs) else Fraction(0) for k in range(upto + 1)]
-    a = [Fraction(0)] * (upto + 1)
+    num = float if isinstance(coeffs[0], float) else Fraction
+    c = [num(coeffs[k]) if k < len(coeffs) else num(0) for k in range(upto + 1)]
+    a = [num(0)] * (upto + 1)
     for ell in range(1, upto + 1):
-        acc = c[ell]
-        for j in range(1, ell):
-            acc -= Fraction(j, ell) * a[j] * c[ell - j]
-        a[ell] = acc
+        a[ell] = c[ell] - sum((j * a[j] * c[ell - j] for j in range(1, ell)), num(0)) / ell
     return a

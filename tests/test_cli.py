@@ -259,3 +259,18 @@ def test_exit_code_capacity(tmp_path, capsys):
     assert main(["gen", "--kind", "cycle", "--m", "80", "--out", path]) == 0
     assert main(["count", "--graph", path]) == 3
     capsys.readouterr()
+
+
+def test_exit_code_internal_on_broken_peeling_identity(capsys, c8_file, monkeypatch):
+    import biscount.expander
+
+    real = biscount.expander.exact_xi
+
+    def off_by_one_on_full_region(G, fam, m, cap=24, region=None):
+        xi = real(G, fam, m, cap=cap, region=region)
+        return xi + 1 if region == G.full_mask(fam.side) else xi
+
+    monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_on_full_region)
+    assert main(["sample", "--graph", c8_file, "--mode", "expander",
+                 "--sampler", "sequential", "--c1", "1.0"]) == 4
+    assert "peeling identity" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biscount import (
     CapacityError,
@@ -20,11 +22,13 @@ from biscount import (
     verify_kp,
 )
 from biscount.cluster_expansion import KP_ASSUMED, KP_FAILED, KP_VERIFIED
-from biscount.instances import complete_bipartite, even_cycle, hypercube
+from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.polymers import (
     PolymerFamily,
     WeightModel,
+    enumerate_clusters,
     enumerate_polymers,
+    iter_compatible_configs,
     log_series_coefficients,
     xi_size_polynomial,
 )
@@ -206,3 +210,91 @@ def test_tail_mass_frozen_anchors(c8):
         tail_mass(c8, fam, m, delta=-0.1)
     with pytest.raises(InvalidInputError):
         tail_mass(c8, fam, WeightModel.tilde(c8.d), delta=0.5)
+
+
+# -- the series route against the cluster route ---------------------------------
+
+ROUTE_MODELS = [
+    ("expanding", WeightModel.unweighted()),
+    ("small", WeightModel.hardcore(Fraction(1, 2))),
+]
+# the cluster route grows supports by polymer count before filtering by size,
+# so past about 32 polymers at ell = 6 it takes minutes per side
+CLUSTER_ORACLE_POLYMERS = 32
+
+
+def _assert_routes_agree(G, membership, m, ell_max=6):
+    # exact agreement grade by grade: the Ursell cluster sum up to size ell
+    # equals the truncated log series of the size polynomial, and
+    # truncated_log_xi is that Fraction rounded once
+    fam = PolymerFamily(membership, "X", P1)
+    uni = enumerate_polymers(G, fam, min(ell_max, G.side_size("X")))
+    grades = [Fraction(0)] * (ell_max + 1)
+    for t in enumerate_clusters(uni, ell_max, m):
+        grades[t.size] += t.value
+    for ell in range(1, ell_max + 1):
+        coeffs = xi_size_polynomial(uni, m, upto=ell)
+        series = sum(log_series_coefficients(coeffs, ell)[1:])
+        assert series == sum(grades[1 : ell + 1])
+        est = truncated_log_xi(G, fam, m, ell)
+        assert est.log_value == float(series)
+        assert est.config_count == coeffs.configs
+
+
+@pytest.mark.parametrize(
+    "G,model,ell_max",
+    [
+        (even_cycle(8), 0, 6), (even_cycle(8), 1, 6),
+        (even_cycle(12), 0, 6), (even_cycle(12), 1, 6),
+        (hypercube(3), 0, 6), (hypercube(3), 1, 6),
+        (hypercube(4), 0, 6),
+        # 72 small polymers: the cluster route needs 45 s and 0.7 GB at
+        # ell = 5 and more than 4 GB at ell = 6, so the oracle stops at 4
+        (hypercube(4), 1, 4),
+    ],
+    ids=["c8-unweighted", "c8-hardcore", "c12-unweighted", "c12-hardcore",
+         "q3-unweighted", "q3-hardcore", "q4-unweighted", "q4-hardcore"],
+)
+def test_series_route_equals_cluster_route(G, model, ell_max):
+    membership, m = ROUTE_MODELS[model]
+    _assert_routes_agree(G, membership, m, ell_max)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 10]), seed=st.integers(0, 1 << 16))
+def test_series_route_equals_cluster_route_on_random_shifts(n, seed):
+    G = random_shift(n, 3, seed)
+    checked = 0
+    for membership, m in ROUTE_MODELS:
+        fam = PolymerFamily(membership, "X", P1)
+        if len(enumerate_polymers(G, fam, 6)) <= CLUSTER_ORACLE_POLYMERS:
+            _assert_routes_agree(G, membership, m)
+            checked += 1
+    assume(checked)
+
+
+def test_series_route_tilde_model_in_floats(c8):
+    # no exact form: the float recurrence must land on the float cluster sum
+    fam = PolymerFamily("expanding", "X", P1)
+    m = WeightModel.tilde(c8.d)
+    uni = enumerate_polymers(c8, fam, 4)
+    for ell in range(1, 7):
+        want = sum(t.value for t in enumerate_clusters(uni, ell, m))
+        got = truncated_log_xi(c8, fam, m, ell)
+        assert isinstance(got.log_value, float)
+        assert got.log_value == pytest.approx(want, abs=1e-12)
+
+
+def test_budgeted_walk_config_count_and_cap(c8):
+    fam = PolymerFamily("expanding", "X", P1)
+    m = WeightModel.unweighted()
+    uni = enumerate_polymers(c8, fam, 4)
+    est = truncated_log_xi(c8, fam, m, 8)
+    # every configuration of C8's X side has total size <= 2 (the frozen
+    # size polynomial), so ell = 8 walks all of them
+    assert est.config_count == len(list(iter_compatible_configs(uni)))
+    coeffs = xi_size_polynomial(uni, m, max_configs=est.config_count, upto=8)
+    assert coeffs.configs == est.config_count
+    assert est.log_value == float(sum(log_series_coefficients(coeffs, 8)[1:]))
+    with pytest.raises(CapacityError):
+        xi_size_polynomial(uni, m, max_configs=est.config_count - 1, upto=8)

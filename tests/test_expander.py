@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import biscount.expander
 import util
 from biscount.cluster_expansion import exact_xi
 from biscount.errors import CapacityError, InvalidInputError
@@ -157,7 +158,7 @@ def test_count_expander_auto_brute(c8):
 
 
 def test_count_expander_forced_reports_honest_flags(c8):
-    out = count_expander(c8, 0.1, P1, force_method="expander-CE", workers=1)
+    out = count_expander(c8, 0.1, P1, force_method="expander-CE")
     assert out.method == "expander-CE"
     assert "kp-failed-at-cap" in out.flags
     assert "uncertified (small-n regime)" in out.flags
@@ -166,14 +167,14 @@ def test_count_expander_forced_reports_honest_flags(c8):
     assert len(out.side_breakdown) == 2
     for term in out.side_breakdown:
         assert term.ell >= 1
-        assert term.cluster_count > 0
+        assert term.config_count > 0
     # two-sided estimate targets |I_X| + |I_Y| = 84, not i(G)
     assert math.log(40) < out.log_value < math.log(200)
 
 
 def test_count_expander_empty_family_is_exact_truncation():
     G = complete_bipartite(4)
-    out = count_expander(G, 0.3, force_method="expander-CE", workers=1)
+    out = count_expander(G, 0.3, force_method="expander-CE")
     # both families are empty, so truncation is exact: 2^4 (1 + 1) = 32
     assert math.isclose(out.log_value, math.log(32), rel_tol=1e-12)
     assert "kp-failed-at-cap" not in out.flags
@@ -244,7 +245,7 @@ def test_count_hardcore_brute_anchor(c8):
 
 def test_count_hardcore_expander_flags_and_gap(c8):
     hp = HardCoreParams(lam=Fraction(1))
-    out = count_hardcore_expander(c8, hp, 0.4, P1, workers=1)
+    out = count_hardcore_expander(c8, hp, 0.4, P1)
     assert out.method == "expander-CE"
     # at d = 2 the fugacity clears its threshold but the beta hypotheses fail
     unmet = {f for f in out.flags if f.startswith("hypothesis-unmet:")}
@@ -263,8 +264,8 @@ def test_count_hardcore_expander_flags_and_gap(c8):
 
 def test_count_hardcore_lambda_one_matches_unweighted_value(c8):
     hp = HardCoreParams(lam=Fraction(1))
-    weighted = count_hardcore_expander(c8, hp, 0.4, P1, workers=1)
-    unweighted = count_expander(c8, 0.1, P1, force_method="expander-CE", workers=1)
+    weighted = count_hardcore_expander(c8, hp, 0.4, P1)
+    unweighted = count_expander(c8, 0.1, P1, force_method="expander-CE")
     # same ell is not guaranteed, so compare through the exact identity:
     # (1+1)^n Xi_small == 2^n Xi_expanding when the families coincide
     xi_small = exact_xi(c8, PolymerFamily("small", X_SIDE, P1),
@@ -381,3 +382,17 @@ def test_sampler_validation(c8):
         sample_expander(c8, 1.5, P1)
     with pytest.raises(InvalidInputError):
         sample_expander(c8, 0.2, P1, mode="warp")
+
+
+def test_sequential_peeling_identity_survives_optimized_mode(c8, monkeypatch):
+    # the identity is an explicit check, not an assert that python -O strips:
+    # a partition function that disagrees with its peeling must raise
+    real = biscount.expander.exact_xi
+
+    def off_by_one_on_full_region(G, fam, m, cap=24, region=None):
+        xi = real(G, fam, m, cap=cap, region=region)
+        return xi + 1 if region == G.full_mask(fam.side) else xi
+
+    monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_on_full_region)
+    with pytest.raises(RuntimeError, match="peeling identity"):
+        sample_expander(c8, 0.2, P1, seed=0, samples=1, mode="sequential")

@@ -185,6 +185,40 @@ def test_iter_compatible_configs_capacity(c8):
         list(iter_compatible_configs(uni, max_configs=5))
 
 
+def test_size_budgeted_walk_is_the_filtered_full_walk(c8, q3):
+    # pruning on the size budget keeps exactly the small configurations, in
+    # the same order as the unbounded walk
+    for G in (c8, q3, hypercube(4)):
+        for membership in ("expanding", "small"):
+            uni = enumerate_polymers(G, PolymerFamily(membership, "X", P1), 4)
+            sizes = [p.size for p in uni]
+            full = list(iter_compatible_configs(uni))
+            for budget in range(0, 7):
+                want = [c for c in full if sum(sizes[i] for i in c) <= budget]
+                assert list(iter_compatible_configs(uni, max_size=budget)) == want
+
+
+def test_budgeted_size_polynomial_is_a_prefix(c8, q3):
+    for G, lam in [(c8, None), (q3, None), (c8, Fraction(1, 2))]:
+        membership = "expanding" if lam is None else "small"
+        m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
+        uni = enumerate_polymers(G, PolymerFamily(membership, "X", P1), G.side_size("X"))
+        full = xi_size_polynomial(uni, m)
+        for upto in range(0, 5):
+            part = xi_size_polynomial(uni, m, upto=upto)
+            assert len(part) == upto + 1
+            assert part == (full + [Fraction(0)] * upto)[: upto + 1]
+            assert part.configs <= full.configs
+
+
+def test_cluster_ursell_cap_is_a_budget(c8):
+    # eleven copies of one single-vertex polymer exceed the Ursell cap of 10
+    uni = enumerate_polymers(c8, PolymerFamily("expanding", "X", P1), 4)
+    assert uni[0].size == 1
+    with pytest.raises(CapacityError):
+        list(enumerate_clusters(uni, 11, WeightModel.unweighted()))
+
+
 def test_xi_size_polynomial_against_brute(c8, q3):
     for G, lam in [(c8, None), (q3, None), (c8, Fraction(1, 2))]:
         membership = "expanding" if lam is None else "small"
