@@ -6,8 +6,9 @@ non-expanding components are remembered through their closures (a family of
 pairwise far-apart container sets), the expanding ones through a polymer
 partition function on the part of X the family does not dominate.  Summing
 over families with exact multiplicities D(A) recovers i(G) exactly; the
-approximate route replaces D by a Monte-Carlo estimate and the local
-partition functions by truncated cluster expansions.
+approximate route replaces the local partition functions by truncated
+cluster expansions and takes each D(A) exactly when the full subset scan of
+A costs no more than the Monte-Carlo sample budget, by sampling otherwise.
 """
 
 from __future__ import annotations
@@ -102,8 +103,13 @@ def enumerate_families(
 ) -> Iterator[NonExpandingFamily]:
     """All families over the distinct non-expanding closed sets of a side,
     the empty family first, then in ascending pool order."""
-    p = params or ExpansionParams()
-    pool = distinct_nonexpanding_closed(G, p, side)
+    pool = distinct_nonexpanding_closed(G, params or ExpansionParams(), side)
+    yield from _families_over(G, side, pool, max_families)
+
+
+def _families_over(
+    G: BipartiteGraph, side: str, pool: list[SideSet], max_families: int
+) -> Iterator[NonExpandingFamily]:
     nbhds = [neighborhood_bits(G, side, s.bits) for s in pool]
     produced = 0
 
@@ -143,10 +149,13 @@ def family_region(G: BipartiteGraph, side: str, union_bits: int) -> int:
 # -- the container-set multiplicity D ------------------------------------------
 
 
+EXHAUSTIVE_D_CAP = 24  # largest |A| whose 2^|A| subsets exhaustive_D scans
+
+
 def exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
     """|{B subseteq A : B 2-linked, N(B) = N(A)}| by direct scan."""
-    if A.size > 24:
-        raise CapacityError("exhaustive D capped at |A| <= 24")
+    if A.size > EXHAUSTIVE_D_CAP:
+        raise CapacityError(f"exhaustive D capped at |A| <= {EXHAUSTIVE_D_CAP}")
     target = neighborhood_bits(G, A.side, A.bits)
     verts = A.vertices()
     count = 0
@@ -189,6 +198,15 @@ class DEstimate:
     p_lower: Fraction
 
 
+def _d_sample_budget(
+    G: BipartiteGraph, A: SideSet, epsilon: float, delta: float, params: ExpansionParams
+) -> tuple[int, int]:
+    """The Monte-Carlo sample count m = ceil(3 eps^-2 ln(2/delta) 2^{|A''|})
+    for D(A) at epsilon <= 1, with |A''|."""
+    _, a2 = small_generator(G, A, params)
+    return math.ceil(3.0 * epsilon**-2 * math.log(2.0 / delta) * 2**a2.size), a2.size
+
+
 def estimate_D(
     G: BipartiteGraph,
     A: SideSet,
@@ -205,8 +223,7 @@ def estimate_D(
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
     eps_eff = min(epsilon, 1.0)
-    _, a2 = small_generator(G, A, p)
-    m = math.ceil(3.0 * eps_eff**-2 * math.log(2.0 / delta) * 2**a2.size)
+    m, a2_size = _d_sample_budget(G, A, eps_eff, delta, p)
 
     target = neighborhood_bits(G, A.side, A.bits)
     verts = A.vertices()
@@ -234,7 +251,7 @@ def estimate_D(
             hits += is_hit(int(rng.integers(0, 1 << na)))
 
     value = hits / m * 2.0**na
-    return DEstimate(value, eps_eff, delta, m, hits, Fraction(1, 2**a2.size))
+    return DEstimate(value, eps_eff, delta, m, hits, Fraction(1, 2**a2_size))
 
 
 # -- exact assembly --------------------------------------------------------------
@@ -282,13 +299,17 @@ def count_general(
     verify_restriction: bool = False,
     max_families: int = 1 << 20,
 ) -> ApproxCount:
-    """Approximate i(G) by the family sum with Monte-Carlo multiplicities
-    and truncated local cluster expansions.
+    """Approximate i(G) by the family sum with truncated local cluster
+    expansions.
 
-    Each distinct container set is estimated once at accuracy epsilon/(2n)
-    and failure budget delta split over the nonempty families; when
-    d > sqrt(n) the local partition functions are dropped (replaced by 1),
-    as the defect structure is negligible in that regime."""
+    Each distinct container set A is weighed once, at accuracy epsilon/(2n)
+    and failure budget delta split over the nonempty families.  D(A) is
+    exact, by the full subset scan, when its 2^|A| subsets cost no more than
+    the m samples ``estimate_D`` would draw and |A| <= EXHAUSTIVE_D_CAP;
+    otherwise ``estimate_D`` samples it.  ``notes`` counts both routes and
+    the draws, and the "certified" flag needs every D exact.
+    When d > sqrt(n) the local partition functions are dropped (replaced by
+    1), as the defect structure is negligible in that regime."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must lie strictly between 0 and 1")
     if not 0 < delta < 1:
@@ -303,16 +324,24 @@ def count_general(
     m = WeightModel.unweighted()
     fam_exp = PolymerFamily("expanding", side, p)
 
-    families = list(enumerate_families(G, p, side, max_families))
+    pool = distinct_nonexpanding_closed(G, p, side)
+    families = list(_families_over(G, side, pool, max_families))
     nonempty = sum(1 for f in families if f.sets)
     delta_prime = delta / max(1, nonempty)
     eps_d = min(epsilon, 1.0) / (2.0 * n)
 
-    pool = distinct_nonexpanding_closed(G, p, side)
     seeds = np.random.SeedSequence(seed).generate_state(max(1, len(pool)))
-    d_cache: dict[int, DEstimate] = {}
+    d_values: dict[int, float] = {}
+    d_sampled = d_samples = 0
     for s, child in zip(pool, seeds):
-        d_cache[s.bits] = estimate_D(G, s, eps_d, delta_prime, int(child), p)
+        budget, _ = _d_sample_budget(G, s, eps_d, delta_prime, p)
+        if s.size <= EXHAUSTIVE_D_CAP and 1 << s.size <= budget:
+            d_values[s.bits] = float(exhaustive_D(G, s))
+        else:
+            est = estimate_D(G, s, eps_d, delta_prime, int(child), p)
+            d_values[s.bits] = est.value
+            d_sampled += 1
+            d_samples += est.samples_used
 
     if drop_xi:
         kp_status = KP_VERIFIED  # nothing to converge; the factor is dropped
@@ -335,11 +364,11 @@ def count_general(
         log_term = (n_other - covered) * LN2
         dead = False
         for s in family.sets:
-            est = d_cache[s.bits]
-            if est.value <= 0.0:
+            value = d_values[s.bits]
+            if value <= 0.0:
                 dead = True
                 break
-            log_term += math.log(est.value)
+            log_term += math.log(value)
         if dead:
             zero_estimates += 1
             continue
@@ -367,6 +396,8 @@ def count_general(
         flags.append("xi-dropped (d > sqrt n)")
     if kp_status == KP_FAILED:
         flags.append("kp-failed-at-cap")
+    if d_sampled:
+        flags.append("d-sampled (holds w.p. >= 1 - delta)")
     if not flags:
         flags.append("certified")
     breakdown = (SideTerm(side, 0.0, big_l, kp_status, config_total),)
@@ -377,6 +408,9 @@ def count_general(
         "ell": big_l,
         "epsilon_D": eps_d,
         "delta_prime": delta_prime,
+        "d_exact": len(pool) - d_sampled,
+        "d_sampled": d_sampled,
+        "d_samples": d_samples,
         "zero_estimates": zero_estimates,
     }
     return ApproxCount(

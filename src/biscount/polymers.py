@@ -23,7 +23,6 @@ from .graphs import (
     ExpansionParams,
     SideSet,
     X_SIDE,
-    connected_sets_containing,
     connected_sets_min_rooted,
     is_expanding,
     is_small,
@@ -251,6 +250,44 @@ def _multiset_ursell(
     return ursell(adj, cap=URSELL_CAP)
 
 
+def _fits_masks(sizes: Sequence[int], budget: int) -> list[int]:
+    """fits[r] for r = 0..budget: the mask of the polymers of size at most r."""
+    fits = [0] * (budget + 1)
+    for i, size in enumerate(sizes):
+        if size <= budget:
+            fits[size] |= 1 << i
+    for r in range(1, budget + 1):
+        fits[r] |= fits[r - 1]
+    return fits
+
+
+def _supports_within(
+    adj: Sequence[int], root: int, sizes: Sequence[int], budget: int, allowed: int
+) -> list[int]:
+    """All masks S with root in S, S within ``allowed``, S connected under
+    ``adj`` and total size sum(sizes[i] for i in S) <= budget, each once.
+    The growth of ``graphs.connected_sets_containing`` with the size budget
+    applied at every step: a polymer too large for the room a support has
+    left is too large for every extension of it too, so it is never tried."""
+    fits = _fits_masks(sizes, budget)
+    out: list[int] = []
+
+    def rec(s: int, room: int, frontier: int, forbidden: int) -> None:
+        out.append(s)
+        ext = frontier & fits[room]
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            u = low.bit_length() - 1
+            forbidden |= low
+            grow = adj[u] & allowed & ~forbidden & ~s & ~ext
+            rec(s | low, room - sizes[u], ext | grow, forbidden)
+
+    root_bit = 1 << root
+    rec(root_bit, budget - sizes[root], adj[root] & allowed & ~root_bit, root_bit)
+    return out
+
+
 def enumerate_clusters(
     universe: Sequence[Polymer],
     ell: int,
@@ -281,10 +318,8 @@ def enumerate_clusters(
         if sizes[root] > ell:
             continue
         allowed = ((1 << k) - 1) & ~((1 << root) - 1)
-        for support_bits in connected_sets_containing(support_adj, root, ell, allowed):
+        for support_bits in _supports_within(support_adj, root, sizes, ell, allowed):
             support = list(iter_bits(support_bits))
-            if sum(sizes[i] for i in support) > ell:
-                continue
             mult = [1] * len(support)
 
             def rec(pos: int, total: int) -> Iterator[ClusterTerm]:
@@ -327,12 +362,7 @@ def iter_compatible_configs(
     incompat = incompatibility_masks(universe)
     sizes = [p.size for p in universe]
     budget = sum(sizes) if max_size is None else max(max_size, 0)
-    fits = [0] * (budget + 1)  # fits[r]: the polymers of size at most r
-    for i, size in enumerate(sizes):
-        if size <= budget:
-            fits[size] |= 1 << i
-    for r in range(1, budget + 1):
-        fits[r] |= fits[r - 1]
+    fits = _fits_masks(sizes, budget)
     count = 0
 
     def walk(free: int, chosen: tuple[int, ...], room: int) -> Iterator[tuple[int, ...]]:

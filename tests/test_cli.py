@@ -99,6 +99,7 @@ def test_count_general(capsys, c8_file):
     assert res["method"] == "general"
     assert math.exp(res["log_value"]) == pytest.approx(47, rel=0.05)
     assert res["notes"]["families"] == 2
+    assert (res["notes"]["d_exact"], res["notes"]["d_sampled"]) == (1, 0)
 
 
 def test_count_general_exact(capsys, c8_file):

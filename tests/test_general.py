@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 import util
+from biscount import general_count
 from biscount.errors import CapacityError, InvalidInputError
 from biscount.general_count import (
     NonExpandingFamily,
@@ -240,6 +241,8 @@ def test_count_general_c8_accuracy_and_flags(c8):
     assert out.notes["distinct_sets"] == 1
     assert out.notes["ell"] >= 1
     assert out.notes["zero_estimates"] == 0
+    assert out.notes["d_exact"] == 1
+    assert out.notes["d_sampled"] == 0
 
 
 def test_count_general_certified_when_no_expanding_sets(c8):
@@ -268,11 +271,43 @@ def test_count_general_y_side(c8):
 
 
 def test_count_general_deterministic(c8):
+    # C8's one container set has 2^4 subsets, far inside the sample budget,
+    # so D is exact and the seed has nothing to drive
     a = count_general(c8, 0.1, 0.1, seed=6, params=P1)
     b = count_general(c8, 0.1, 0.1, seed=6, params=P1)
     c = count_general(c8, 0.1, 0.1, seed=7, params=P1)
+    assert a.log_value == b.log_value == c.log_value
+    assert (a.notes["d_exact"], a.notes["d_sampled"], a.notes["d_samples"]) == (1, 0, 0)
+
+
+def test_count_general_samples_d_past_the_budget(c8, monkeypatch):
+    # a budget below 2^|A| sends D to the Monte-Carlo estimator, and there
+    # the seed drives the draws
+    budget = general_count._d_sample_budget
+
+    def tight(G, A, epsilon, delta, params):
+        m, a2_size = budget(G, A, epsilon, delta, params)
+        assert m >= 1 << A.size
+        return (1 << A.size) - 1, a2_size
+
+    monkeypatch.setattr(general_count, "_d_sample_budget", tight)
+    a = count_general(c8, 0.1, 0.1, seed=6, params=P1)
+    b = count_general(c8, 0.1, 0.1, seed=6, params=P1)
+    c = count_general(c8, 0.1, 0.1, seed=7, params=P1)
+    assert (a.notes["d_exact"], a.notes["d_sampled"], a.notes["d_samples"]) == (0, 1, 15)
+    assert "d-sampled (holds w.p. >= 1 - delta)" in a.flags
     assert a.log_value == b.log_value
     assert a.log_value != c.log_value
+
+
+def test_count_general_q3_lands_on_the_dense_branch_target(q3):
+    # d > sqrt(n) drops the local partition functions, so with D exact the
+    # run returns the branch target 2^4 + D(full side) = 16 + 11 = 27
+    for seed in (0, 1):
+        out = count_general(q3, 0.05, 0.05, seed=seed, params=P1)
+        assert "xi-dropped (d > sqrt n)" in out.flags
+        assert out.notes["d_sampled"] == 0
+        assert out.log_value == pytest.approx(math.log(27), rel=1e-15)
 
 
 def test_count_general_validation(c8):

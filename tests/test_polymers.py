@@ -21,12 +21,19 @@ from biscount import (
     ursell,
     xi_size_polynomial,
 )
-from biscount.graphs import SideSet, is_two_linked, neighborhood_bits
+from biscount.graphs import (
+    SideSet,
+    connected_sets_containing,
+    is_two_linked,
+    iter_bits,
+    neighborhood_bits,
+)
 from biscount.instances import complete_bipartite, even_cycle, hypercube
 from biscount.polymers import (
     Polymer,
     PolymerFamily,
     WeightModel,
+    _supports_within,
     incompatibility_masks,
     iter_compatible_configs,
 )
@@ -330,3 +337,30 @@ def test_polymer_family_rejects_unknown_membership(c8):
     fam = PolymerFamily("neither", "X", P1)
     with pytest.raises(InvalidInputError):
         fam.admits(c8, 0b1)
+
+
+def test_budgeted_support_growth_matches_filtered_growth():
+    # size-pruned growth gives exactly the connected supports that growth
+    # by count finds and the size budget then keeps, each once
+    rng = random.Random(2024)
+    for _ in range(40):
+        k = rng.randint(1, 12)
+        adj = [0] * k
+        for i in range(k):
+            for j in range(i + 1, k):
+                if rng.random() < 0.35:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        sizes = [rng.randint(1, 4) for _ in range(k)]
+        budget = rng.randint(1, 10)
+        root = rng.randrange(k)
+        if sizes[root] > budget:
+            continue
+        allowed = ((1 << k) - 1) & ~((1 << root) - 1)
+        got = _supports_within(adj, root, sizes, budget, allowed)
+        assert len(got) == len(set(got))
+        want = {
+            s for s in connected_sets_containing(adj, root, budget, allowed)
+            if sum(sizes[i] for i in iter_bits(s)) <= budget
+        }
+        assert set(got) == want
