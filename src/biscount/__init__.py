@@ -107,6 +107,7 @@ from .polymers import (
     enumerate_clusters,
     enumerate_polymers,
     log_series_coefficients,
+    restrict_universe,
     ursell,
     xi_size_polynomial,
 )

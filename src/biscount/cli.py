@@ -357,7 +357,7 @@ def _cmd_verify_kp(args: argparse.Namespace) -> int:
         kp = kp_unweighted(G.d)
     start = time.perf_counter()
     fam = PolymerFamily(args.family, args.side, p)
-    report = verify_kp(G, fam, m, kp, args.cap)
+    report = verify_kp(enumerate_polymers(G, fam, args.cap), m, kp)
     elapsed = time.perf_counter() - start
     failures = [c for c in report.checks if not c.passed]
     config = _resolved_config(

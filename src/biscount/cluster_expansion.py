@@ -6,7 +6,9 @@ under the convergence condition the discarded tail is exponentially small
 in ell, and the bound actually asserted depends on the weight model.  The
 condition itself is checked numerically per polymer up to a size cap; the
 asymptotic guarantee behind it only kicks in for large degree, so
-desk-scale failures are reported rather than hidden.
+desk-scale failures are reported rather than hidden.  Every routine that
+works on a polymer universe takes it from the caller, which enumerates it
+once and restricts it to each region.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .polymers import (
     PolymerFamily,
     WeightModel,
     enumerate_polymers,
+    incompatibility_masks,
     iter_compatible_configs,
     log_series_coefficients,
     xi_size_polynomial,
@@ -110,25 +113,16 @@ class KPPolymerCheck:
 class KPReport:
     checks: tuple[KPPolymerCheck, ...]
     all_pass: bool
-    size_cap: int
-    # the sum on the left is restricted to polymers up to the cap, so a pass
-    # is numerical evidence, not the asymptotic claim itself
+    # the sum on the left is restricted to the universe checked, polymers up
+    # to a size cap, so a pass is numerical evidence, not the asymptotic
+    # claim itself
     truncated_universe: bool = True
 
 
-def verify_kp(
-    G: BipartiteGraph,
-    fam: PolymerFamily,
-    m: WeightModel,
-    kp: KPFunctions,
-    size_cap: int,
-    region: int | None = None,
-) -> KPReport:
-    """Check the convergence condition per polymer, universe truncated to
-    the size cap.  Empty universe passes vacuously."""
-    universe = enumerate_polymers(G, fam, size_cap, region)
-    from .polymers import incompatibility_masks
-
+def verify_kp(universe: Sequence[Polymer], m: WeightModel, kp: KPFunctions) -> KPReport:
+    """Check the convergence condition per polymer of ``universe``, summing
+    over the polymers of that universe only (enumerate it to the size cap
+    the check should reach).  An empty universe passes vacuously."""
     incompat = incompatibility_masks(universe)
     boosted = [
         math.exp(m.log_weight(p) + kp.f(p) + kp.g(p)) for p in universe
@@ -145,7 +139,7 @@ def verify_kp(
         checks.append(
             KPPolymerCheck(p.bits, p.size, p.nbhd_size, lhs, rhs, lhs <= rhs)
         )
-    return KPReport(tuple(checks), all(c.passed for c in checks), size_cap)
+    return KPReport(tuple(checks), all(c.passed for c in checks))
 
 
 def choose_ell(n: int, d: int, epsilon: float, model: str = "unweighted") -> int:
@@ -190,39 +184,34 @@ class LogPartitionEstimate:
 
 
 def truncated_log_xi(
-    G: BipartiteGraph,
-    fam: PolymerFamily,
+    universe: Sequence[Polymer],
     m: WeightModel,
     ell: int,
-    region: int | None = None,
+    n: int,
+    d: int,
     kp_status: str = KP_ASSUMED,
 ) -> LogPartitionEstimate:
     """ln Xi(ell) = a_1 + ... + a_ell, the log-series coefficients of the
     size polynomial c_0..c_ell walked over the configurations of total size
     <= ell (within the walk's configuration budget); equal to the sum of the
-    clusters of size <= ell.  Exact models sum in Fractions and round once."""
+    clusters of size <= ell.  Exact models sum in Fractions and round once.
+
+    ``universe`` must hold every polymer of size <= ell of the ground set;
+    larger ones may be present and are never walked.  The certified tail
+    bound is taken for a ground set of ``n`` vertices in a d-regular graph."""
     if ell < 0:
         raise InvalidInputError("ell must be nonnegative")
-    side_n = G.side_size(fam.side)
-    n_eff = region.bit_count() if region is not None else side_n
     model = "hardcore" if m.variant == "hardcore" else "unweighted"
-    universe = enumerate_polymers(G, fam, min(ell, side_n), region)
     coeffs = xi_size_polynomial(universe, m, upto=ell)
     total = sum(log_series_coefficients(coeffs, ell)[1:])
-    bound = truncation_bound(n_eff, G.d, ell, model) if n_eff else 0.0
+    bound = truncation_bound(n, d, ell, model) if n else 0.0
     return LogPartitionEstimate(float(total), ell, bound, kp_status, model, coeffs.configs)
 
 
-def exact_xi(
-    G: BipartiteGraph,
-    fam: PolymerFamily,
-    m: WeightModel,
-    cap: int = 24,
-    region: int | None = None,
-) -> Fraction | float:
-    """Xi by direct enumeration of compatible-polymer configurations."""
-    n = G.side_size(fam.side)
-    universe = enumerate_polymers(G, fam, n, region)
+def exact_xi(universe: Sequence[Polymer], m: WeightModel, cap: int = 24) -> Fraction | float:
+    """Xi of a complete polymer universe by direct enumeration of its
+    compatible configurations; more than ``cap`` polymers raise
+    CapacityError."""
     if len(universe) > cap:
         raise CapacityError(f"{len(universe)} polymers exceed the exact cap {cap}")
     exact = m.exact_available
@@ -241,14 +230,8 @@ def exact_xi(
     return total
 
 
-def exact_log_xi(
-    G: BipartiteGraph,
-    fam: PolymerFamily,
-    m: WeightModel,
-    cap: int = 24,
-    region: int | None = None,
-) -> float:
-    xi = exact_xi(G, fam, m, cap, region)
+def exact_log_xi(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel, cap: int = 24) -> float:
+    xi = exact_xi(enumerate_polymers(G, fam, G.side_size(fam.side)), m, cap)
     if isinstance(xi, Fraction):
         return math.log(xi.numerator) - math.log(xi.denominator)
     return math.log(xi)
@@ -270,15 +253,14 @@ def tail_mass(
     fam: PolymerFamily,
     m: WeightModel,
     delta: float,
-    region: int | None = None,
     cap: int = 24,
 ) -> TailMass:
     if delta < 0:
         raise InvalidInputError("delta must be nonnegative")
     if not m.exact_available:
         raise InvalidInputError("tail mass needs an exact weight model")
-    n = region.bit_count() if region is not None else G.side_size(fam.side)
-    universe = enumerate_polymers(G, fam, G.side_size(fam.side), region)
+    n = G.side_size(fam.side)
+    universe = enumerate_polymers(G, fam, n)
     if len(universe) > cap:
         raise CapacityError(f"{len(universe)} polymers exceed the exact cap {cap}")
     coeffs = xi_size_polynomial(universe, m)

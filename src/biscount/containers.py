@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, InvalidInputError, MalformedCertificateError
 from .graphs import (
@@ -238,16 +238,13 @@ def enumerate_essential_candidates(
     w: int,
     params: ExpansionParams | None = None,
     side: str = "X",
-    walk_mode: bool = False,
 ) -> list[SideSet]:
     """All candidate essential subsets for 2-linked sets anchored at v with
     neighborhood weight w.
 
     Candidates are neighborhoods N(B) of 2-linked sets B containing v of size
     at most the essential cap, returned deduplicated on the side opposite
-    ``side``.  ``walk_mode`` switches to the closed-walk enumeration (walks
-    of length twice the cap in the square graph, a step index beyond the
-    current degree meaning "stay"), which lists the same family.
+    ``side``.
     """
     n = G.side_size(side)
     if not 0 <= v < n:
@@ -258,46 +255,10 @@ def enumerate_essential_candidates(
     cap = min(cap, n)
     square = G.square_rows(side)
     seen: set[int] = set()
-    if walk_mode:
-        for b_bits in _walk_sets(square, v, cap):
-            seen.add(neighborhood_bits(G, side, b_bits))
-    else:
-        full = (1 << n) - 1
-        for b_bits in connected_sets_containing(square, v, cap, full):
-            seen.add(neighborhood_bits(G, side, b_bits))
+    for b_bits in connected_sets_containing(square, v, cap, (1 << n) - 1):
+        seen.add(neighborhood_bits(G, side, b_bits))
     other = opposite(side)
     return [SideSet(other, bits) for bits in sorted(seen)]
-
-
-def _walk_sets(square: Sequence[int], root: int, cap: int) -> Iterator[int]:
-    """Vertex sets of walks from root in the square graph.
-
-    Walks have length 2 * cap and may stay in place, so the reachable sets
-    are exactly the connected sets containing root with at most cap
-    vertices.  States are deduplicated to keep the recursion polynomial in
-    the output.
-    """
-    steps = 2 * cap
-    emitted: set[int] = set()
-    stack = [(root, 1 << root, steps)]
-    visited_states: set[tuple[int, int, int]] = set()
-    while stack:
-        cur, bits, left = stack.pop()
-        if bits not in emitted:
-            emitted.add(bits)
-            yield bits
-        if left == 0:
-            continue
-        moves = [cur]
-        if bits.bit_count() < cap:
-            moves.extend(iter_bits(square[cur]))
-        else:
-            moves.extend(u for u in iter_bits(square[cur] & bits))
-        for nxt in moves:
-            state = (nxt, bits | 1 << nxt, left - 1)
-            if state not in visited_states:
-                visited_states.add(state)
-                stack.append((nxt, bits | 1 << nxt, left - 1))
 
 
 def enumerate_expanding(

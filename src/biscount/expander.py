@@ -12,7 +12,6 @@ the opposite side independently.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -39,12 +38,21 @@ from .graphs import (
     opposite,
     two_linked_component_bits,
 )
-from .oracle import exact_count_bipartite, exact_hardcore
+from .oracle import (
+    DRAW_BITS,
+    DRAW_DEN,
+    draw_index,
+    exact_count_bipartite,
+    exact_hardcore,
+    quantize,
+)
 from .polymers import (
+    Polymer,
     PolymerFamily,
     WeightModel,
     enumerate_polymers,
     iter_compatible_configs,
+    restrict_universe,
 )
 
 LN2 = math.log(2)
@@ -226,10 +234,10 @@ def _side_estimate(
     kp,
     ell: int,
 ) -> SideTerm:
-    cap = min(ell, G.side_size(fam.side))
-    report = verify_kp(G, fam, m, kp, cap)
-    status = KP_VERIFIED if report.all_pass else KP_FAILED
-    est = truncated_log_xi(G, fam, m, ell, kp_status=status)
+    n = G.side_size(fam.side)
+    universe = enumerate_polymers(G, fam, min(ell, n))
+    status = KP_VERIFIED if verify_kp(universe, m, kp).all_pass else KP_FAILED
+    est = truncated_log_xi(universe, m, ell, n, G.d, kp_status=status)
     return SideTerm(fam.side, est.log_value, ell, status, est.config_count, est.certified_bound)
 
 
@@ -344,10 +352,6 @@ def count_hardcore_expander(
 ) -> ApproxCount:
     """Z_G(lambda) ~ (1+lambda)^n (Xi^X(lambda,ell) + Xi^Y(lambda,ell)) over
     the small-set polymer family.
-
-    At lambda = 1 the estimator coincides with count_expander's up to the
-    family change (small versus expanding); the per-side log gap between the
-    two families is reported in the notes in that case.
     """
     _check_epsilon(epsilon)
     p = params or ExpansionParams()
@@ -374,16 +378,6 @@ def count_hardcore_expander(
 
     log_value = n * _log_fraction(1 + hp.lam) + _logaddexp(term_x.log_xi, term_y.log_xi)
 
-    if hp.lam == 1:
-        mu = WeightModel.unweighted()
-        gaps = {}
-        for term in (term_x, term_y):
-            alt = truncated_log_xi(
-                G, PolymerFamily("expanding", term.side, p), mu, term.ell
-            )
-            gaps[term.side] = term.log_xi - alt.log_value
-        notes["family_log_gap"] = gaps
-
     flags: list[str] = [
         f"hypothesis-unmet:{name}"
         for name, ok in notes["conditions"].items()
@@ -404,17 +398,6 @@ def count_hardcore_expander(
 
 
 # -- sampling -------------------------------------------------------------------
-
-# uniform draws are 96-bit integers compared against floor(p * 2^96)
-# thresholds, so each decision's probability is exact to within 2^-96
-DRAW_BITS = 96
-DRAW_DEN = 1 << DRAW_BITS
-
-
-def quantize(fr: Fraction) -> int:
-    """floor(fr * 2^96), the integer threshold realizing probability fr."""
-    return (fr.numerator << DRAW_BITS) // fr.denominator
-
 
 @dataclass(frozen=True)
 class SideTable:
@@ -516,11 +499,6 @@ def exact_mu_hat(
     return out
 
 
-def _draw_index(rng: Random, thresholds: tuple[int, ...]) -> int:
-    u = rng.getrandbits(DRAW_BITS)
-    return bisect_left(thresholds, u + 1)
-
-
 def _fill_free(rng: Random, free: int, fill_threshold: int, fair: bool) -> int:
     out = 0
     for v in iter_bits(free):
@@ -537,7 +515,7 @@ def _sample_from_tables(
 ) -> tuple[int, int]:
     side = X_SIDE if rng.getrandbits(DRAW_BITS) < tables.side_threshold else Y_SIDE
     table = tables.table(side)
-    bits = table.config_bits[_draw_index(rng, table.thresholds)]
+    bits = table.config_bits[draw_index(rng, table.thresholds)]
     other = opposite(side)
     free = G.full_mask(other) & ~neighborhood_bits(G, side, bits)
     fair = tables.fill_num == Fraction(1, 2)
@@ -556,7 +534,8 @@ def _blocked_mask(G: BipartiteGraph, side: str, bits: int, nbhd: int) -> int:
 
 def _sequential_defect(
     G: BipartiteGraph,
-    fam: PolymerFamily,
+    side: str,
+    universe: list[Polymer],
     m: WeightModel,
     rng: Random,
     use_exact_xi: bool,
@@ -566,14 +545,15 @@ def _sequential_defect(
     """Draw a defect configuration by per-vertex peeling: at each surviving
     vertex, either no polymer contains it (remove the vertex) or one does
     (remove the polymer's blocked set), with probabilities given by ratios
-    of region partition functions."""
-    side = fam.side
+    of region partition functions.  ``universe`` is the side's whole polymer
+    universe; each region's is restricted from it."""
     n = G.side_size(side)
 
     def xi_of(region: int):
+        local = restrict_universe(universe, region)
         if use_exact_xi:
-            return exact_xi(G, fam, m, cap=xi_cap, region=region)
-        return math.exp(truncated_log_xi(G, fam, m, ell, region=region).log_value)
+            return exact_xi(local, m, cap=xi_cap)
+        return math.exp(truncated_log_xi(local, m, ell, region.bit_count(), G.d).log_value)
 
     region = G.full_mask(side)
     chosen = 0
@@ -582,11 +562,7 @@ def _sequential_defect(
             continue
         xi_r = xi_of(region)
         xi_without = xi_of(region & ~(1 << v))
-        cands = [
-            p
-            for p in enumerate_polymers(G, fam, n, region)
-            if (p.bits >> v) & 1
-        ]
+        cands = [p for p in restrict_universe(universe, region) if (p.bits >> v) & 1]
         branches = []
         for p in cands:
             blocked = _blocked_mask(G, side, p.bits, p.nbhd) & region
@@ -628,21 +604,19 @@ def _sequential_defect(
 
 def _side_choice_threshold(
     G: BipartiteGraph,
-    membership: str,
-    p: ExpansionParams,
+    universes: dict[str, list[Polymer]],
     m: WeightModel,
     use_exact_xi: bool,
     ell: int,
     xi_cap: int,
 ) -> int:
-    fam_x = PolymerFamily(membership, X_SIDE, p)
-    fam_y = PolymerFamily(membership, Y_SIDE, p)
+    ux, uy = universes[X_SIDE], universes[Y_SIDE]
     if use_exact_xi:
-        xi_x = exact_xi(G, fam_x, m, cap=xi_cap)
-        xi_y = exact_xi(G, fam_y, m, cap=xi_cap)
+        xi_x = exact_xi(ux, m, cap=xi_cap)
+        xi_y = exact_xi(uy, m, cap=xi_cap)
         return quantize(Fraction(xi_x) / (Fraction(xi_x) + Fraction(xi_y)))
-    lx = truncated_log_xi(G, fam_x, m, ell).log_value
-    ly = truncated_log_xi(G, fam_y, m, ell).log_value
+    lx = truncated_log_xi(ux, m, ell, G.n_x, G.d).log_value
+    ly = truncated_log_xi(uy, m, ell, G.n_y, G.d).log_value
     return int(DRAW_DEN / (1.0 + math.exp(ly - lx)))
 
 
@@ -671,16 +645,20 @@ def _sample_run(
     if mode != "sequential":
         raise InvalidInputError(f"unknown sampling mode {mode!r}")
     ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=model_name)
-    side_threshold = _side_choice_threshold(
-        G, membership, p, m, use_exact_xi, ell, xi_cap
-    )
+    # one universe per side for the whole run; every region restricts it
+    universes = {
+        side: enumerate_polymers(G, PolymerFamily(membership, side, p), G.side_size(side))
+        for side in (X_SIDE, Y_SIDE)
+    }
+    side_threshold = _side_choice_threshold(G, universes, m, use_exact_xi, ell, xi_cap)
     fair = fill_num == Fraction(1, 2)
     fill_threshold = quantize(fill_num)
     out = []
     for _ in range(samples):
         side = X_SIDE if rng.getrandbits(DRAW_BITS) < side_threshold else Y_SIDE
-        fam = PolymerFamily(membership, side, p)
-        bits = _sequential_defect(G, fam, m, rng, use_exact_xi, ell, xi_cap)
+        bits = _sequential_defect(
+            G, side, universes[side], m, rng, use_exact_xi, ell, xi_cap
+        )
         free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
         fill = _fill_free(rng, free, fill_threshold, fair)
         out.append((bits, fill) if side == X_SIDE else (fill, bits))

@@ -22,6 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .cluster_expansion import (
+    KP_ASSUMED,
     KP_FAILED,
     KP_VERIFIED,
     exact_xi,
@@ -50,7 +51,7 @@ from .graphs import (
     neighborhood_bits,
     opposite,
 )
-from .polymers import PolymerFamily, WeightModel, enumerate_polymers
+from .polymers import PolymerFamily, WeightModel, enumerate_polymers, restrict_universe
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,7 @@ def family_region(G: BipartiteGraph, side: str, union_bits: int) -> int:
 
 
 EXHAUSTIVE_D_CAP = 24  # largest |A| whose 2^|A| subsets exhaustive_D scans
+D_DRAW_CHUNK = 1 << 20  # estimate_D's draws held at once (8 MiB of uint64)
 
 
 def exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
@@ -243,8 +245,11 @@ def estimate_D(
         table = np.zeros(1 << na, dtype=np.uint8)
         for local in range(1 << na):
             table[local] = is_hit(local)
-        draws = rng.integers(0, 1 << na, size=m, dtype=np.uint64)
-        hits = int(table[draws].sum())
+        # chunked draws continue one stream, so the hits match a single draw
+        hits = 0
+        for start in range(0, m, D_DRAW_CHUNK):
+            draws = rng.integers(0, 1 << na, size=min(D_DRAW_CHUNK, m - start), dtype=np.uint64)
+            hits += int(table[draws].sum())
     else:
         hits = 0
         for _ in range(m):
@@ -270,13 +275,13 @@ def assemble_exact(
     other = opposite(side)
     n_other = G.side_size(other)
     m = WeightModel.unweighted()
-    fam_exp = PolymerFamily("expanding", side, p)
+    universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), G.side_size(side))
     total = Fraction(0)
     for family in enumerate_families(G, p, side):
         union = family.union_bits
         covered = neighborhood_bits(G, side, union).bit_count()
-        region = family_region(G, side, union)
-        xi = exact_xi(G, fam_exp, m, cap=xi_cap, region=region)
+        local = restrict_universe(universe, family_region(G, side, union))
+        xi = exact_xi(local, m, cap=xi_cap)
         prod = 1
         for s in family.sets:
             prod *= exhaustive_D(G, s)
@@ -296,7 +301,6 @@ def count_general(
     seed: int,
     params: ExpansionParams | None = None,
     side: str = "X",
-    verify_restriction: bool = False,
     max_families: int = 1 << 20,
 ) -> ApproxCount:
     """Approximate i(G) by the family sum with truncated local cluster
@@ -308,8 +312,11 @@ def count_general(
     the m samples ``estimate_D`` would draw and |A| <= EXHAUSTIVE_D_CAP;
     otherwise ``estimate_D`` samples it.  ``notes`` counts both routes and
     the draws, and the "certified" flag needs every D exact.
-    When d > sqrt(n) the local partition functions are dropped (replaced by
-    1), as the defect structure is negligible in that regime."""
+    One polymer universe, to the truncation size, serves the convergence
+    check and every family's local expansion, restricted to the family's
+    region.  When d > sqrt(n) the local partition functions are dropped
+    (replaced by 1), as the defect structure is negligible in that regime,
+    and the convergence condition is reported as assumed."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must lie strictly between 0 and 1")
     if not 0 < delta < 1:
@@ -322,7 +329,6 @@ def count_general(
     big_l = max(1, math.ceil(d / (2.0 * q) * math.log2(2.0 * n / epsilon)))
     drop_xi = d * d > n
     m = WeightModel.unweighted()
-    fam_exp = PolymerFamily("expanding", side, p)
 
     pool = distinct_nonexpanding_closed(G, p, side)
     families = list(_families_over(G, side, pool, max_families))
@@ -344,16 +350,11 @@ def count_general(
             d_samples += est.samples_used
 
     if drop_xi:
-        kp_status = KP_VERIFIED  # nothing to converge; the factor is dropped
+        kp_status = KP_ASSUMED  # nothing was checked; the factor is dropped
     else:
-        report = verify_kp(G, fam_exp, m, kp_unweighted(d), min(big_l, n))
+        universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), min(big_l, n))
+        report = verify_kp(universe, m, kp_unweighted(d))
         kp_status = KP_VERIFIED if report.all_pass else KP_FAILED
-
-    full_universe = None
-    if verify_restriction:
-        full_universe = {
-            poly.bits for poly in enumerate_polymers(G, fam_exp, n)
-        }
 
     term_logs: list[float] = []
     zero_estimates = 0
@@ -374,13 +375,8 @@ def count_general(
             continue
         if not drop_xi:
             region = family_region(G, side, union)
-            if verify_restriction:
-                local = {
-                    poly.bits for poly in enumerate_polymers(G, fam_exp, n, region)
-                }
-                if not local <= full_universe:
-                    raise InvalidInputError("restricted universe escaped the full one")
-            est_xi = truncated_log_xi(G, fam_exp, m, big_l, region=region)
+            local = restrict_universe(universe, region)
+            est_xi = truncated_log_xi(local, m, big_l, region.bit_count(), d)
             config_total += est_xi.config_count
             log_term += est_xi.log_value
         term_logs.append(log_term)

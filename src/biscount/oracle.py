@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvalidInputError
 from .graphs import BipartiteGraph, Graph, iter_bits, neighborhood_bits
@@ -186,27 +187,38 @@ def exact_distribution(
     return table
 
 
+# uniform draws are 96-bit integers compared against floor(p * 2^96)
+# thresholds, so each decision's probability is exact to within 2^-96
+DRAW_BITS = 96
+DRAW_DEN = 1 << DRAW_BITS
+
+
+def quantize(fr: Fraction) -> int:
+    """floor(fr * 2^96), the integer threshold realizing probability fr."""
+    return (fr.numerator << DRAW_BITS) // fr.denominator
+
+
+def draw_index(rng: random.Random, thresholds: Sequence[int]) -> int:
+    """Index i drawn with probability (thresholds[i] - thresholds[i-1]) / 2^96
+    from ascending quantized cumulative thresholds ending at 2^96."""
+    u = rng.getrandbits(DRAW_BITS)
+    return bisect_left(thresholds, u + 1)
+
+
 class ExactSampler:
-    """Draws from the hard-core measure by inversion on the exact table."""
+    """Draws from the hard-core measure by inversion on the exact table,
+    each set with its exact probability to within 2^-96."""
 
     def __init__(self, G: BipartiteGraph, lam: Fraction = Fraction(1), seed: int = 0,
                  table_cap: int = 1 << 21):
         table = exact_distribution(G, lam, table_cap)
         self.keys = list(table)
-        self.cumulative = []
-        acc = 0.0
+        self.thresholds = []
+        acc = Fraction(0)
         for k in self.keys:
-            acc += float(table[k])
-            self.cumulative.append(acc)
+            acc += table[k]
+            self.thresholds.append(quantize(acc))
         self.rng = random.Random(seed)
 
     def sample(self) -> tuple[int, int]:
-        u = self.rng.random() * self.cumulative[-1]
-        lo, hi = 0, len(self.cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.keys[lo]
+        return self.keys[draw_index(self.rng, self.thresholds)]

@@ -142,22 +142,16 @@ def enumerate_polymers(
     G: BipartiteGraph,
     fam: PolymerFamily,
     size_cap: int,
-    region: int | None = None,
     max_polymers: int = 1 << 20,
 ) -> list[Polymer]:
     """The polymer universe up to ``size_cap`` vertices, sorted by bit mask.
-
-    ``region`` restricts the ground set (used for the residual graphs of the
-    container assembly); membership predicates are always evaluated in the
-    parent graph, so restricted universes are sub-universes of the full one.
-    """
+    A region's universe is this one filtered by ``restrict_universe``."""
     if size_cap <= 0:
         return []
     side = fam.side
-    n = G.side_size(side)
-    allowed = region if region is not None else (1 << n) - 1
+    cap = min(size_cap, G.side_size(side))
     out: list[Polymer] = []
-    for bits in connected_sets_min_rooted(G.square_rows(side), min(size_cap, n), allowed):
+    for bits in connected_sets_min_rooted(G.square_rows(side), cap):
         if fam.admits(G, bits):
             if len(out) >= max_polymers:
                 raise CapacityError(
@@ -166,6 +160,16 @@ def enumerate_polymers(
             out.append(Polymer(side, bits, neighborhood_bits(G, side, bits)))
     out.sort(key=lambda p: p.bits)
     return out
+
+
+def restrict_universe(universe: Sequence[Polymer], region: int) -> list[Polymer]:
+    """The polymers of ``universe`` that lie inside ``region``, in order.
+
+    This is exactly the universe of the region itself: membership is decided
+    by parent-graph predicates, and 2-linkedness depends on the set alone
+    (its square-graph edges join its own vertices), so a polymer inside the
+    region is found by enumerating either the region or the whole side."""
+    return [p for p in universe if not p.bits & ~region]
 
 
 def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:

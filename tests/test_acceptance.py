@@ -104,16 +104,15 @@ def test_criterion_02_polymer_identity_and_census(capsys):
         fams = {
             side: PolymerFamily("expanding", side, params) for side in (X_SIDE, Y_SIDE)
         }
-        sizes = {
-            side: len(enumerate_polymers(G, fams[side], G.side_size(side)))
-            for side in fams
+        universes = {
+            side: enumerate_polymers(G, fams[side], G.side_size(side)) for side in fams
         }
-        if max(sizes.values()) > 24:
+        if max(len(u) for u in universes.values()) > 24:
             skipped += 1
             continue
         cen = polymer_census(G, params)
         for side, target in ((X_SIDE, cen.in_x), (Y_SIDE, cen.in_y)):
-            value = (1 << G.side_size(side)) * exact_xi(G, fams[side], unweighted)
+            value = (1 << G.side_size(side)) * exact_xi(universes[side], unweighted)
             assert value.denominator == 1 and value == target
         assert cen.in_x + cen.in_y - cen.both <= cen.total
         assert cen.total == exact_count_bipartite(G).value
@@ -135,14 +134,14 @@ def test_criterion_03_convergence_where_kp_passes(capsys):
                 total += 1
                 fam = PolymerFamily("expanding", side, params)
                 n = G.side_size(side)
-                if not verify_kp(G, fam, unweighted, kp_unweighted(G.d), n).all_pass:
+                universe = enumerate_polymers(G, fam, n)
+                if not verify_kp(universe, unweighted, kp_unweighted(G.d)).all_pass:
                     continue
                 passing += 1
-                universe = enumerate_polymers(G, fam, n)
-                exact = float(math.log(float(exact_xi(G, fam, unweighted))))
+                exact = float(math.log(float(exact_xi(universe, unweighted))))
                 ell_max = max(1, sum(p.size for p in universe))
                 for ell in range(1, ell_max + 1):
-                    est = truncated_log_xi(G, fam, unweighted, ell)
+                    est = truncated_log_xi(universe, unweighted, ell, n, G.d)
                     err = abs(est.log_value - exact)
                     assert err <= est.certified_bound
                     if ell == ell_max:
@@ -162,8 +161,9 @@ def test_criterion_03_convergence_where_kp_passes(capsys):
     "1e-09 at this size, so the clause is an asymptotic statement",
 )
 def test_criterion_03_c8_anchor_by_ell_8(capsys):
-    fam = PolymerFamily("expanding", X_SIDE, P1)
-    est = truncated_log_xi(even_cycle(8), fam, WeightModel.unweighted(), 8)
+    G = even_cycle(8)
+    universe = enumerate_polymers(G, PolymerFamily("expanding", X_SIDE, P1), G.n_x)
+    est = truncated_log_xi(universe, WeightModel.unweighted(), 8, G.n_x, G.d)
     err = abs(est.log_value - math.log(21 / 8))
     announce(capsys, f"ACCEPTANCE 03 FAIL (expected): |ln Xi(8) - ln(21/8)| "
              f"= {err:.2e} > 1e-06 on the 8-cycle")

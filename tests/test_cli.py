@@ -267,11 +267,11 @@ def test_exit_code_internal_on_broken_peeling_identity(capsys, c8_file, monkeypa
 
     real = biscount.expander.exact_xi
 
-    def off_by_one_on_full_region(G, fam, m, cap=24, region=None):
-        xi = real(G, fam, m, cap=cap, region=region)
-        return xi + 1 if region == G.full_mask(fam.side) else xi
+    def off_by_one_through_vertex_0(universe, m, cap=24):
+        xi = real(universe, m, cap=cap)
+        return xi + 1 if any(p.bits & 1 for p in universe) else xi
 
-    monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_on_full_region)
+    monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_through_vertex_0)
     assert main(["sample", "--graph", c8_file, "--mode", "expander",
                  "--sampler", "sequential", "--c1", "1.0"]) == 4
     assert "peeling identity" in capsys.readouterr().err

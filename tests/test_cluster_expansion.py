@@ -30,10 +30,11 @@ from biscount.polymers import (
     enumerate_polymers,
     iter_compatible_configs,
     log_series_coefficients,
+    restrict_universe,
     xi_size_polynomial,
 )
 
-from util import P1, random_instances
+from util import P1, brute_polymer_sets, random_instances
 
 
 def test_beta_weight_frozen_anchor():
@@ -88,13 +89,15 @@ def test_truncation_bound_decreasing_in_ell():
 def test_certified_bound_decreasing_in_ell(c8):
     fam = PolymerFamily("expanding", "X", P1)
     m = WeightModel.unweighted()
-    bounds = [truncated_log_xi(c8, fam, m, ell).certified_bound for ell in range(1, 7)]
+    uni = enumerate_polymers(c8, fam, 4)
+    bounds = [truncated_log_xi(uni, m, ell, 4, c8.d).certified_bound for ell in range(1, 7)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
 
 def test_verify_kp_fails_at_desk_scale(c8):
     fam = PolymerFamily("expanding", "X", P1)
-    report = verify_kp(c8, fam, WeightModel.unweighted(), kp_unweighted(c8.d), size_cap=4)
+    uni = enumerate_polymers(c8, fam, 4)
+    report = verify_kp(uni, WeightModel.unweighted(), kp_unweighted(c8.d))
     assert not report.all_pass
     assert len(report.checks) == 8
     assert all(not c.passed for c in report.checks)
@@ -105,14 +108,15 @@ def test_verify_kp_fails_at_desk_scale(c8):
 def test_verify_kp_vacuous_pass_on_empty_universe():
     G = complete_bipartite(4)
     fam = PolymerFamily("expanding", "X", P1)
-    report = verify_kp(G, fam, WeightModel.unweighted(), kp_unweighted(G.d), size_cap=4)
+    uni = enumerate_polymers(G, fam, 4)
+    report = verify_kp(uni, WeightModel.unweighted(), kp_unweighted(G.d))
     assert report.all_pass
     assert report.checks == ()
 
 
 def test_exact_xi_frozen_anchor(c8):
     fam = PolymerFamily("expanding", "X", P1)
-    xi = exact_xi(c8, fam, WeightModel.unweighted())
+    xi = exact_xi(enumerate_polymers(c8, fam, 4), WeightModel.unweighted())
     assert xi == Fraction(21, 8)
     assert exact_log_xi(c8, fam, WeightModel.unweighted()) == pytest.approx(
         math.log(21 / 8), abs=1e-12
@@ -122,7 +126,7 @@ def test_exact_xi_frozen_anchor(c8):
 def test_exact_xi_capacity(c8):
     fam = PolymerFamily("expanding", "X", P1)
     with pytest.raises(CapacityError):
-        exact_xi(c8, fam, WeightModel.unweighted(), cap=3)
+        exact_xi(enumerate_polymers(c8, fam, 4), WeightModel.unweighted(), cap=3)
 
 
 def test_truncated_log_xi_matches_series_partial_sums(c8):
@@ -135,7 +139,7 @@ def test_truncated_log_xi_matches_series_partial_sums(c8):
     partial = 0.0
     for ell in range(1, 9):
         partial += float(logc[ell])
-        est = truncated_log_xi(c8, fam, m, ell)
+        est = truncated_log_xi(uni, m, ell, 4, c8.d)
         assert est.log_value == pytest.approx(partial, abs=1e-12)
         assert est.ell_used == ell
         assert est.model == "unweighted"
@@ -155,7 +159,7 @@ def test_truncated_at_universe_total_size_reaches_1e9():
         uni = enumerate_polymers(G, fam, G.side_size("X"))
         ell_max = sum(p.size for p in uni)
         exact = exact_log_xi(G, fam, m) if uni else 0.0
-        got = truncated_log_xi(G, fam, m, ell_max).log_value if ell_max else 0.0
+        got = truncated_log_xi(uni, m, ell_max, G.n_x, G.d).log_value if ell_max else 0.0
         assert abs(got - exact) <= 1e-9
 
 
@@ -167,12 +171,13 @@ def test_error_within_bound_wherever_kp_passes():
     for G in [complete_bipartite(2), complete_bipartite(3), complete_bipartite(4)]:
         for side in ("X", "Y"):
             fam = PolymerFamily("expanding", side, P1)
-            report = verify_kp(G, fam, m, kp_unweighted(G.d), size_cap=G.side_size(side))
-            if not report.all_pass:
+            n = G.side_size(side)
+            uni = enumerate_polymers(G, fam, n)
+            if not verify_kp(uni, m, kp_unweighted(G.d)).all_pass:
                 continue
             exact = exact_log_xi(G, fam, m)
-            for ell in range(1, G.side_size(side) + 1):
-                est = truncated_log_xi(G, fam, m, ell, kp_status=KP_VERIFIED)
+            for ell in range(1, n + 1):
+                est = truncated_log_xi(uni, m, ell, n, G.d, kp_status=KP_VERIFIED)
                 assert abs(est.log_value - exact) <= est.certified_bound
                 assert est.certified
             passed += 1
@@ -180,21 +185,24 @@ def test_error_within_bound_wherever_kp_passes():
 
 
 def test_restriction_gives_subuniverse_and_smaller_xi(q3, c8):
-    # induced subgraphs on X' with N(X') inside the kept Y-side: polymers are
-    # admitted by parent-graph predicates, so the restricted universe is a
-    # subset and the unweighted partition function can only shrink
+    # a region's universe, filtered from the side's universe at any size
+    # cap, is exactly the brute-force polymer list inside the region up to
+    # that cap; the unweighted partition function can only shrink with it
     m = WeightModel.unweighted()
     for G in [c8, q3] + random_instances(4, seed=77, max_side=6):
         fam = PolymerFamily("expanding", "X", P1)
         n = G.side_size("X")
-        full_uni = {p.bits for p in enumerate_polymers(G, fam, n)}
-        xi_full = exact_xi(G, fam, m)
+        brute = brute_polymer_sets(G, "X", P1, "expanding")
+        full = enumerate_polymers(G, fam, n)
+        xi_full = exact_xi(full, m)
+        for cap in range(1, n + 1):
+            uni = enumerate_polymers(G, fam, cap)
+            for region in range(1 << n):
+                got = [p.bits for p in restrict_universe(uni, region)]
+                want = [b for b in brute if not b & ~region and b.bit_count() <= cap]
+                assert got == want
         for region in range(1 << n):
-            sub_uni = {p.bits for p in enumerate_polymers(G, fam, n, region=region)}
-            assert sub_uni <= full_uni
-            assert all(bits & ~region == 0 for bits in sub_uni)
-            xi_sub = exact_xi(G, fam, m, region=region)
-            assert xi_sub <= xi_full
+            assert exact_xi(restrict_universe(full, region), m) <= xi_full
 
 
 def test_tail_mass_frozen_anchors(c8):
@@ -238,7 +246,7 @@ def _assert_routes_agree(G, membership, m, ell_max=6):
         coeffs = xi_size_polynomial(uni, m, upto=ell)
         series = sum(log_series_coefficients(coeffs, ell)[1:])
         assert series == sum(grades[1 : ell + 1])
-        est = truncated_log_xi(G, fam, m, ell)
+        est = truncated_log_xi(uni, m, ell, G.n_x, G.d)
         assert est.log_value == float(series)
         assert est.config_count == coeffs.configs
 
@@ -281,7 +289,7 @@ def test_series_route_tilde_model_in_floats(c8):
     uni = enumerate_polymers(c8, fam, 4)
     for ell in range(1, 7):
         want = sum(t.value for t in enumerate_clusters(uni, ell, m))
-        got = truncated_log_xi(c8, fam, m, ell)
+        got = truncated_log_xi(uni, m, ell, 4, c8.d)
         assert isinstance(got.log_value, float)
         assert got.log_value == pytest.approx(want, abs=1e-12)
 
@@ -290,7 +298,7 @@ def test_budgeted_walk_config_count_and_cap(c8):
     fam = PolymerFamily("expanding", "X", P1)
     m = WeightModel.unweighted()
     uni = enumerate_polymers(c8, fam, 4)
-    est = truncated_log_xi(c8, fam, m, 8)
+    est = truncated_log_xi(uni, m, 8, 4, c8.d)
     # every configuration of C8's X side has total size <= 2 (the frozen
     # size polynomial), so ell = 8 walks all of them
     assert est.config_count == len(list(iter_compatible_configs(uni)))

@@ -139,19 +139,6 @@ def test_essential_candidate_guarantee():
                     )
 
 
-def test_essential_candidates_walk_mode_lists_same_family(c8, q3):
-    for G in (c8, q3):
-        n = G.side_size("X")
-        for v in range(n):
-            for w in range(G.d, 2 * G.d + 1):
-                direct = {F.bits for F in enumerate_essential_candidates(G, v, w)}
-                walked = {
-                    F.bits
-                    for F in enumerate_essential_candidates(G, v, w, walk_mode=True)
-                }
-                assert direct == walked
-
-
 def test_essential_size_cap_formula():
     assert essential_size_cap(8, 8) == math.ceil((8 / 8) * 4 * math.log(8))
     assert essential_size_cap(2, 6) == math.ceil((6 / 2) * (4 + 2 * math.log(2)))

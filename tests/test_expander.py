@@ -26,8 +26,12 @@ from biscount.expander import (
 from biscount.graphs import X_SIDE, Y_SIDE, neighborhood_bits
 from biscount.instances import complete_bipartite, even_cycle, hypercube
 from biscount.oracle import exact_count_bipartite
-from biscount.polymers import PolymerFamily, WeightModel
+from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
 from util import P1, P100
+
+
+def full_universe(G, membership, side, params):
+    return enumerate_polymers(G, PolymerFamily(membership, side, params), G.side_size(side))
 
 
 def brute_census(G, params, membership):
@@ -115,8 +119,7 @@ def test_unweighted_identity_two_to_n_xi(params, membership, request):
         G = request.getfixturevalue(name)
         cen = polymer_census(G, params, membership)
         for side, target in ((X_SIDE, cen.in_x), (Y_SIDE, cen.in_y)):
-            xi = exact_xi(G, PolymerFamily(membership, side, params),
-                          WeightModel.unweighted())
+            xi = exact_xi(full_universe(G, membership, side, params), WeightModel.unweighted())
             value = (1 << G.side_size(side)) * xi
             assert value.denominator == 1
             assert value == target
@@ -136,8 +139,7 @@ def test_weighted_identity(lam, membership, request):
                 continue
             free = G.full_mask(Y_SIDE) & ~neighborhood_bits(G, X_SIDE, s)
             z_captured += lam ** s.bit_count() * (1 + lam) ** free.bit_count()
-        xi = exact_xi(G, PolymerFamily(membership, X_SIDE, P1),
-                      WeightModel.hardcore(lam))
+        xi = exact_xi(full_universe(G, membership, X_SIDE, P1), WeightModel.hardcore(lam))
         assert (1 + lam) ** G.n_y * xi == z_captured
 
 
@@ -243,7 +245,7 @@ def test_count_hardcore_brute_anchor(c8):
     assert math.isclose(out.log_value, math.log(257))
 
 
-def test_count_hardcore_expander_flags_and_gap(c8):
+def test_count_hardcore_expander_flags(c8):
     hp = HardCoreParams(lam=Fraction(1))
     out = count_hardcore_expander(c8, hp, 0.4, P1)
     assert out.method == "expander-CE"
@@ -255,10 +257,6 @@ def test_count_hardcore_expander_flags_and_gap(c8):
     }
     assert out.notes["conditions"]["lambda-above-threshold"]
     assert not out.certified
-    # at lambda = 1 the weighted estimator must coincide with the unweighted
-    # one whenever the small and expanding families agree, as they do here
-    gaps = out.notes["family_log_gap"]
-    assert gaps[X_SIDE] == 0.0 and gaps[Y_SIDE] == 0.0
     assert 0.0 < out.notes["beta"] < 1.0
 
 
@@ -268,10 +266,8 @@ def test_count_hardcore_lambda_one_matches_unweighted_value(c8):
     unweighted = count_expander(c8, 0.1, P1, force_method="expander-CE")
     # same ell is not guaranteed, so compare through the exact identity:
     # (1+1)^n Xi_small == 2^n Xi_expanding when the families coincide
-    xi_small = exact_xi(c8, PolymerFamily("small", X_SIDE, P1),
-                        WeightModel.hardcore(Fraction(1)))
-    xi_exp = exact_xi(c8, PolymerFamily("expanding", X_SIDE, P1),
-                      WeightModel.unweighted())
+    xi_small = exact_xi(full_universe(c8, "small", X_SIDE, P1), WeightModel.hardcore(Fraction(1)))
+    xi_exp = exact_xi(full_universe(c8, "expanding", X_SIDE, P1), WeightModel.unweighted())
     assert xi_small == xi_exp
     assert weighted.rel_error_bound == 0.4
     assert unweighted.rel_error_bound == 0.1
@@ -363,6 +359,71 @@ def test_sequential_sampler_matches_table_law(c8):
     assert util.tv(emp, exact_mu_hat(c8, P1)) <= Fraction(1, 10)
 
 
+# 20 sequential draws at seed 3 (epsilon 0.2, c1 = 1), pinned so that how
+# the region partition functions are obtained cannot move a draw; the float
+# route (use_exact_xi=False) peels through truncated expansions instead
+SEQUENTIAL_DRAWS = {
+    ("c8", None, True): [
+        (8, 3), (14, 0), (1, 2), (9, 2), (12, 1), (0, 10), (9, 0), (13, 0), (2, 12),
+        (2, 0), (0, 11), (5, 0), (12, 0), (1, 6), (3, 4), (0, 4), (0, 11), (6, 0), (8, 2),
+        (8, 2),
+    ],
+    ("c8", None, False): [
+        (8, 3), (14, 0), (1, 2), (9, 2), (12, 1), (0, 10), (9, 0), (13, 0), (2, 12),
+        (2, 0), (0, 11), (5, 0), (12, 0), (1, 6), (3, 4), (0, 4), (0, 11), (6, 0), (8, 2),
+        (8, 2),
+    ],
+    ("c8", Fraction(1, 2), True): [
+        (0, 1), (0, 9), (1, 0), (0, 0), (8, 2), (0, 4), (3, 4), (0, 12), (0, 2), (0, 13),
+        (1, 0), (0, 0), (0, 4), (0, 5), (5, 0), (6, 8), (0, 8), (1, 2), (10, 0), (0, 1),
+    ],
+    ("c8", Fraction(1, 2), False): [
+        (0, 3), (0, 1), (1, 0), (0, 0), (8, 2), (0, 4), (3, 4), (0, 12), (0, 2), (0, 13),
+        (1, 0), (0, 0), (0, 4), (0, 5), (5, 0), (0, 1), (6, 0), (0, 10), (1, 2), (10, 0),
+    ],
+    ("c12", None, True): [
+        (16, 7), (29, 0), (0, 20), (2, 52), (8, 17), (11, 16), (12, 33), (0, 36), (1, 22),
+        (8, 48), (8, 19), (24, 3), (0, 45), (14, 32), (32, 5), (16, 36), (53, 0), (18, 4),
+        (35, 0), (8, 50),
+    ],
+    ("c12", None, False): [
+        (48, 3), (24, 35), (25, 2), (24, 32), (24, 33), (17, 4), (35, 8), (6, 32), (4, 24),
+        (41, 0), (4, 49), (35, 0), (32, 5), (16, 36), (53, 0), (18, 4), (35, 0), (8, 50),
+        (12, 33), (0, 52),
+    ],
+    ("c12", Fraction(1, 2), True): [
+        (0, 3), (0, 18), (24, 32), (33, 0), (0, 11), (34, 4), (50, 0), (3, 24), (6, 8),
+        (24, 32), (0, 60), (1, 10), (2, 12), (16, 4), (8, 18), (1, 22), (32, 2), (0, 32),
+        (41, 2), (0, 33),
+    ],
+    ("c12", Fraction(1, 2), False): [
+        (0, 3), (0, 18), (24, 32), (33, 0), (0, 11), (34, 4), (50, 0), (3, 24), (6, 8),
+        (24, 32), (0, 60), (0, 22), (34, 0), (5, 8), (16, 32), (16, 36), (32, 2), (0, 32),
+        (41, 2), (0, 33),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name,lam,exact",
+    list(SEQUENTIAL_DRAWS),
+    ids=[f"{name}-{'unweighted' if lam is None else 'hardcore'}-{'exact' if exact else 'float'}"
+         for name, lam, exact in SEQUENTIAL_DRAWS],
+)
+def test_sequential_draws_pinned(name, lam, exact):
+    G = even_cycle(int(name[1:]))
+    if lam is None:
+        draws = sample_expander(
+            G, 0.2, P1, seed=3, samples=20, mode="sequential", use_exact_xi=exact
+        )
+    else:
+        draws = sample_hardcore_expander(
+            G, HardCoreParams(lam), 0.2, P1, seed=3, samples=20, mode="sequential",
+            use_exact_xi=exact,
+        )
+    assert draws == SEQUENTIAL_DRAWS[name, lam, exact]
+
+
 def test_hardcore_sampler_empirical(c8):
     hp = HardCoreParams(lam=Fraction(1, 2))
     draws = sample_hardcore_expander(c8, hp, 0.2, P1, seed=5, samples=20000)
@@ -389,10 +450,12 @@ def test_sequential_peeling_identity_survives_optimized_mode(c8, monkeypatch):
     # a partition function that disagrees with its peeling must raise
     real = biscount.expander.exact_xi
 
-    def off_by_one_on_full_region(G, fam, m, cap=24, region=None):
-        xi = real(G, fam, m, cap=cap, region=region)
-        return xi + 1 if region == G.full_mask(fam.side) else xi
+    def off_by_one_through_vertex_0(universe, m, cap=24):
+        # the first peeling step's region is the only one still holding
+        # vertex 0's polymers
+        xi = real(universe, m, cap=cap)
+        return xi + 1 if any(p.bits & 1 for p in universe) else xi
 
-    monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_on_full_region)
+    monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_through_vertex_0)
     with pytest.raises(RuntimeError, match="peeling identity"):
         sample_expander(c8, 0.2, P1, seed=0, samples=1, mode="sequential")

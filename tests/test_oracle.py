@@ -17,7 +17,7 @@ from biscount import (
 )
 from biscount.graphs import SideSet, two_linked_component_bits
 from biscount.instances import complete_bipartite, even_cycle, hypercube
-from biscount.oracle import count_independent_in, iter_independent_sets
+from biscount.oracle import DRAW_DEN, count_independent_in, iter_independent_sets
 
 from util import P1, brute_i_general, cycle_transfer, random_instances, tv
 
@@ -120,6 +120,20 @@ def test_exact_sampler_reproducible_and_valid(c8):
     assert draws_a == draws_b
     legal = set(iter_independent_sets(c8))
     assert set(draws_a) <= legal
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2)])
+def test_exact_sampler_thresholds_realize_the_distribution(c8, lam):
+    # a uniform 96-bit u draws set i iff t_{i-1} <= u < t_i, so set i has
+    # probability (t_i - t_{i-1}) / 2^96
+    dist = exact_distribution(c8, lam)
+    s = ExactSampler(c8, lam)
+    assert s.keys == list(dist)
+    assert s.thresholds[-1] == DRAW_DEN
+    prev = 0
+    for key, t in zip(s.keys, s.thresholds):
+        assert abs(Fraction(t - prev, DRAW_DEN) - dist[key]) < Fraction(1, DRAW_DEN)
+        prev = t
 
 
 def test_exact_sampler_empirical_distribution(c8):
