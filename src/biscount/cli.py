@@ -3,7 +3,8 @@
 Every run emits a schema-versioned JSON document containing the fully
 resolved configuration (so a run can be replayed bit-for-bit), the result
 in natural-log space with a decimal rendering when it fits, and timing.
-Exit codes: 0 success, 2 invalid input, 3 capacity exceeded, 4 internal.
+Exit codes: 0 success, 2 invalid input, 3 capacity exceeded, 4 internal
+(with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .cluster_expansion import (
@@ -576,6 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
+        traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -541,19 +541,28 @@ def _sequential_defect(
     use_exact_xi: bool,
     ell: int,
     xi_cap: int,
+    xi_memo: dict[tuple[int, ...], Fraction | float],
 ) -> int:
     """Draw a defect configuration by per-vertex peeling: at each surviving
     vertex, either no polymer contains it (remove the vertex) or one does
     (remove the polymer's blocked set), with probabilities given by ratios
     of region partition functions.  ``universe`` is the side's whole polymer
-    universe; each region's is restricted from it."""
+    universe; each region's is restricted from it.  ``xi_memo`` keeps Xi by
+    restricted universe (its polymers' masks) across the draws of one run:
+    Xi depends on the region only through the polymers inside it."""
     n = G.side_size(side)
 
     def xi_of(region: int):
         local = restrict_universe(universe, region)
-        if use_exact_xi:
-            return exact_xi(local, m, cap=xi_cap)
-        return math.exp(truncated_log_xi(local, m, ell, region.bit_count(), G.d).log_value)
+        key = tuple(p.bits for p in local)
+        xi = xi_memo.get(key)
+        if xi is None:
+            if use_exact_xi:
+                xi = exact_xi(local, m, cap=xi_cap)
+            else:
+                xi = math.exp(truncated_log_xi(local, m, ell, region.bit_count(), G.d).log_value)
+            xi_memo[key] = xi
+        return xi
 
     region = G.full_mask(side)
     chosen = 0
@@ -651,13 +660,14 @@ def _sample_run(
         for side in (X_SIDE, Y_SIDE)
     }
     side_threshold = _side_choice_threshold(G, universes, m, use_exact_xi, ell, xi_cap)
+    xi_memos: dict[str, dict] = {X_SIDE: {}, Y_SIDE: {}}
     fair = fill_num == Fraction(1, 2)
     fill_threshold = quantize(fill_num)
     out = []
     for _ in range(samples):
         side = X_SIDE if rng.getrandbits(DRAW_BITS) < side_threshold else Y_SIDE
         bits = _sequential_defect(
-            G, side, universes[side], m, rng, use_exact_xi, ell, xi_cap
+            G, side, universes[side], m, rng, use_exact_xi, ell, xi_cap, xi_memos[side]
         )
         free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
         fill = _fill_free(rng, free, fill_threshold, fair)

@@ -87,6 +87,15 @@ class ExpansionParams:
         lg = math.log2(d)
         return 0.5 * self.c1 * (lg * lg / d) * w
 
+    def expands(self, d: int, nbhd_size: int, closure_size: int) -> bool:
+        """The expansion rule on sizes: |N(A)| - |[A]| >= threshold(d, |N(A)|)."""
+        return nbhd_size - closure_size >= self.threshold(d, nbhd_size)
+
+
+def is_small_closure(side_size: int, closure_size: int) -> bool:
+    """The smallness rule on sizes: [A] covers at most half of its side."""
+    return 2 * closure_size <= side_size
+
 
 class Graph:
     """A simple undirected graph over 0..n-1 with bitmask adjacency rows."""
@@ -283,7 +292,7 @@ def is_expanding(G: BipartiteGraph, A: SideSet, params: ExpansionParams) -> bool
         raise InvalidInputError("expansion is undefined for the empty set")
     w = neighborhood_bits(G, A.side, A.bits).bit_count()
     a = closure_bits(G, A.side, A.bits).bit_count()
-    return (w - a) >= params.threshold(G.d, w)
+    return params.expands(G.d, w, a)
 
 
 def is_small(G: BipartiteGraph, A: SideSet) -> bool:
@@ -292,7 +301,7 @@ def is_small(G: BipartiteGraph, A: SideSet) -> bool:
     if A.bits == 0:
         raise InvalidInputError("smallness is undefined for the empty set")
     a = closure_bits(G, A.side, A.bits).bit_count()
-    return 2 * a <= G.side_size(A.side)
+    return is_small_closure(G.side_size(A.side), a)
 
 
 # -- alpha-expander verification ---------------------------------------------

@@ -15,6 +15,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvalidInputError
@@ -170,16 +171,22 @@ def iter_independent_sets(G: BipartiteGraph) -> Iterator[tuple[int, int]]:
             t = (t - 1) & free
 
 
-def exact_distribution(
-    G: BipartiteGraph, lam: Fraction = Fraction(1), table_cap: int = 1 << 21
-) -> dict[tuple[int, int], Fraction]:
-    """The measure I -> lam^|I| / Z as an exact table keyed by (X-mask, Y-mask)."""
+def _checked_fugacity(G: BipartiteGraph, lam: Fraction, table_cap: int) -> Fraction:
+    # a positive fugacity, and a graph with at most table_cap independent sets
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("fugacity must be positive")
     total = exact_count_bipartite(G).value
     if total > table_cap:
         raise CapacityError(f"distribution table capped at {table_cap} sets, need {total}")
+    return lam
+
+
+def exact_distribution(
+    G: BipartiteGraph, lam: Fraction = Fraction(1), table_cap: int = 1 << 21
+) -> dict[tuple[int, int], Fraction]:
+    """The measure I -> lam^|I| / Z as an exact table keyed by (X-mask, Y-mask)."""
+    lam = _checked_fugacity(G, lam, table_cap)
     z = exact_hardcore(G, lam).value
     table: dict[tuple[int, int], Fraction] = {}
     for s, t in iter_independent_sets(G):
@@ -211,13 +218,15 @@ class ExactSampler:
 
     def __init__(self, G: BipartiteGraph, lam: Fraction = Fraction(1), seed: int = 0,
                  table_cap: int = 1 << 21):
-        table = exact_distribution(G, lam, table_cap)
-        self.keys = list(table)
-        self.thresholds = []
-        acc = Fraction(0)
-        for k in self.keys:
-            acc += table[k]
-            self.thresholds.append(quantize(acc))
+        lam = _checked_fugacity(G, lam, table_cap)
+        # lam^|I| = p^|I| q^(top - |I|) / q^top: integer weights over one
+        # common denominator, so cumulative / total is the exact probability
+        p, q = lam.numerator, lam.denominator
+        top = G.n_x + G.n_y
+        weight = [p**k * q ** (top - k) for k in range(top + 1)]
+        self.keys = list(iter_independent_sets(G))
+        cum = list(accumulate(weight[s.bit_count() + t.bit_count()] for s, t in self.keys))
+        self.thresholds = [(c << DRAW_BITS) // cum[-1] for c in cum]
         self.rng = random.Random(seed)
 
     def sample(self) -> tuple[int, int]:

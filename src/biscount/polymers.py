@@ -23,12 +23,12 @@ from .graphs import (
     ExpansionParams,
     SideSet,
     X_SIDE,
-    connected_sets_min_rooted,
-    is_expanding,
-    is_small,
+    closure_bits,
+    is_small_closure,
     is_two_linked,
     iter_bits,
     neighborhood_bits,
+    opposite,
 )
 
 
@@ -60,13 +60,17 @@ class PolymerFamily:
     params: ExpansionParams = ExpansionParams()
 
     def admits(self, G: BipartiteGraph, bits: int) -> bool:
-        s = SideSet(self.side, bits)
-        if not is_two_linked(G, s):
+        if not is_two_linked(G, SideSet(self.side, bits)):
             return False
+        w = neighborhood_bits(G, self.side, bits).bit_count()
+        return self.admits_sizes(G, w, closure_bits(G, self.side, bits).bit_count())
+
+    def admits_sizes(self, G: BipartiteGraph, nbhd_size: int, closure_size: int) -> bool:
+        """Membership of a 2-linked set from |N(S)| and |[S]| alone."""
         if self.membership == "expanding":
-            return is_expanding(G, s, self.params)
+            return self.params.expands(G.d, nbhd_size, closure_size)
         if self.membership == "small":
-            return is_small(G, s)
+            return is_small_closure(G.side_size(self.side), closure_size)
         raise InvalidInputError(f"unknown membership {self.membership!r}")
 
 
@@ -145,19 +149,76 @@ def enumerate_polymers(
     max_polymers: int = 1 << 20,
 ) -> list[Polymer]:
     """The polymer universe up to ``size_cap`` vertices, sorted by bit mask.
-    A region's universe is this one filtered by ``restrict_universe``."""
+    A region's universe is this one filtered by ``restrict_universe``.
+
+    A min-rooted walk over the connected sets of the square graph (the
+    growth of ``graphs.connected_sets_min_rooted``), so every set it visits
+    is 2-linked.  It carries N(S) and [S] as masks, grown by the rows of
+    each added vertex, and stops growing S when no superset can be
+    admitted: both only grow with S and |N| never exceeds the other side,
+    so once |N(S)| is past the largest |N| that ``admits_sizes`` accepts
+    beside |[S]|, no superset is a polymer."""
     if size_cap <= 0:
         return []
     side = fam.side
-    cap = min(size_cap, G.side_size(side))
+    n = G.side_size(side)
+    n_other = G.side_size(opposite(side))
+    cap = min(size_cap, n)
+    rows = G.rows(side)
+    cols = G.rows(opposite(side))
+    square = G.square_rows(side)
+    admitted = [
+        [fam.admits_sizes(G, w, a) for w in range(n_other + 1)] for a in range(n + 1)
+    ]
+    # top[a]: the largest |N| admitted beside a closure of a vertices, or -1
+    top = [max((w for w, ok in enumerate(row) if ok), default=-1) for row in admitted]
     out: list[Polymer] = []
-    for bits in connected_sets_min_rooted(G.square_rows(side), cap):
-        if fam.admits(G, bits):
+
+    def closure_gain(nbhd: int, fresh: int, closed: int) -> int:
+        # [S] after N(S) grew by ``fresh``: a vertex joins only through a
+        # neighbour in ``fresh``, and only if all its neighbours are in N(S)
+        reach = 0
+        for y in iter_bits(fresh):
+            reach |= cols[y]
+        for v in iter_bits(reach & ~closed):
+            if not rows[v] & ~nbhd:
+                closed |= 1 << v
+        return closed
+
+    def grow(s: int, size: int, nbhd: int, closed: int, frontier: int, forbidden: int) -> None:
+        w = nbhd.bit_count()
+        a = closed.bit_count()
+        if w > top[a]:
+            return
+        if admitted[a][w]:
             if len(out) >= max_polymers:
                 raise CapacityError(
                     f"polymer universe exceeds {max_polymers} members (partial count)"
                 )
-            out.append(Polymer(side, bits, neighborhood_bits(G, side, bits)))
+            out.append(Polymer(side, s, nbhd))
+        if size == cap:
+            return
+        ext = frontier
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            u = low.bit_length() - 1
+            forbidden |= low
+            fresh = rows[u] & ~nbhd
+            wider = nbhd | fresh
+            grow(
+                s | low,
+                size + 1,
+                wider,
+                closure_gain(wider, fresh, closed) if fresh else closed,
+                ext | (square[u] & ~forbidden),
+                forbidden,
+            )
+
+    for root in range(n):
+        bit = 1 << root
+        grow(bit, 1, rows[root], closure_gain(rows[root], rows[root], 0),
+             square[root] & ~((bit << 1) - 1), (bit << 1) - 1)
     out.sort(key=lambda p: p.bits)
     return out
 
@@ -174,14 +235,26 @@ def restrict_universe(universe: Sequence[Polymer], region: int) -> list[Polymer]
 
 def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
     """mask[i] has bit j set when polymer j is incompatible with polymer i
-    (the diagonal is always set)."""
-    k = len(universe)
-    masks = [0] * k
-    for i in range(k):
-        for j in range(i, k):
-            if not are_compatible(universe[i], universe[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    (the diagonal is always set).
+
+    Built from one bin per neighbour y, the polymers whose neighbourhood
+    holds y: mask[i] is the OR of the bins over N(gamma_i).  Two same-side
+    polymers that share a vertex share its neighbours (graphs of degree 0
+    are rejected and ``nbhd`` is N(bits)), so sharing a neighbour is exactly
+    incompatibility."""
+    if len({p.side for p in universe}) > 1:
+        raise InvalidInputError("compatibility is defined for same-side polymers")
+    bins: dict[int, int] = {}
+    for i, p in enumerate(universe):
+        bit = 1 << i
+        for y in iter_bits(p.nbhd):
+            bins[y] = bins.get(y, 0) | bit
+    masks = []
+    for p in universe:
+        mask = 0
+        for y in iter_bits(p.nbhd):
+            mask |= bins[y]
+        masks.append(mask)
     return masks
 
 

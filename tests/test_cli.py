@@ -274,4 +274,8 @@ def test_exit_code_internal_on_broken_peeling_identity(capsys, c8_file, monkeypa
     monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_through_vertex_0)
     assert main(["sample", "--graph", c8_file, "--mode", "expander",
                  "--sampler", "sequential", "--c1", "1.0"]) == 4
-    assert "peeling identity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "in _sequential_defect" in err
+    assert "RuntimeError: peeling identity broken" in err
+    assert err.rstrip().splitlines()[-1].startswith("internal error: RuntimeError")

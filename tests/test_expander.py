@@ -424,6 +424,25 @@ def test_sequential_draws_pinned(name, lam, exact):
     assert draws == SEQUENTIAL_DRAWS[name, lam, exact]
 
 
+def test_sequential_xi_taken_once_per_sub_universe(monkeypatch):
+    # Xi depends on a region only through the polymers inside it, so a run
+    # takes it once per distinct restricted universe; the side choice takes
+    # each whole side's Xi once more before the peeling starts (an empty
+    # universe names no side, so those are left out)
+    real = biscount.expander.exact_xi
+    seen = []
+
+    def recording(universe, m, cap=24):
+        if universe:
+            seen.append(tuple((p.side, p.bits) for p in universe))
+        return real(universe, m, cap=cap)
+
+    monkeypatch.setattr(biscount.expander, "exact_xi", recording)
+    draws = sample_expander(even_cycle(12), 0.2, P1, seed=3, samples=50, mode="sequential")
+    assert len(draws) == 50
+    assert len(seen) <= len(set(seen)) + 2
+
+
 def test_hardcore_sampler_empirical(c8):
     hp = HardCoreParams(lam=Fraction(1, 2))
     draws = sample_hardcore_expander(c8, hp, 0.2, P1, seed=5, samples=20000)

@@ -9,6 +9,7 @@ import pytest
 from biscount import (
     CapacityError,
     ExactSampler,
+    InvalidInputError,
     exact_count_bipartite,
     exact_count_general,
     exact_distribution,
@@ -16,8 +17,8 @@ from biscount import (
     is_expanding,
 )
 from biscount.graphs import SideSet, two_linked_component_bits
-from biscount.instances import complete_bipartite, even_cycle, hypercube
-from biscount.oracle import DRAW_DEN, count_independent_in, iter_independent_sets
+from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
+from biscount.oracle import DRAW_DEN, count_independent_in, iter_independent_sets, quantize
 
 from util import P1, brute_i_general, cycle_transfer, random_instances, tv
 
@@ -134,6 +135,37 @@ def test_exact_sampler_thresholds_realize_the_distribution(c8, lam):
     for key, t in zip(s.keys, s.thresholds):
         assert abs(Fraction(t - prev, DRAW_DEN) - dist[key]) < Fraction(1, DRAW_DEN)
         prev = t
+
+
+@pytest.mark.parametrize(
+    "G, lam",
+    [
+        (even_cycle(8), Fraction(1)),
+        (even_cycle(8), Fraction(1, 2)),
+        (random_shift(8, 3, seed=11), Fraction(2, 3)),
+    ],
+    ids=["c8-1", "c8-1/2", "shift8-2/3"],
+)
+def test_exact_sampler_thresholds_equal_the_fraction_route(G, lam):
+    # the integer route over the common denominator q^(nX+nY) quantizes the
+    # same cumulative probabilities as summing the exact table in Fractions
+    dist = exact_distribution(G, lam)
+    want = []
+    acc = Fraction(0)
+    for prob in dist.values():
+        acc += prob
+        want.append(quantize(acc))
+    s = ExactSampler(G, lam)
+    assert s.keys == list(dist)
+    assert s.thresholds == want
+
+
+def test_exact_sampler_checks_fugacity_and_table_cap(c8):
+    with pytest.raises(InvalidInputError):
+        ExactSampler(c8, Fraction(0))
+    with pytest.raises(CapacityError):
+        ExactSampler(c8, Fraction(1), table_cap=46)
+    assert len(ExactSampler(c8, Fraction(1), table_cap=47).keys) == 47
 
 
 def test_exact_sampler_empirical_distribution(c8):

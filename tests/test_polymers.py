@@ -13,10 +13,12 @@ import pytest
 
 from biscount import (
     CapacityError,
+    ExpansionParams,
     InvalidInputError,
     are_compatible,
     enumerate_clusters,
     enumerate_polymers,
+    exact_xi,
     log_series_coefficients,
     ursell,
     xi_size_polynomial,
@@ -28,7 +30,7 @@ from biscount.graphs import (
     iter_bits,
     neighborhood_bits,
 )
-from biscount.instances import complete_bipartite, even_cycle, hypercube
+from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.polymers import (
     Polymer,
     PolymerFamily,
@@ -51,6 +53,11 @@ def universe_cases():
         cases.append((G, P1, "expanding"))
         cases.append((G, P100, "small"))
     return cases
+
+
+@pytest.fixture(scope="module")
+def q5():
+    return hypercube(5)
 
 
 def test_enumerate_polymers_matches_subset_filter():
@@ -77,10 +84,47 @@ def test_size_cap_restricts_universe(c8):
     assert len(small) == 4
 
 
-def test_enumerate_polymers_capacity():
+def test_enumerate_polymers_capacity(q5):
     fam = PolymerFamily("expanding", "X", P1)
     with pytest.raises(CapacityError):
         enumerate_polymers(even_cycle(8), fam, 4, max_polymers=3)
+    # the budget is on the whole universe, however the walk is pruned
+    assert len(enumerate_polymers(q5, fam, 16, max_polymers=1452)) == 1452
+    with pytest.raises(CapacityError):
+        enumerate_polymers(q5, fam, 16, max_polymers=1451)
+
+
+@pytest.mark.parametrize("membership", ["expanding", "small"])
+def test_enumerate_polymers_q5_matches_subset_filter(q5, membership):
+    # all 2^16 subsets of Q5's X side; the walk prunes where no superset
+    # can be admitted, so a wrong prune would drop polymers here
+    fam = PolymerFamily(membership, "X", P1)
+    got = [p.bits for p in enumerate_polymers(q5, fam, 16)]
+    assert got == brute_polymer_sets(q5, "X", P1, membership)
+
+
+def test_enumerate_polymers_shift_graphs_match_subset_filter():
+    for n in (10, 12):
+        for d in (3, 4):
+            G = random_shift(n, d, seed=n * 10 + d)
+            for side in ("X", "Y"):
+                cases = [("small", P1)] + [
+                    ("expanding", ExpansionParams(c1=c1)) for c1 in (0.5, 1.0, 2.0, 100.0)
+                ]
+                for membership, params in cases:
+                    want = brute_polymer_sets(G, side, params, membership)
+                    fam = PolymerFamily(membership, side, params)
+                    for cap in (n, 3):
+                        got = [p.bits for p in enumerate_polymers(G, fam, cap)]
+                        assert got == [b for b in want if b.bit_count() <= cap]
+
+
+def test_enumerate_polymers_nothing_expands_at_large_c1(q5):
+    # the threshold exceeds |N(S)| - |[S]| for every set, so each root is
+    # pruned at once
+    for side in ("X", "Y"):
+        fam = PolymerFamily("expanding", side, ExpansionParams(c1=1e6))
+        assert enumerate_polymers(q5, fam, 16) == []
 
 
 def test_are_compatible_symmetric_and_matches_definition():
@@ -97,15 +141,37 @@ def test_are_compatible_symmetric_and_matches_definition():
             assert c12 == (not union_two_linked)
 
 
-def test_incompatibility_masks_match_pairwise_recompute(c8):
-    fam = PolymerFamily("expanding", "X", P1)
-    uni = enumerate_polymers(c8, fam, 4)
-    masks = incompatibility_masks(uni)
-    for i, g1 in enumerate(uni):
-        assert masks[i] >> i & 1, "diagonal is always incompatible"
-        for j, g2 in enumerate(uni):
-            if i != j:
-                assert bool(masks[i] >> j & 1) == (not are_compatible(g1, g2))
+def test_incompatibility_masks_match_pairwise_recompute(c8, q5):
+    q4_small = enumerate_polymers(hypercube(4), PolymerFamily("small", "X", P1), 8)
+    assert len(q4_small) == 72
+    universes = [
+        enumerate_polymers(c8, PolymerFamily("expanding", "X", P1), 4),
+        q4_small,
+        enumerate_polymers(q5, PolymerFamily("expanding", "Y", P1), 16),
+    ]
+    for G in random_instances(12, seed=83, max_side=10):
+        for side in ("X", "Y"):
+            for membership in ("expanding", "small"):
+                fam = PolymerFamily(membership, side, P1)
+                universes.append(enumerate_polymers(G, fam, G.side_size(side)))
+    for uni in universes:
+        masks = incompatibility_masks(uni)
+        assert len(masks) == len(uni)
+        for i, g1 in enumerate(uni):
+            assert masks[i] >> i & 1, "diagonal is always incompatible"
+            for j, g2 in enumerate(uni):
+                if i != j:
+                    assert bool(masks[i] >> j & 1) == (not are_compatible(g1, g2))
+
+
+def test_mixed_side_universe_is_rejected():
+    # X- and Y-side bit indices name different vertices, so neither the masks
+    # nor Xi of a mixed universe mean anything
+    mixed = [Polymer("X", 1, 1), Polymer("Y", 1, 1)]
+    with pytest.raises(InvalidInputError):
+        incompatibility_masks(mixed)
+    with pytest.raises(InvalidInputError):
+        exact_xi(mixed, WeightModel.unweighted())
 
 
 def brute_ursell(adj):
