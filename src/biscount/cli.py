@@ -10,8 +10,6 @@ Exit codes: 0 success, 2 invalid input, 3 capacity exceeded, 4 internal
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -29,6 +27,7 @@ from .errors import CapacityError, InvalidInputError
 from .expander import (
     ApproxCount,
     HardCoreParams,
+    _log_exact,
     count_expander,
     count_hardcore_expander,
     sample_expander,
@@ -214,7 +213,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         else:
             exact = exact_count_bipartite(G)
         result = ApproxCount(
-            log_value=_safe_log(exact.value),
+            log_value=_log_exact(exact.value),
             rel_error_bound=min(args.epsilon, 0.999),
             method="oracle",
             flags=("exact",),
@@ -262,16 +261,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         args.out,
     )
     return 0
-
-
-def _safe_log(value) -> float:
-    if isinstance(value, Fraction):
-        from .expander import _log_fraction
-
-        return _log_fraction(value)
-    from .expander import _log_int
-
-    return _log_int(int(value))
 
 
 def _dump_clusters(G: BipartiteGraph, p: ExpansionParams, epsilon: float, path: str) -> None:
@@ -463,33 +452,6 @@ def _cmd_check_expander(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    specs = [
-        InstanceSpec("cycle", {"m": m}) for m in (8, 12, 16)
-    ] + [InstanceSpec("complete", {"d": d}) for d in (2, 3)] + [
-        InstanceSpec("hypercube", {"d": 3})
-    ]
-    rows = []
-    for spec in specs:
-        G = generate(spec)
-        t0 = time.perf_counter()
-        value = exact_count_bipartite(G).value
-        rows.append((spec.label(), "oracle", str(value), time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        res = count_expander(G, args.epsilon, ExpansionParams(c1=args.c1))
-        rows.append((spec.label(), res.method, f"{res.log_value:.6f}", time.perf_counter() - t0))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["instance", "op", "value", "seconds"])
-    writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    return 0
-
-
 # -- argument wiring ---------------------------------------------------------------
 
 
@@ -556,12 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--alpha", default="1/2")
     chk.add_argument("--out", default=None)
     chk.set_defaults(func=_cmd_check_expander)
-
-    bench = sub.add_parser("bench", help="timing table as CSV")
-    bench.add_argument("--epsilon", type=float, default=0.1)
-    bench.add_argument("--c1", type=float, default=100.0)
-    bench.add_argument("--out", default=None)
-    bench.set_defaults(func=_cmd_bench)
 
     return ap
 

@@ -26,7 +26,6 @@ from .polymers import (
     WeightModel,
     enumerate_polymers,
     incompatibility_masks,
-    iter_compatible_configs,
     log_series_coefficients,
     xi_size_polynomial,
 )
@@ -209,25 +208,12 @@ def truncated_log_xi(
 
 
 def exact_xi(universe: Sequence[Polymer], m: WeightModel, cap: int = 24) -> Fraction | float:
-    """Xi of a complete polymer universe by direct enumeration of its
-    compatible configurations; more than ``cap`` polymers raise
+    """Xi of a complete polymer universe, the sum of its size polynomial
+    over every compatible configuration; more than ``cap`` polymers raise
     CapacityError."""
     if len(universe) > cap:
         raise CapacityError(f"{len(universe)} polymers exceed the exact cap {cap}")
-    exact = m.exact_available
-    weights = [m.weight(p) if exact else math.exp(m.log_weight(p)) for p in universe]
-    total: Fraction | float = Fraction(1) if exact else 1.0
-    first = True
-    for config in iter_compatible_configs(universe):
-        if first:
-            # the empty configuration contributes the leading 1
-            first = False
-            continue
-        w = weights[config[0]]
-        for i in config[1:]:
-            w = w * weights[i]
-        total = total + w
-    return total
+    return sum(xi_size_polynomial(universe, m))
 
 
 def exact_log_xi(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel, cap: int = 24) -> float:

@@ -73,8 +73,11 @@ def _log_int(v: int) -> float:
     return math.log(v >> shift) + shift * LN2
 
 
-def _log_fraction(fr: Fraction) -> float:
-    return _log_int(fr.numerator) - _log_int(fr.denominator)
+def _log_exact(value: int | Fraction) -> float:
+    """Natural log of a positive exact integer or rational."""
+    if isinstance(value, Fraction):
+        return _log_int(value.numerator) - _log_int(value.denominator)
+    return _log_int(int(value))
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -224,7 +227,7 @@ def polymer_census(
     return PolymerCensus(in_x, in_y, both, total)
 
 
-# -- counting: unweighted -------------------------------------------------------
+# -- counting ------------------------------------------------------------------
 
 
 def _side_estimate(
@@ -241,6 +244,54 @@ def _side_estimate(
     return SideTerm(fam.side, est.log_value, ell, status, est.config_count, est.certified_bound)
 
 
+def _membership(m: WeightModel) -> str:
+    # the polymer family each weight model expands over
+    return "small" if m.variant == "hardcore" else "expanding"
+
+
+def _exact_result(value: int | Fraction, epsilon: float, notes: dict) -> ApproxCount:
+    return ApproxCount(
+        log_value=_log_exact(value),
+        rel_error_bound=epsilon,
+        method=METHOD_BRUTE,
+        flags=("exact",),
+        notes=notes,
+        exact_value=value,
+    )
+
+
+def _two_sided(
+    G: BipartiteGraph,
+    m: WeightModel,
+    kp,
+    epsilon: float,
+    p: ExpansionParams,
+    log_prefactor: float,
+    flags: list[str],
+    notes: dict,
+) -> ApproxCount:
+    """n log_prefactor + ln(Xi^X(ell) + Xi^Y(ell)), with ell chosen for an
+    additive log error of epsilon/4 per side.  ``flags`` are the caller's
+    hypothesis flags; "certified" is added only when there are none and the
+    convergence condition verifies at the cap on both sides."""
+    n = G.n_x
+    ell = choose_ell(n, G.d, epsilon / 4.0, model=m.variant)
+    fams = (PolymerFamily(_membership(m), side, p) for side in (X_SIDE, Y_SIDE))
+    term_x, term_y = (_side_estimate(G, fam, m, kp, ell) for fam in fams)
+    if KP_FAILED in (term_x.kp_status, term_y.kp_status):
+        flags.append("kp-failed-at-cap")
+    if not flags:
+        flags.append("certified")
+    return ApproxCount(
+        log_value=n * log_prefactor + _logaddexp(term_x.log_xi, term_y.log_xi),
+        rel_error_bound=epsilon,
+        method=METHOD_EXPANDER,
+        side_breakdown=(term_x, term_y),
+        flags=tuple(flags),
+        notes=notes,
+    )
+
+
 def count_expander(
     G: BipartiteGraph,
     epsilon: float,
@@ -255,47 +306,19 @@ def count_expander(
     truncation cap on both sides.
     """
     _check_epsilon(epsilon)
-    p = params or ExpansionParams()
     n, d = G.n_x, G.d
     eps0 = epsilon_zero(n, d)
     method = force_method or (METHOD_BRUTE if epsilon <= 2.0 * eps0 else METHOD_EXPANDER)
     notes = {"epsilon_zero": eps0}
 
     if method == METHOD_BRUTE:
-        value = exact_count_bipartite(G).value
-        return ApproxCount(
-            log_value=_log_int(value),
-            rel_error_bound=epsilon,
-            method=METHOD_BRUTE,
-            flags=("exact",),
-            notes=notes,
-            exact_value=value,
-        )
+        return _exact_result(exact_count_bipartite(G).value, epsilon, notes)
     if method != METHOD_EXPANDER:
         raise InvalidInputError(f"unknown method {method!r}")
-
-    ell = choose_ell(n, d, epsilon / 4.0)
-    m = WeightModel.unweighted()
-    kp = kp_unweighted(d)
-
-    fams = (PolymerFamily("expanding", side, p) for side in (X_SIDE, Y_SIDE))
-    term_x, term_y = (_side_estimate(G, fam, m, kp, ell) for fam in fams)
-
-    log_value = n * LN2 + _logaddexp(term_x.log_xi, term_y.log_xi)
-    flags: list[str] = []
-    if eps0 >= 0.25:
-        flags.append("uncertified (small-n regime)")
-    if KP_FAILED in (term_x.kp_status, term_y.kp_status):
-        flags.append("kp-failed-at-cap")
-    if not flags:
-        flags.append("certified")
-    return ApproxCount(
-        log_value=log_value,
-        rel_error_bound=epsilon,
-        method=METHOD_EXPANDER,
-        side_breakdown=(term_x, term_y),
-        flags=tuple(flags),
-        notes=notes,
+    flags = ["uncertified (small-n regime)"] if eps0 >= 0.25 else []
+    return _two_sided(
+        G, WeightModel.unweighted(), kp_unweighted(d), epsilon,
+        params or ExpansionParams(), LN2, flags, notes,
     )
 
 
@@ -354,46 +377,15 @@ def count_hardcore_expander(
     the small-set polymer family.
     """
     _check_epsilon(epsilon)
-    p = params or ExpansionParams()
-    n, d = G.n_x, G.d
+    d = G.d
     notes: dict = {"conditions": hp.condition_flags(d), "beta": float(hp.beta(d))}
 
     if force_method == METHOD_BRUTE:
-        value = exact_hardcore(G, hp.lam).value
-        return ApproxCount(
-            log_value=_log_fraction(Fraction(value)),
-            rel_error_bound=epsilon,
-            method=METHOD_BRUTE,
-            flags=("exact",),
-            notes=notes,
-            exact_value=value,
-        )
-
-    ell = choose_ell(n, d, epsilon / 4.0, model="hardcore")
-    m = WeightModel.hardcore(hp.lam)
-    kp = kp_hardcore(d, hp.lam, hp.alpha, hp.c5)
-
-    fams = (PolymerFamily("small", side, p) for side in (X_SIDE, Y_SIDE))
-    term_x, term_y = (_side_estimate(G, fam, m, kp, ell) for fam in fams)
-
-    log_value = n * _log_fraction(1 + hp.lam) + _logaddexp(term_x.log_xi, term_y.log_xi)
-
-    flags: list[str] = [
-        f"hypothesis-unmet:{name}"
-        for name, ok in notes["conditions"].items()
-        if not ok
-    ]
-    if KP_FAILED in (term_x.kp_status, term_y.kp_status):
-        flags.append("kp-failed-at-cap")
-    if not flags:
-        flags.append("certified")
-    return ApproxCount(
-        log_value=log_value,
-        rel_error_bound=epsilon,
-        method=METHOD_EXPANDER,
-        side_breakdown=(term_x, term_y),
-        flags=tuple(flags),
-        notes=notes,
+        return _exact_result(exact_hardcore(G, hp.lam).value, epsilon, notes)
+    flags = [f"hypothesis-unmet:{name}" for name, ok in notes["conditions"].items() if not ok]
+    return _two_sided(
+        G, WeightModel.hardcore(hp.lam), kp_hardcore(d, hp.lam, hp.alpha, hp.c5), epsilon,
+        params or ExpansionParams(), _log_exact(1 + hp.lam), flags, notes,
     )
 
 
@@ -510,17 +502,11 @@ def _fill_free(rng: Random, free: int, fill_threshold: int, fair: bool) -> int:
     return out
 
 
-def _sample_from_tables(
-    G: BipartiteGraph, tables: SamplerTables, rng: Random
-) -> tuple[int, int]:
-    side = X_SIDE if rng.getrandbits(DRAW_BITS) < tables.side_threshold else Y_SIDE
-    table = tables.table(side)
-    bits = table.config_bits[draw_index(rng, table.thresholds)]
-    other = opposite(side)
-    free = G.full_mask(other) & ~neighborhood_bits(G, side, bits)
-    fair = tables.fill_num == Fraction(1, 2)
-    fill = _fill_free(rng, free, quantize(tables.fill_num), fair)
-    return (bits, fill) if side == X_SIDE else (fill, bits)
+def _threshold(num: Fraction | float, den: Fraction | float) -> int:
+    """The draw threshold realizing probability num/den: quantized exactly
+    for Fractions, rounded down in floats."""
+    ratio = num / den
+    return quantize(ratio) if isinstance(ratio, Fraction) else int(ratio * DRAW_DEN)
 
 
 def _blocked_mask(G: BipartiteGraph, side: str, bits: int, nbhd: int) -> int:
@@ -539,31 +525,15 @@ def _sequential_defect(
     m: WeightModel,
     rng: Random,
     use_exact_xi: bool,
-    ell: int,
-    xi_cap: int,
-    xi_memo: dict[tuple[int, ...], Fraction | float],
+    xi_of,
 ) -> int:
     """Draw a defect configuration by per-vertex peeling: at each surviving
     vertex, either no polymer contains it (remove the vertex) or one does
     (remove the polymer's blocked set), with probabilities given by ratios
-    of region partition functions.  ``universe`` is the side's whole polymer
-    universe; each region's is restricted from it.  ``xi_memo`` keeps Xi by
-    restricted universe (its polymers' masks) across the draws of one run:
-    Xi depends on the region only through the polymers inside it."""
+    of region partition functions, read from ``xi_of``.  ``universe`` is the
+    side's whole polymer universe; each region's candidates are restricted
+    from it."""
     n = G.side_size(side)
-
-    def xi_of(region: int):
-        local = restrict_universe(universe, region)
-        key = tuple(p.bits for p in local)
-        xi = xi_memo.get(key)
-        if xi is None:
-            if use_exact_xi:
-                xi = exact_xi(local, m, cap=xi_cap)
-            else:
-                xi = math.exp(truncated_log_xi(local, m, ell, region.bit_count(), G.d).log_value)
-            xi_memo[key] = xi
-        return xi
-
     region = G.full_mask(side)
     chosen = 0
     for v in range(n):
@@ -582,23 +552,14 @@ def _sequential_defect(
             # hard invariant rather than a tolerance check
             raise RuntimeError(f"peeling identity broken at vertex {v} of side {side}")
         u = rng.getrandbits(DRAW_BITS)
-        if use_exact_xi:
-            threshold = quantize(Fraction(xi_without) / Fraction(xi_r))
-        else:
-            threshold = int((xi_without / xi_r) * DRAW_DEN)
-        if u < threshold:
+        if u < _threshold(xi_without, xi_r):
             region &= ~(1 << v)
             continue
-        acc = Fraction(xi_without) if use_exact_xi else xi_without
+        acc = xi_without
         picked = None
         for bits, blocked, mass in branches:
             acc = acc + mass
-            t = (
-                quantize(Fraction(acc) / Fraction(xi_r))
-                if use_exact_xi
-                else int((acc / xi_r) * DRAW_DEN)
-            )
-            if u < t:
+            if u < _threshold(acc, xi_r):
                 picked = (bits, blocked)
                 break
         if picked is None and branches:
@@ -611,29 +572,9 @@ def _sequential_defect(
     return chosen
 
 
-def _side_choice_threshold(
-    G: BipartiteGraph,
-    universes: dict[str, list[Polymer]],
-    m: WeightModel,
-    use_exact_xi: bool,
-    ell: int,
-    xi_cap: int,
-) -> int:
-    ux, uy = universes[X_SIDE], universes[Y_SIDE]
-    if use_exact_xi:
-        xi_x = exact_xi(ux, m, cap=xi_cap)
-        xi_y = exact_xi(uy, m, cap=xi_cap)
-        return quantize(Fraction(xi_x) / (Fraction(xi_x) + Fraction(xi_y)))
-    lx = truncated_log_xi(ux, m, ell, G.n_x, G.d).log_value
-    ly = truncated_log_xi(uy, m, ell, G.n_y, G.d).log_value
-    return int(DRAW_DEN / (1.0 + math.exp(ly - lx)))
-
-
 def _sample_run(
     G: BipartiteGraph,
-    membership: str,
     m: WeightModel,
-    fill_num: Fraction,
     epsilon: float,
     p: ExpansionParams,
     seed: int,
@@ -641,34 +582,74 @@ def _sample_run(
     mode: str,
     use_exact_xi: bool,
     xi_cap: int,
-    model_name: str,
 ) -> list[tuple[int, int]]:
+    """Draws from the two-step measure of weight model ``m``: a side with
+    probability proportional to its Xi, a defect configuration on it (from
+    the exact tables, or by sequential peeling), then the opposite side's
+    free vertices filled independently."""
     _check_epsilon(epsilon)
     if samples < 1:
         raise InvalidInputError("samples must be positive")
     rng = Random(seed)
+    membership = _membership(m)
     lam = m.lam if m.variant == "hardcore" else None
     if mode == "table":
         tables = sampler_tables(G, p, lam=lam, membership=membership)
-        return [_sample_from_tables(G, tables, rng) for _ in range(samples)]
-    if mode != "sequential":
+        side_threshold = tables.side_threshold
+
+        def defect(side: str) -> int:
+            table = tables.table(side)
+            return table.config_bits[draw_index(rng, table.thresholds)]
+
+    elif mode == "sequential":
+        ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=m.variant)
+        # one universe per side for the whole run; every region restricts it
+        universes = {
+            side: enumerate_polymers(G, PolymerFamily(membership, side, p), G.side_size(side))
+            for side in (X_SIDE, Y_SIDE)
+        }
+
+        def region_xi(universe: list[Polymer]):
+            # Xi of a region depends on it only through the polymers inside,
+            # so one memo per side, keyed by their masks, serves the run
+            memo: dict[tuple[int, ...], Fraction | float] = {}
+
+            def xi_of(region: int) -> Fraction | float:
+                local = restrict_universe(universe, region)
+                key = tuple(q.bits for q in local)
+                xi = memo.get(key)
+                if xi is None:
+                    if use_exact_xi:
+                        xi = exact_xi(local, m, cap=xi_cap)
+                    else:
+                        log_xi = truncated_log_xi(local, m, ell, region.bit_count(), G.d)
+                        xi = math.exp(log_xi.log_value)
+                    memo[key] = xi
+                return xi
+
+            return xi_of
+
+        xi_of = {side: region_xi(universe) for side, universe in universes.items()}
+        if use_exact_xi:
+            xi_x, xi_y = (xi_of[side](G.full_mask(side)) for side in (X_SIDE, Y_SIDE))
+            side_threshold = _threshold(xi_x, xi_x + xi_y)
+        else:
+            lx = truncated_log_xi(universes[X_SIDE], m, ell, G.n_x, G.d).log_value
+            ly = truncated_log_xi(universes[Y_SIDE], m, ell, G.n_y, G.d).log_value
+            side_threshold = int(DRAW_DEN / (1.0 + math.exp(ly - lx)))
+
+        def defect(side: str) -> int:
+            return _sequential_defect(G, side, universes[side], m, rng, use_exact_xi, xi_of[side])
+
+    else:
         raise InvalidInputError(f"unknown sampling mode {mode!r}")
-    ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=model_name)
-    # one universe per side for the whole run; every region restricts it
-    universes = {
-        side: enumerate_polymers(G, PolymerFamily(membership, side, p), G.side_size(side))
-        for side in (X_SIDE, Y_SIDE)
-    }
-    side_threshold = _side_choice_threshold(G, universes, m, use_exact_xi, ell, xi_cap)
-    xi_memos: dict[str, dict] = {X_SIDE: {}, Y_SIDE: {}}
+    fill_num = Fraction(1, 2) if lam is None else lam / (1 + lam)
     fair = fill_num == Fraction(1, 2)
     fill_threshold = quantize(fill_num)
     out = []
     for _ in range(samples):
         side = X_SIDE if rng.getrandbits(DRAW_BITS) < side_threshold else Y_SIDE
-        bits = _sequential_defect(
-            G, side, universes[side], m, rng, use_exact_xi, ell, xi_cap, xi_memos[side]
-        )
+        bits = defect(side)
         free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
         fill = _fill_free(rng, free, fill_threshold, fair)
         out.append((bits, fill) if side == X_SIDE else (fill, bits))
@@ -690,18 +671,8 @@ def sample_expander(
     sequential mode peels one vertex at a time through partition-function
     ratios (exact ratios by default)."""
     return _sample_run(
-        G,
-        "expanding",
-        WeightModel.unweighted(),
-        Fraction(1, 2),
-        epsilon,
-        params or ExpansionParams(),
-        seed,
-        samples,
-        mode,
-        use_exact_xi,
-        xi_cap,
-        "unweighted",
+        G, WeightModel.unweighted(), epsilon, params or ExpansionParams(),
+        seed, samples, mode, use_exact_xi, xi_cap,
     )
 
 
@@ -718,18 +689,7 @@ def sample_hardcore_expander(
 ) -> list[tuple[int, int]]:
     """Hard-core analogue of sample_expander: small-set polymers, weighted
     defect configurations, free side filled at rate lambda/(1+lambda)."""
-    lam = Fraction(hp.lam)
     return _sample_run(
-        G,
-        "small",
-        WeightModel.hardcore(lam),
-        lam / (1 + lam),
-        epsilon,
-        params or ExpansionParams(),
-        seed,
-        samples,
-        mode,
-        use_exact_xi,
-        xi_cap,
-        "hardcore",
+        G, WeightModel.hardcore(hp.lam), epsilon, params or ExpansionParams(),
+        seed, samples, mode, use_exact_xi, xi_cap,
     )

@@ -37,6 +37,7 @@ from .expander import (
     METHOD_GENERAL,
     ApproxCount,
     SideTerm,
+    _check_epsilon,
     _log_int,
     _logaddexp,
 )
@@ -317,8 +318,7 @@ def count_general(
     region.  When d > sqrt(n) the local partition functions are dropped
     (replaced by 1), as the defect structure is negligible in that regime,
     and the convergence condition is reported as assumed."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError("epsilon must lie strictly between 0 and 1")
+    _check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
     p = params or ExpansionParams()

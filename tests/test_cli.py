@@ -1,6 +1,5 @@
 """End-to-end runs of the command-line interface."""
 
-import csv
 import json
 import math
 
@@ -222,18 +221,6 @@ def test_check_expander_falsified_with_witness(capsys, c8_file):
     w = doc["result"]["witness"]
     assert w["side"] in ("X", "Y")
     assert len(w["vertices"]) >= 1
-
-
-def test_bench_csv(tmp_path):
-    path = str(tmp_path / "bench.csv")
-    assert main(["bench", "--out", path]) == 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["instance", "op", "value", "seconds"]
-    assert len(rows) == 13  # 6 instances x 2 operations
-    oracle_rows = [r for r in rows[1:] if r[1] == "oracle"]
-    assert all(r[2].isdigit() for r in oracle_rows)
-    assert any(r[0] == "cycle(m=8)" and r[2] == "47" for r in oracle_rows)
 
 
 def test_exit_code_invalid_input(tmp_path, c8_file):

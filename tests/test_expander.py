@@ -424,10 +424,43 @@ def test_sequential_draws_pinned(name, lam, exact):
     assert draws == SEQUENTIAL_DRAWS[name, lam, exact]
 
 
+# 30 table-mode draws at seed 3 (epsilon 0.2, c1 = 1) on C8, pinned so that
+# how the draw loop is organised cannot move a draw; at lambda = 1 the fill
+# is fair and the small family's tables give the unweighted draws
+TABLE_DRAWS = {
+    None: [
+        (4, 9), (3, 0), (1, 6), (0, 10), (4, 1), (13, 0), (4, 8), (6, 8), (0, 0), (1, 6),
+        (1, 2), (8, 2), (12, 1), (0, 15), (8, 3), (0, 14), (1, 2), (8, 0), (1, 4), (8, 2),
+        (10, 0), (8, 1), (0, 8), (0, 12), (8, 2), (12, 1), (0, 12), (0, 6), (10, 0), (3, 0),
+    ],
+    Fraction(1, 2): [
+        (0, 8), (0, 5), (0, 5), (8, 0), (2, 4), (0, 0), (0, 1), (6, 0), (8, 0), (13, 0),
+        (0, 0), (4, 1), (0, 12), (11, 0), (0, 0), (6, 0), (0, 2), (0, 1), (0, 15), (0, 1),
+        (0, 11), (0, 6), (4, 8), (9, 0), (8, 0), (9, 0), (0, 12), (4, 0), (12, 0), (3, 4),
+    ],
+    Fraction(1): [
+        (4, 9), (3, 0), (1, 6), (0, 10), (4, 1), (13, 0), (4, 8), (6, 8), (0, 0), (1, 6),
+        (1, 2), (8, 2), (12, 1), (0, 15), (8, 3), (0, 14), (1, 2), (8, 0), (1, 4), (8, 2),
+        (10, 0), (8, 1), (0, 8), (0, 12), (8, 2), (12, 1), (0, 12), (0, 6), (10, 0), (3, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "lam", list(TABLE_DRAWS), ids=["unweighted", "hardcore-1/2", "hardcore-1"]
+)
+def test_table_draws_pinned(c8, lam):
+    if lam is None:
+        draws = sample_expander(c8, 0.2, P1, seed=3, samples=30)
+    else:
+        draws = sample_hardcore_expander(c8, HardCoreParams(lam), 0.2, P1, seed=3, samples=30)
+    assert draws == TABLE_DRAWS[lam]
+
+
 def test_sequential_xi_taken_once_per_sub_universe(monkeypatch):
     # Xi depends on a region only through the polymers inside it, so a run
-    # takes it once per distinct restricted universe; the side choice takes
-    # each whole side's Xi once more before the peeling starts (an empty
+    # takes it once per distinct restricted universe; the side choice reads
+    # each whole side's Xi from the same memo the peeling uses (an empty
     # universe names no side, so those are left out)
     real = biscount.expander.exact_xi
     seen = []
@@ -440,7 +473,7 @@ def test_sequential_xi_taken_once_per_sub_universe(monkeypatch):
     monkeypatch.setattr(biscount.expander, "exact_xi", recording)
     draws = sample_expander(even_cycle(12), 0.2, P1, seed=3, samples=50, mode="sequential")
     assert len(draws) == 50
-    assert len(seen) <= len(set(seen)) + 2
+    assert len(seen) == len(set(seen))
 
 
 def test_hardcore_sampler_empirical(c8):
