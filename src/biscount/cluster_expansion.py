@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapacityError, InvalidInputError
+from .errors import InvalidInputError
 from .graphs import BipartiteGraph
 from .polymers import (
     Polymer,
@@ -207,17 +207,15 @@ def truncated_log_xi(
     return LogPartitionEstimate(float(total), ell, bound, kp_status, model, coeffs.configs)
 
 
-def exact_xi(universe: Sequence[Polymer], m: WeightModel, cap: int = 24) -> Fraction | float:
+def exact_xi(universe: Sequence[Polymer], m: WeightModel) -> Fraction | float:
     """Xi of a complete polymer universe, the sum of its size polynomial
-    over every compatible configuration; more than ``cap`` polymers raise
-    CapacityError."""
-    if len(universe) > cap:
-        raise CapacityError(f"{len(universe)} polymers exceed the exact cap {cap}")
+    over every compatible configuration; a universe with more than
+    polymers.CONFIG_BUDGET of them raises CapacityError."""
     return sum(xi_size_polynomial(universe, m))
 
 
-def exact_log_xi(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel, cap: int = 24) -> float:
-    xi = exact_xi(enumerate_polymers(G, fam, G.side_size(fam.side)), m, cap)
+def exact_log_xi(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> float:
+    xi = exact_xi(enumerate_polymers(G, fam, G.side_size(fam.side)), m)
     if isinstance(xi, Fraction):
         return math.log(xi.numerator) - math.log(xi.denominator)
     return math.log(xi)
@@ -239,7 +237,6 @@ def tail_mass(
     fam: PolymerFamily,
     m: WeightModel,
     delta: float,
-    cap: int = 24,
 ) -> TailMass:
     if delta < 0:
         raise InvalidInputError("delta must be nonnegative")
@@ -247,8 +244,6 @@ def tail_mass(
         raise InvalidInputError("tail mass needs an exact weight model")
     n = G.side_size(fam.side)
     universe = enumerate_polymers(G, fam, n)
-    if len(universe) > cap:
-        raise CapacityError(f"{len(universe)} polymers exceed the exact cap {cap}")
     coeffs = xi_size_polynomial(universe, m)
     threshold = math.ceil(delta * n)
     xi = sum(coeffs)

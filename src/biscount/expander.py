@@ -380,8 +380,11 @@ def count_hardcore_expander(
     d = G.d
     notes: dict = {"conditions": hp.condition_flags(d), "beta": float(hp.beta(d))}
 
-    if force_method == METHOD_BRUTE:
+    method = force_method or METHOD_EXPANDER
+    if method == METHOD_BRUTE:
         return _exact_result(exact_hardcore(G, hp.lam).value, epsilon, notes)
+    if method != METHOD_EXPANDER:
+        raise InvalidInputError(f"unknown method {method!r}")
     flags = [f"hypothesis-unmet:{name}" for name, ok in notes["conditions"].items() if not ok]
     return _two_sided(
         G, WeightModel.hardcore(hp.lam), kp_hardcore(d, hp.lam, hp.alpha, hp.c5), epsilon,
@@ -417,15 +420,13 @@ class SamplerTables:
         return self.x if side == X_SIDE else self.y
 
 
-def _build_side_table(
-    G: BipartiteGraph, fam: PolymerFamily, m: WeightModel, max_configs: int
-) -> SideTable:
+def _build_side_table(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> SideTable:
     universe = enumerate_polymers(G, fam, G.side_size(fam.side))
     weights = [m.weight(p) for p in universe]
     bits_list: list[int] = []
     cum: list[Fraction] = []
     acc = Fraction(0)
-    for config in iter_compatible_configs(universe, max_configs=max_configs):
+    for config in iter_compatible_configs(universe):
         w = Fraction(1)
         bits = 0
         for i in config:
@@ -444,15 +445,14 @@ def sampler_tables(
     params: ExpansionParams | None = None,
     lam: Fraction | None = None,
     membership: str | None = None,
-    max_configs: int = 1 << 22,
 ) -> SamplerTables:
     """Precomputed exact inversion tables for the two-step sampler."""
     p = params or ExpansionParams()
     if membership is None:
         membership = "expanding" if lam is None else "small"
     m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
-    tx = _build_side_table(G, PolymerFamily(membership, X_SIDE, p), m, max_configs)
-    ty = _build_side_table(G, PolymerFamily(membership, Y_SIDE, p), m, max_configs)
+    tx = _build_side_table(G, PolymerFamily(membership, X_SIDE, p), m)
+    ty = _build_side_table(G, PolymerFamily(membership, Y_SIDE, p), m)
     fill = Fraction(1, 2) if lam is None else Fraction(lam) / (1 + Fraction(lam))
     return SamplerTables(quantize(tx.xi / (tx.xi + ty.xi)), tx, ty, fill)
 
@@ -581,7 +581,6 @@ def _sample_run(
     samples: int,
     mode: str,
     use_exact_xi: bool,
-    xi_cap: int,
 ) -> list[tuple[int, int]]:
     """Draws from the two-step measure of weight model ``m``: a side with
     probability proportional to its Xi, a defect configuration on it (from
@@ -609,34 +608,36 @@ def _sample_run(
             for side in (X_SIDE, Y_SIDE)
         }
 
-        def region_xi(universe: list[Polymer]):
+        def region_memo(universe: list[Polymer]):
             # Xi of a region depends on it only through the polymers inside,
-            # so one memo per side, keyed by their masks, serves the run
+            # so one memo per side, keyed by their masks, serves the run; it
+            # holds Xi exactly, or ln Xi(ell) in floats
             memo: dict[tuple[int, ...], Fraction | float] = {}
 
-            def xi_of(region: int) -> Fraction | float:
+            def value_of(region: int) -> Fraction | float:
                 local = restrict_universe(universe, region)
                 key = tuple(q.bits for q in local)
-                xi = memo.get(key)
-                if xi is None:
+                value = memo.get(key)
+                if value is None:
                     if use_exact_xi:
-                        xi = exact_xi(local, m, cap=xi_cap)
+                        value = exact_xi(local, m)
                     else:
                         log_xi = truncated_log_xi(local, m, ell, region.bit_count(), G.d)
-                        xi = math.exp(log_xi.log_value)
-                    memo[key] = xi
-                return xi
+                        value = log_xi.log_value
+                    memo[key] = value
+                return value
 
-            return xi_of
+            return value_of
 
-        xi_of = {side: region_xi(universe) for side, universe in universes.items()}
+        memo_of = {side: region_memo(universe) for side, universe in universes.items()}
+        # the side choice reads each whole side from the memo the peeling uses
+        vx, vy = (memo_of[side](G.full_mask(side)) for side in (X_SIDE, Y_SIDE))
         if use_exact_xi:
-            xi_x, xi_y = (xi_of[side](G.full_mask(side)) for side in (X_SIDE, Y_SIDE))
-            side_threshold = _threshold(xi_x, xi_x + xi_y)
+            xi_of = memo_of
+            side_threshold = _threshold(vx, vx + vy)
         else:
-            lx = truncated_log_xi(universes[X_SIDE], m, ell, G.n_x, G.d).log_value
-            ly = truncated_log_xi(universes[Y_SIDE], m, ell, G.n_y, G.d).log_value
-            side_threshold = int(DRAW_DEN / (1.0 + math.exp(ly - lx)))
+            xi_of = {side: lambda r, f=f: math.exp(f(r)) for side, f in memo_of.items()}
+            side_threshold = int(DRAW_DEN / (1.0 + math.exp(vy - vx)))
 
         def defect(side: str) -> int:
             return _sequential_defect(G, side, universes[side], m, rng, use_exact_xi, xi_of[side])
@@ -664,7 +665,6 @@ def sample_expander(
     samples: int = 1,
     mode: str = "table",
     use_exact_xi: bool = True,
-    xi_cap: int = 24,
 ) -> list[tuple[int, int]]:
     """Draw independent sets from the two-step measure over the expanding
     polymer family.  Table mode inverts exact configuration tables; the
@@ -672,7 +672,7 @@ def sample_expander(
     ratios (exact ratios by default)."""
     return _sample_run(
         G, WeightModel.unweighted(), epsilon, params or ExpansionParams(),
-        seed, samples, mode, use_exact_xi, xi_cap,
+        seed, samples, mode, use_exact_xi,
     )
 
 
@@ -685,11 +685,10 @@ def sample_hardcore_expander(
     samples: int = 1,
     mode: str = "table",
     use_exact_xi: bool = True,
-    xi_cap: int = 24,
 ) -> list[tuple[int, int]]:
     """Hard-core analogue of sample_expander: small-set polymers, weighted
     defect configurations, free side filled at rate lambda/(1+lambda)."""
     return _sample_run(
         G, WeightModel.hardcore(hp.lam), epsilon, params or ExpansionParams(),
-        seed, samples, mode, use_exact_xi, xi_cap,
+        seed, samples, mode, use_exact_xi,
     )

@@ -80,14 +80,7 @@ class NonExpandingFamily:
     def validate(self, G: BipartiteGraph, params: ExpansionParams) -> None:
         seen_nbhd = 0
         for s in self.sets:
-            if not s.bits:
-                raise InvalidInputError("family members must be nonempty")
-            if closure_bits(G, s.side, s.bits) != s.bits:
-                raise InvalidInputError("family member is not closed")
-            if not is_two_linked(G, s):
-                raise InvalidInputError("family member is not 2-linked")
-            if is_expanding(G, s, params):
-                raise InvalidInputError("family member is expanding")
+            _check_container_set(G, s, params)
             nb = neighborhood_bits(G, s.side, s.bits)
             if nb & seen_nbhd:
                 raise InvalidInputError("family neighborhoods overlap")
@@ -267,7 +260,6 @@ def assemble_exact(
     G: BipartiteGraph,
     params: ExpansionParams | None = None,
     side: str = "X",
-    xi_cap: int = 24,
 ) -> int:
     """i(G) as the exact family sum: for each family, the product of exact
     multiplicities, a free factor for the untouched part of the other side,
@@ -282,7 +274,7 @@ def assemble_exact(
         union = family.union_bits
         covered = neighborhood_bits(G, side, union).bit_count()
         local = restrict_universe(universe, family_region(G, side, union))
-        xi = exact_xi(local, m, cap=xi_cap)
+        xi = exact_xi(local, m)
         prod = 1
         for s in family.sets:
             prod *= exhaustive_D(G, s)
@@ -423,10 +415,9 @@ def count_general_exact(
     G: BipartiteGraph,
     params: ExpansionParams | None = None,
     side: str = "X",
-    xi_cap: int = 24,
 ) -> ApproxCount:
     """The exact family assembly wrapped in the common result type."""
-    value = assemble_exact(G, params, side, xi_cap)
+    value = assemble_exact(G, params, side)
     return ApproxCount(
         log_value=_log_int(value),
         rel_error_bound=0.5,

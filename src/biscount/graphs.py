@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -309,24 +308,19 @@ def is_small(G: BipartiteGraph, A: SideSet) -> bool:
 
 @dataclass(frozen=True)
 class ExpanderVerdict:
-    status: str  # "verified" | "falsified" | "unknown"
+    status: str  # "verified" | "falsified"
     witness: SideSet | None = None
 
 
 def check_alpha_expander(
     G: BipartiteGraph,
     alpha: float | Fraction,
-    mode: str = "exhaustive",
     size_limit: int = 20,
-    seed: int = 0,
-    trials: int = 20000,
 ) -> ExpanderVerdict:
-    """Decide whether every set of at most half a side expands by (1+alpha).
-
-    Exhaustive mode walks all subsets of both sides (guarded by ``size_limit``
-    on the side size); heuristic mode samples and returns ``unknown`` when no
-    counterexample is found.  The comparison is exact: alpha is coerced to a
-    Fraction, so boundary ties behave deterministically.
+    """Decide whether every set of at most half a side expands by (1+alpha),
+    walking all subsets of both sides (guarded by ``size_limit`` on the side
+    size).  The comparison is exact: alpha is coerced to a Fraction, so
+    boundary ties behave deterministically.
     """
     frac_alpha = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
     one_plus = 1 + frac_alpha
@@ -335,30 +329,17 @@ def check_alpha_expander(
         w = neighborhood_bits(G, side, bits).bit_count()
         return Fraction(w) < one_plus * bits.bit_count()
 
-    if mode == "exhaustive":
-        for side in (X_SIDE, Y_SIDE):
-            n = G.side_size(side)
-            if n > size_limit:
-                raise CapacityError(
-                    f"exhaustive expander check capped at side size {size_limit}, got {n}"
-                )
-            half = n // 2
-            for bits in range(1, 1 << n):
-                if bits.bit_count() <= half and violates(side, bits):
-                    return ExpanderVerdict("falsified", SideSet(side, bits))
-        return ExpanderVerdict("verified")
-
-    if mode != "heuristic":
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        side = X_SIDE if rng.random() < 0.5 else Y_SIDE
+    for side in (X_SIDE, Y_SIDE):
         n = G.side_size(side)
-        k = rng.randint(1, max(1, n // 2))
-        bits = bits_of(rng.sample(range(n), k))
-        if violates(side, bits):
-            return ExpanderVerdict("falsified", SideSet(side, bits))
-    return ExpanderVerdict("unknown")
+        if n > size_limit:
+            raise CapacityError(
+                f"exhaustive expander check capped at side size {size_limit}, got {n}"
+            )
+        half = n // 2
+        for bits in range(1, 1 << n):
+            if bits.bit_count() <= half and violates(side, bits):
+                return ExpanderVerdict("falsified", SideSet(side, bits))
+    return ExpanderVerdict("verified")
 
 
 # -- connected-set enumeration in the square graph ----------------------------

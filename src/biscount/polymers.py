@@ -428,8 +428,11 @@ def enumerate_clusters(
             yield from rec(0, 0)
 
 
+CONFIG_BUDGET = 1 << 22  # compatible configurations one walk may visit
+
+
 def iter_compatible_configs(
-    universe: Sequence[Polymer], max_configs: int = 1 << 22, max_size: int | None = None
+    universe: Sequence[Polymer], max_configs: int = CONFIG_BUDGET, max_size: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Every collection of pairwise-compatible polymers as a tuple of
     ascending universe indices; the empty collection comes first.  With
@@ -467,7 +470,8 @@ class SizePolynomial(list):
 
 
 def xi_size_polynomial(
-    universe: Sequence[Polymer], m: WeightModel, max_configs: int = 1 << 22, upto: int | None = None
+    universe: Sequence[Polymer], m: WeightModel, max_configs: int = CONFIG_BUDGET,
+    upto: int | None = None,
 ) -> SizePolynomial:
     """Coefficients c_k = total weight of compatible configurations with
     combined polymer size k; c_0 = 1 and sum(c) = Xi.  With ``upto``, only

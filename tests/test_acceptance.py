@@ -244,7 +244,7 @@ def test_criterion_06_exact_assembly_identity(capsys):
     cases = named_catalog() + util.random_instances(10, seed=606, max_side=10)
     for i, G in enumerate(cases):
         params = P1 if i % 2 == 0 else P100
-        assert assemble_exact(G, params, xi_cap=256) == exact_count_bipartite(G).value
+        assert assemble_exact(G, params) == exact_count_bipartite(G).value
     assert assemble_exact(even_cycle(8), P1) == 47
     assert assemble_exact(complete_bipartite(2), P1) == 7
     announce(capsys, f"ACCEPTANCE 06 PASS: exact family assembly equals the oracle "

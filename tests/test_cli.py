@@ -254,8 +254,8 @@ def test_exit_code_internal_on_broken_peeling_identity(capsys, c8_file, monkeypa
 
     real = biscount.expander.exact_xi
 
-    def off_by_one_through_vertex_0(universe, m, cap=24):
-        xi = real(universe, m, cap=cap)
+    def off_by_one_through_vertex_0(universe, m):
+        xi = real(universe, m)
         return xi + 1 if any(p.bits & 1 for p in universe) else xi
 
     monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_through_vertex_0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from biscount import (
     CapacityError,
+    cluster_expansion,
     InvalidInputError,
     beta_weight,
     choose_ell,
@@ -123,10 +124,16 @@ def test_exact_xi_frozen_anchor(c8):
     )
 
 
-def test_exact_xi_capacity(c8):
+def test_exact_xi_capacity(c8, monkeypatch):
+    # the one budget on exact Xi is the configuration walk's: a universe
+    # with more compatible configurations than it allows raises
+    real = cluster_expansion.xi_size_polynomial
+    monkeypatch.setattr(
+        cluster_expansion, "xi_size_polynomial", lambda u, m: real(u, m, max_configs=3)
+    )
     fam = PolymerFamily("expanding", "X", P1)
-    with pytest.raises(CapacityError):
-        exact_xi(enumerate_polymers(c8, fam, 4), WeightModel.unweighted(), cap=3)
+    with pytest.raises(CapacityError, match="more than 3 polymer configurations"):
+        exact_xi(enumerate_polymers(c8, fam, 4), WeightModel.unweighted())
 
 
 def test_truncated_log_xi_matches_series_partial_sums(c8):
@@ -218,6 +225,26 @@ def test_tail_mass_frozen_anchors(c8):
         tail_mass(c8, fam, m, delta=-0.1)
     with pytest.raises(InvalidInputError):
         tail_mass(c8, fam, WeightModel.tilde(c8.d), delta=0.5)
+
+
+def test_tail_mass_past_24_polymers():
+    # Q4's 32 polymers a side: the size polynomial against a direct sum of
+    # configuration weights by total size
+    G = hypercube(4)
+    fam = PolymerFamily("expanding", "X", P1)
+    m = WeightModel.unweighted()
+    universe = enumerate_polymers(G, fam, G.n_x)
+    assert len(universe) == 32
+    heavy = tail_mass(G, fam, m, delta=0.25)
+    xi = total = Fraction(0)
+    for config in iter_compatible_configs(universe):
+        w = math.prod((m.weight(universe[i]) for i in config), start=Fraction(1))
+        xi += w
+        if sum(universe[i].size for i in config) >= heavy.threshold:
+            total += w
+    assert heavy.threshold == 2
+    assert 0 < heavy.probability == total / xi < 1
+    assert tail_mass(G, fam, m, delta=0).probability == 1
 
 
 # -- the series route against the cluster route ---------------------------------

@@ -194,6 +194,14 @@ def test_count_expander_validation(c8):
         count_expander(c8, 0.5, force_method="nonsense")
 
 
+def test_unknown_force_method_rejected_by_both_counters(c8):
+    with pytest.raises(InvalidInputError, match="unknown method 'bogus'"):
+        count_expander(c8, 0.2, P1, force_method="bogus")
+    hp = HardCoreParams(lam=Fraction(1, 2))
+    with pytest.raises(InvalidInputError, match="unknown method 'bogus'"):
+        count_hardcore_expander(c8, hp, 0.2, P1, force_method="bogus")
+
+
 def test_epsilon_zero_and_tv_bound():
     assert math.isclose(epsilon_zero(4, 2), 2.0 ** (-4 / 120))
     big = epsilon_zero(10_000, 16)
@@ -465,15 +473,48 @@ def test_sequential_xi_taken_once_per_sub_universe(monkeypatch):
     real = biscount.expander.exact_xi
     seen = []
 
-    def recording(universe, m, cap=24):
+    def recording(universe, m):
         if universe:
             seen.append(tuple((p.side, p.bits) for p in universe))
-        return real(universe, m, cap=cap)
+        return real(universe, m)
 
     monkeypatch.setattr(biscount.expander, "exact_xi", recording)
     draws = sample_expander(even_cycle(12), 0.2, P1, seed=3, samples=50, mode="sequential")
     assert len(draws) == 50
     assert len(seen) == len(set(seen))
+
+
+def test_float_sequential_log_xi_taken_once_per_sub_universe(monkeypatch):
+    # the float route keeps ln Xi(ell) in the per-side memo, and the side
+    # choice reads each whole side from it rather than taking it again
+    real = biscount.expander.truncated_log_xi
+    seen = []
+
+    def recording(universe, *args, **kwargs):
+        if universe:
+            seen.append(tuple((p.side, p.bits) for p in universe))
+        return real(universe, *args, **kwargs)
+
+    monkeypatch.setattr(biscount.expander, "truncated_log_xi", recording)
+    draws = sample_expander(
+        even_cycle(12), 0.2, P1, seed=3, samples=50, mode="sequential", use_exact_xi=False
+    )
+    assert len(draws) == 50
+    assert len(seen) == len(set(seen))
+
+
+def test_sequential_samplers_past_24_polymers():
+    # Q4 has 32 expanding polymers a side; exact Xi is bounded by the
+    # configurations walked, not by the polymer count
+    G = hypercube(4)
+    assert len(full_universe(G, "expanding", X_SIDE, P1)) == 32
+    draws = sample_expander(G, 0.2, P1, seed=1, samples=10, mode="sequential")
+    assert len(draws) == 10
+    assert_valid_pairs(G, draws)
+    hp = HardCoreParams(lam=Fraction(1, 2))
+    draws = sample_hardcore_expander(G, hp, 0.2, P1, seed=1, samples=10, mode="sequential")
+    assert len(draws) == 10
+    assert_valid_pairs(G, draws)
 
 
 def test_hardcore_sampler_empirical(c8):
@@ -502,10 +543,10 @@ def test_sequential_peeling_identity_survives_optimized_mode(c8, monkeypatch):
     # a partition function that disagrees with its peeling must raise
     real = biscount.expander.exact_xi
 
-    def off_by_one_through_vertex_0(universe, m, cap=24):
+    def off_by_one_through_vertex_0(universe, m):
         # the first peeling step's region is the only one still holding
         # vertex 0's polymers
-        xi = real(universe, m, cap=cap)
+        xi = real(universe, m)
         return xi + 1 if any(p.bits & 1 for p in universe) else xi
 
     monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_through_vertex_0)

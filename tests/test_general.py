@@ -29,8 +29,9 @@ from biscount.graphs import (
     neighborhood_bits,
     opposite,
 )
-from biscount.instances import even_cycle, hypercube
+from biscount.instances import even_cycle, hypercube, random_shift
 from biscount.oracle import exact_count_bipartite
+from biscount.polymers import PolymerFamily, enumerate_polymers
 from util import P1, P100
 
 
@@ -231,8 +232,8 @@ def test_assemble_exact_matches_oracle(params, request):
     cases += [G for G in util.random_instances(8, seed=909, max_side=8)]
     for G in cases:
         truth = exact_count_bipartite(G).value
-        assert assemble_exact(G, params, xi_cap=40) == truth
-        assert assemble_exact(G, params, side=Y_SIDE, xi_cap=40) == truth
+        assert assemble_exact(G, params) == truth
+        assert assemble_exact(G, params, side=Y_SIDE) == truth
 
 
 def test_count_general_exact_wrapper(c8):
@@ -241,6 +242,16 @@ def test_count_general_exact_wrapper(c8):
     assert out.flags == ("exact",)
     assert out.method == "general"
     assert math.isclose(out.log_value, math.log(47))
+
+
+def test_count_general_exact_bounded_by_configurations_not_polymers():
+    # exact Xi is limited only by the configurations its walk visits, so
+    # universes far past two dozen polymers a side still assemble exactly
+    shift56 = random_shift(8, 3, 3)
+    universe = enumerate_polymers(shift56, PolymerFamily("expanding", X_SIDE, P1), 8)
+    assert len(universe) == 56
+    for G in (hypercube(4), even_cycle(20), random_shift(10, 3, 7), shift56):
+        assert count_general_exact(G, P1).exact_value == exact_count_bipartite(G).value
 
 
 def test_count_general_c8_accuracy_and_flags(c8):
