@@ -27,14 +27,12 @@ from .graphs import (
     SideSet,
     bits_of,
     closure_bits,
-    connected_sets_containing,
-    connected_sets_min_rooted,
-    is_expanding,
     is_two_linked,
     iter_bits,
     neighborhood_bits,
     opposite,
     two_linked_component_bits,
+    two_linked_sets,
 )
 
 
@@ -250,13 +248,7 @@ def enumerate_essential_candidates(
     if not 0 <= v < n:
         raise InvalidInputError(f"anchor vertex {v} out of range")
     cap = essential_size_cap(G.d, w)
-    if cap <= 0:
-        return []
-    cap = min(cap, n)
-    square = G.square_rows(side)
-    seen: set[int] = set()
-    for b_bits in connected_sets_containing(square, v, cap, (1 << n) - 1):
-        seen.add(neighborhood_bits(G, side, b_bits))
+    seen = {nbhd for _, nbhd, _ in two_linked_sets(G, side, cap, root=v)}
     other = opposite(side)
     return [SideSet(other, bits) for bits in sorted(seen)]
 
@@ -273,16 +265,15 @@ def enumerate_expanding(
     and neighborhood size w.  Enumerated directly; used as ground truth for
     the container counting bounds."""
     params = params or ExpansionParams()
-    n = G.side_size(side)
-    full = (1 << n) - 1
-    out = []
-    for bits in connected_sets_containing(G.square_rows(side), v, min(a, n), full):
-        if closure_bits(G, side, bits).bit_count() != a:
-            continue
-        if neighborhood_bits(G, side, bits).bit_count() != w:
-            continue
-        if is_expanding(G, SideSet(side, bits), params):
-            out.append(SideSet(side, bits))
+    if not params.expands(G.d, w, a):
+        return []
+    # |N| and |[S]| only grow with S: prune past w, and past a altogether
+    top = [w if size <= a else -1 for size in range(G.side_size(side) + 1)]
+    out = [
+        SideSet(side, bits)
+        for bits, nbhd, closed in two_linked_sets(G, side, a, root=v, top=top)
+        if closed.bit_count() == a and nbhd.bit_count() == w
+    ]
     return sorted(out, key=lambda s: s.bits)
 
 
@@ -360,7 +351,8 @@ def enumerate_nonexpanding_closed(
                 candidate = SideSet(side, u_bits)
                 if not is_two_linked(G, candidate):
                     continue
-                if is_expanding(G, candidate, params):
+                # u_bits is closed with N(u_bits) = W, so the sizes decide
+                if params.expands(d, w_size, a):
                     continue
                 found.add(u_bits)
     return [SideSet(side, bits) for bits in sorted(found)]
@@ -369,19 +361,16 @@ def enumerate_nonexpanding_closed(
 def distinct_nonexpanding_closed(
     G: BipartiteGraph, params: ExpansionParams | None = None, side: str = "X"
 ) -> list[SideSet]:
-    """Every closed 2-linked non-expanding set on a side, by direct scan of
-    connected sets in the square graph.  Ground truth for the anchored
-    enumeration and the pool behind family assembly."""
+    """Every closed 2-linked non-expanding set on a side: the sets of the
+    side's 2-linked walk with [S] = S that do not expand.  Ground truth for
+    the anchored enumeration and the pool behind family assembly."""
     params = params or ExpansionParams()
-    n = G.side_size(side)
-    full = (1 << n) - 1
-    out = []
-    for bits in connected_sets_min_rooted(G.square_rows(side), n, full):
-        if closure_bits(G, side, bits) != bits:
-            continue
-        if is_expanding(G, SideSet(side, bits), params):
-            continue
-        out.append(SideSet(side, bits))
+    out = [
+        SideSet(side, bits)
+        for bits, nbhd, closed in two_linked_sets(G, side, G.side_size(side))
+        if closed == bits
+        and not params.expands(G.d, nbhd.bit_count(), closed.bit_count())
+    ]
     return sorted(out, key=lambda s: s.bits)
 
 

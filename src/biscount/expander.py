@@ -509,15 +509,6 @@ def _threshold(num: Fraction | float, den: Fraction | float) -> int:
     return quantize(ratio) if isinstance(ratio, Fraction) else int(ratio * DRAW_DEN)
 
 
-def _blocked_mask(G: BipartiteGraph, side: str, bits: int, nbhd: int) -> int:
-    rows = G.rows(side)
-    out = bits
-    for v in range(G.side_size(side)):
-        if rows[v] & nbhd:
-            out |= 1 << v
-    return out
-
-
 def _sequential_defect(
     G: BipartiteGraph,
     side: str,
@@ -544,7 +535,8 @@ def _sequential_defect(
         cands = [p for p in restrict_universe(universe, region) if (p.bits >> v) & 1]
         branches = []
         for p in cands:
-            blocked = _blocked_mask(G, side, p.bits, p.nbhd) & region
+            # N^2(gamma): gamma and every vertex sharing a neighbour with it
+            blocked = neighborhood_bits(G, opposite(side), p.nbhd) & region
             weight = m.weight(p) if use_exact_xi else math.exp(m.log_weight(p))
             branches.append((p.bits, blocked, weight * xi_of(region & ~blocked)))
         if use_exact_xi and xi_r != xi_without + sum(b[2] for b in branches):

@@ -25,6 +25,7 @@ from .cluster_expansion import (
     KP_ASSUMED,
     KP_FAILED,
     KP_VERIFIED,
+    choose_ell,
     exact_xi,
     kp_unweighted,
     truncated_log_xi,
@@ -146,6 +147,7 @@ def family_region(G: BipartiteGraph, side: str, union_bits: int) -> int:
 
 EXHAUSTIVE_D_CAP = 24  # largest |A| whose 2^|A| subsets exhaustive_D scans
 D_DRAW_CHUNK = 1 << 20  # estimate_D's draws held at once (8 MiB of uint64)
+D_DRAW_BUDGET = 1 << 30  # most draws one estimate_D call may make
 
 
 def exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
@@ -203,6 +205,11 @@ def _d_sample_budget(
     return math.ceil(3.0 * epsilon**-2 * math.log(2.0 / delta) * 2**a2.size), a2.size
 
 
+def _check_draws(A: SideSet, m: int) -> None:
+    if m > D_DRAW_BUDGET:
+        raise CapacityError(f"D(A) for |A| = {A.size} needs {m} draws, over {D_DRAW_BUDGET}")
+
+
 def estimate_D(
     G: BipartiteGraph,
     A: SideSet,
@@ -211,7 +218,9 @@ def estimate_D(
     seed: int,
     params: ExpansionParams | None = None,
 ) -> DEstimate:
-    """Relative-error Monte-Carlo estimate of the multiplicity D(A)."""
+    """Relative-error Monte-Carlo estimate of the multiplicity D(A).  A
+    sample count m over ``D_DRAW_BUDGET`` raises CapacityError before the
+    first draw."""
     p = params or ExpansionParams()
     _check_container_set(G, A, p)
     if epsilon <= 0:
@@ -220,6 +229,7 @@ def estimate_D(
         raise InvalidInputError("delta must lie in (0, 1)")
     eps_eff = min(epsilon, 1.0)
     m, a2_size = _d_sample_budget(G, A, eps_eff, delta, p)
+    _check_draws(A, m)
 
     target = neighborhood_bits(G, A.side, A.bits)
     verts = A.vertices()
@@ -245,9 +255,12 @@ def estimate_D(
             draws = rng.integers(0, 1 << na, size=min(D_DRAW_CHUNK, m - start), dtype=np.uint64)
             hits += int(table[draws].sum())
     else:
+        # na uniform bits per draw from whole bytes, at any width
+        width = (na + 7) // 8
+        mask = (1 << na) - 1
         hits = 0
         for _ in range(m):
-            hits += is_hit(int(rng.integers(0, 1 << na)))
+            hits += is_hit(int.from_bytes(rng.bytes(width), "little") & mask)
 
     value = hits / m * 2.0**na
     return DEstimate(value, eps_eff, delta, m, hits, Fraction(1, 2**a2_size))
@@ -317,8 +330,7 @@ def count_general(
     n, d = G.side_size(side), G.d
     other = opposite(side)
     n_other = G.side_size(other)
-    q = math.log2(d) ** 2
-    big_l = max(1, math.ceil(d / (2.0 * q) * math.log2(2.0 * n / epsilon)))
+    big_l = choose_ell(n, d, epsilon / 2.0)
     drop_xi = d * d > n
     m = WeightModel.unweighted()
 
@@ -331,9 +343,15 @@ def count_general(
     seeds = np.random.SeedSequence(seed).generate_state(max(1, len(pool)))
     d_values: dict[int, float] = {}
     d_sampled = d_samples = 0
-    for s, child in zip(pool, seeds):
-        budget, _ = _d_sample_budget(G, s, eps_d, delta_prime, p)
-        if s.size <= EXHAUSTIVE_D_CAP and 1 << s.size <= budget:
+    # every D's route is planned, and its draws held to the budget, before
+    # any subset scan or draw runs
+    draws = [_d_sample_budget(G, s, eps_d, delta_prime, p)[0] for s in pool]
+    scan = [s.size <= EXHAUSTIVE_D_CAP and 1 << s.size <= k for s, k in zip(pool, draws)]
+    for s, k, exact in zip(pool, draws, scan):
+        if not exact:
+            _check_draws(s, k)
+    for s, child, exact in zip(pool, seeds, scan):
+        if exact:
             d_values[s.bits] = float(exhaustive_D(G, s))
         else:
             est = estimate_D(G, s, eps_d, delta_prime, int(child), p)

@@ -21,7 +21,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, GraphFormatError, InvalidInputError
 
@@ -342,55 +342,76 @@ def check_alpha_expander(
     return ExpanderVerdict("verified")
 
 
-# -- connected-set enumeration in the square graph ----------------------------
+# -- the walk over 2-linked sets ------------------------------------------------
 
 
-def connected_sets_containing(
-    adj: list[int], root: int, size_cap: int, allowed: int | None = None
-) -> list[int]:
-    """All masks S with root in S, S within ``allowed``, S connected under
-    ``adj``, and |S| <= size_cap.  Each qualifying set is produced exactly once.
-    """
-    n = len(adj)
-    if allowed is None:
-        allowed = (1 << n) - 1
-    if size_cap < 1 or not (allowed >> root) & 1:
-        return []
-    out: list[int] = []
+def two_linked_sets(
+    G: BipartiteGraph,
+    side: str,
+    size_cap: int,
+    root: int | None = None,
+    top: Sequence[int] | None = None,
+) -> Iterator[tuple[int, int, int]]:
+    """Every 2-linked set S of ``side`` with |S| <= ``size_cap``, each exactly
+    once, as the masks (S, N(S), [S]).
 
-    def rec(s: int, size: int, frontier: int, forbidden: int) -> None:
-        out.append(s)
-        if size == size_cap:
-            return
-        ext = frontier
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            u = low.bit_length() - 1
-            new_forbidden = forbidden | low
-            grow = adj[u] & allowed & ~new_forbidden & ~s & ~ext
-            rec(s | low, size + 1, ext | grow, new_forbidden)
-            forbidden = new_forbidden
+    A forbidden-set walk over the connected sets of the square graph: with
+    ``root`` None it is min-rooted over every root (S grows only above its
+    lowest vertex), otherwise it yields the sets containing ``root``.  N(S)
+    and [S] are carried, grown by the rows of each added vertex.  With
+    ``top``, a set with |N(S)| > top[|[S]|] is neither yielded nor grown.
+    Both sizes only grow with S, so when ``top`` never increases every
+    superset of such a set fails too, and the walk yields exactly the sets
+    within the bound.  A cap below 1, or a root off the side, yields
+    nothing."""
+    n = G.side_size(side)
+    cap = min(size_cap, n)
+    if cap < 1:
+        return
+    rows = G.rows(side)
+    cols = G.rows(opposite(side))
+    square = G.square_rows(side)
 
-    rec(1 << root, 1, adj[root] & allowed & ~(1 << root), 1 << root)
-    return out
+    def closure_gain(nbhd: int, fresh: int, closed: int) -> int:
+        # [S] after N(S) grew by ``fresh``: a vertex joins only through a
+        # neighbour in ``fresh``, and only if all its neighbours are in N(S)
+        reach = 0
+        for y in iter_bits(fresh):
+            reach |= cols[y]
+        for v in iter_bits(reach & ~closed):
+            if not rows[v] & ~nbhd:
+                closed |= 1 << v
+        return closed
 
-
-def connected_sets_min_rooted(
-    adj: list[int], size_cap: int, allowed: int | None = None
-) -> list[int]:
-    """All connected masks of size <= size_cap within ``allowed`` (each once)."""
-    n = len(adj)
-    if allowed is None:
-        allowed = (1 << n) - 1
-    out: list[int] = []
-    for root in range(n):
-        if not (allowed >> root) & 1:
-            continue
-        # canonical root = minimum vertex, so ban everything below it
-        sub_allowed = allowed & ~((1 << root) - 1)
-        out.extend(connected_sets_containing(adj, root, size_cap, sub_allowed))
-    return out
+    if root is None:
+        starts = [(r, (2 << r) - 1) for r in range(n)]
+    else:
+        starts = [(root, 1 << root)] if 0 <= root < n else []
+    for r, forbidden in starts:
+        stack = [(1 << r, 1, rows[r], closure_gain(rows[r], rows[r], 0),
+                  square[r] & ~forbidden, forbidden)]
+        while stack:
+            s, size, nbhd, closed, frontier, forbidden = stack.pop()
+            if top is not None and nbhd.bit_count() > top[closed.bit_count()]:
+                continue
+            yield s, nbhd, closed
+            if size == cap:
+                continue
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                u = low.bit_length() - 1
+                forbidden |= low
+                fresh = rows[u] & ~nbhd
+                wider = nbhd | fresh
+                stack.append((
+                    s | low,
+                    size + 1,
+                    wider,
+                    closure_gain(wider, fresh, closed) if fresh else closed,
+                    frontier | (square[u] & ~forbidden),
+                    forbidden,
+                ))
 
 
 # -- text format ---------------------------------------------------------------

@@ -29,6 +29,7 @@ from .graphs import (
     iter_bits,
     neighborhood_bits,
     opposite,
+    two_linked_sets,
 )
 
 
@@ -151,74 +152,26 @@ def enumerate_polymers(
     """The polymer universe up to ``size_cap`` vertices, sorted by bit mask.
     A region's universe is this one filtered by ``restrict_universe``.
 
-    A min-rooted walk over the connected sets of the square graph (the
-    growth of ``graphs.connected_sets_min_rooted``), so every set it visits
-    is 2-linked.  It carries N(S) and [S] as masks, grown by the rows of
-    each added vertex, and stops growing S when no superset can be
-    admitted: both only grow with S and |N| never exceeds the other side,
-    so once |N(S)| is past the largest |N| that ``admits_sizes`` accepts
-    beside |[S]|, no superset is a polymer."""
-    if size_cap <= 0:
-        return []
+    A filter of ``graphs.two_linked_sets`` over the family's side: every set
+    it yields is 2-linked and comes with |N(S)| and |[S]|, which decide
+    membership.  The walk is pruned by ``top``, the largest |N| that
+    ``admits_sizes`` accepts beside each |[S]|: both only grow with S and
+    |N| never exceeds the other side, so past it no superset is a polymer."""
     side = fam.side
     n = G.side_size(side)
     n_other = G.side_size(opposite(side))
-    cap = min(size_cap, n)
-    rows = G.rows(side)
-    cols = G.rows(opposite(side))
-    square = G.square_rows(side)
     admitted = [
         [fam.admits_sizes(G, w, a) for w in range(n_other + 1)] for a in range(n + 1)
     ]
-    # top[a]: the largest |N| admitted beside a closure of a vertices, or -1
     top = [max((w for w, ok in enumerate(row) if ok), default=-1) for row in admitted]
     out: list[Polymer] = []
-
-    def closure_gain(nbhd: int, fresh: int, closed: int) -> int:
-        # [S] after N(S) grew by ``fresh``: a vertex joins only through a
-        # neighbour in ``fresh``, and only if all its neighbours are in N(S)
-        reach = 0
-        for y in iter_bits(fresh):
-            reach |= cols[y]
-        for v in iter_bits(reach & ~closed):
-            if not rows[v] & ~nbhd:
-                closed |= 1 << v
-        return closed
-
-    def grow(s: int, size: int, nbhd: int, closed: int, frontier: int, forbidden: int) -> None:
-        w = nbhd.bit_count()
-        a = closed.bit_count()
-        if w > top[a]:
-            return
-        if admitted[a][w]:
+    for bits, nbhd, closed in two_linked_sets(G, side, size_cap, top=top):
+        if admitted[closed.bit_count()][nbhd.bit_count()]:
             if len(out) >= max_polymers:
                 raise CapacityError(
                     f"polymer universe exceeds {max_polymers} members (partial count)"
                 )
-            out.append(Polymer(side, s, nbhd))
-        if size == cap:
-            return
-        ext = frontier
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            u = low.bit_length() - 1
-            forbidden |= low
-            fresh = rows[u] & ~nbhd
-            wider = nbhd | fresh
-            grow(
-                s | low,
-                size + 1,
-                wider,
-                closure_gain(wider, fresh, closed) if fresh else closed,
-                ext | (square[u] & ~forbidden),
-                forbidden,
-            )
-
-    for root in range(n):
-        bit = 1 << root
-        grow(bit, 1, rows[root], closure_gain(rows[root], rows[root], 0),
-             square[root] & ~((bit << 1) - 1), (bit << 1) - 1)
+            out.append(Polymer(side, bits, nbhd))
     out.sort(key=lambda p: p.bits)
     return out
 
@@ -343,9 +296,10 @@ def _supports_within(
 ) -> list[int]:
     """All masks S with root in S, S within ``allowed``, S connected under
     ``adj`` and total size sum(sizes[i] for i in S) <= budget, each once.
-    The growth of ``graphs.connected_sets_containing`` with the size budget
-    applied at every step: a polymer too large for the room a support has
-    left is too large for every extension of it too, so it is never tried."""
+    A forbidden-set walk, the growth ``graphs.two_linked_sets`` makes in the
+    square graph, here over ``adj`` with the size budget applied at every
+    step: a polymer too large for the room a support has left is too large
+    for every extension of it too, so it is never tried."""
     fits = _fits_masks(sizes, budget)
     out: list[int] = []
 

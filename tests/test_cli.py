@@ -28,7 +28,8 @@ def c8_file(tmp_path):
 
 
 def test_gen_writes_loadable_file_with_label(c8_file):
-    text = open(c8_file, encoding="utf-8").read()
+    with open(c8_file, encoding="utf-8") as fh:
+        text = fh.read()
     assert text.startswith("c cycle(m=8)\n")
     G = load_graph(text)
     assert (G.n_x, G.n_y, G.d) == (4, 4, 2)
@@ -148,7 +149,8 @@ def test_sample_oracle_valid_and_reproducible(capsys, c8_file):
     doc1 = run_json(capsys, argv)
     doc2 = run_json(capsys, argv)
     assert doc1["result"]["samples"] == doc2["result"]["samples"]
-    G = load_graph(open(c8_file, encoding="utf-8").read())
+    with open(c8_file, encoding="utf-8") as fh:
+        G = load_graph(fh.read())
     for s in doc1["result"]["samples"]:
         xb = sum(1 << v for v in s["x"])
         yb = sum(1 << v for v in s["y"])
@@ -231,6 +233,13 @@ def test_exit_code_invalid_input(tmp_path, c8_file):
                  "--lambda", "0.3"]) == 2
     assert main(["count", "--graph", c8_file, "--mode", "hardcore",
                  "--lambda=-1/2", "--force-method", "brute"]) == 2
+
+
+def test_count_general_rejects_degree_one(tmp_path):
+    # the truncation size is undefined at d = 1: bad input, not a crash
+    path = str(tmp_path / "k11.graph")
+    assert main(["gen", "--kind", "complete", "--d", "1", "--out", path]) == 0
+    assert main(["count", "--graph", path, "--mode", "general"]) == 2
 
 
 def test_float_lambda_gate_opens(capsys, c8_file):

@@ -1,6 +1,7 @@
 """Exact and Monte-Carlo counting through non-expanding container families."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,7 +30,7 @@ from biscount.graphs import (
     neighborhood_bits,
     opposite,
 )
-from biscount.instances import even_cycle, hypercube, random_shift
+from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.oracle import exact_count_bipartite
 from biscount.polymers import PolymerFamily, enumerate_polymers
 from util import P1, P100
@@ -223,6 +224,33 @@ def test_estimate_d_chunked_draws_match_one_draw(c8, monkeypatch):
     assert (chunked.hits, chunked.samples_used, chunked.value) == (
         whole.hits, whole.samples_used, whole.value
     )
+
+
+def test_estimate_d_draw_budget_refuses_before_drawing():
+    # C50's whole side needs about 7e14 draws; the plan is refused up front
+    # instead of drawing them one at a time
+    G = even_cycle(50)
+    with pytest.raises(CapacityError, match="draws"):
+        estimate_D(G, SideSet(X_SIDE, G.full_mask(X_SIDE)), 0.05, 0.05, seed=0, params=P1)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="draws"):
+        count_general(G, 0.05, 0.05, seed=1, params=P1)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_estimate_d_draws_at_any_width():
+    # |A| = 64 draws 64-bit local subsets; every nonempty subset of K64,64's
+    # side covers the other side, so D = 2^64 - 1
+    G = complete_bipartite(64)
+    est = estimate_D(G, SideSet(X_SIDE, G.full_mask(X_SIDE)), 0.5, 0.1, seed=1)
+    assert est.hits == est.samples_used
+    assert math.isfinite(est.value)
+    assert est.value == pytest.approx(2.0**64 - 1)
+
+
+def test_count_general_rejects_degree_one():
+    with pytest.raises(InvalidInputError, match="d >= 2"):
+        count_general(complete_bipartite(1), 0.2, 0.1, seed=0)
 
 
 @pytest.mark.parametrize("params", [P1, P100])

@@ -23,10 +23,10 @@ from biscount.errors import GraphFormatError
 from biscount.graphs import (
     bits_of,
     closure_bits,
-    connected_sets_containing,
     iter_bits,
     neighborhood_bits,
     opposite,
+    two_linked_sets,
 )
 from biscount.instances import even_cycle, random_regular
 
@@ -168,35 +168,34 @@ def test_square_rows_matches_shared_neighbor_definition():
                     assert bool(sq[u] >> v & 1) == share
 
 
-def test_connected_sets_containing_matches_brute():
-    G = even_cycle(10)
-    sq = G.square_rows("X")
-    n = G.n_x
-    full = (1 << n) - 1
-
-    def connected(bits):
-        start = bits & -bits
-        seen = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= sq[v] & bits & ~seen
-            seen |= grow
-            frontier = grow
-        return seen == bits
-
-    for root in range(n):
-        for cap in (1, 2, 4):
-            got = set(connected_sets_containing(sq, root, cap, full))
-            want = {
-                bits
+def test_two_linked_sets_matches_brute():
+    # the walk yields each 2-linked set within the cap once, with its N(S)
+    # and [S], min-rooted and rooted, and under a non-increasing top table
+    # exactly the sets with |N(S)| <= top[|[S]|]
+    rng = random.Random(7)
+    for G in [even_cycle(10)] + random_instances(6, seed=13, max_side=9):
+        for side in ("X", "Y"):
+            n = G.side_size(side)
+            brute = [
+                (bits, neighborhood_bits(G, side, bits), closure_bits(G, side, bits))
                 for bits in range(1, 1 << n)
-                if bits >> root & 1
-                and bits.bit_count() <= cap
-                and connected(bits)
-            }
-            assert got == want
+                if is_two_linked(G, SideSet(side, bits))
+            ]
+            top = sorted((rng.randint(-1, G.d * n) for _ in range(n + 1)), reverse=True)
+            for cap in (0, 1, 2, 4, n):
+                small = [t for t in brute if t[0].bit_count() <= cap]
+                roots = [(None, small)] + [
+                    (r, [t for t in small if t[0] >> r & 1]) for r in range(n)
+                ]
+                for root, want in roots:
+                    got = list(two_linked_sets(G, side, cap, root=root))
+                    assert sorted(got) == sorted(want)
+                    pruned = list(two_linked_sets(G, side, cap, root=root, top=top))
+                    assert sorted(pruned) == sorted(
+                        t for t in want
+                        if t[1].bit_count() <= top[t[2].bit_count()]
+                    )
+            assert list(two_linked_sets(G, side, n, root=n)) == []
 
 
 def test_dump_load_roundtrip_and_validation():

@@ -25,7 +25,6 @@ from biscount import (
 )
 from biscount.graphs import (
     SideSet,
-    connected_sets_containing,
     is_two_linked,
     iter_bits,
     neighborhood_bits,
@@ -406,8 +405,18 @@ def test_polymer_family_rejects_unknown_membership(c8):
 
 
 def test_budgeted_support_growth_matches_filtered_growth():
-    # size-pruned growth gives exactly the connected supports that growth
-    # by count finds and the size budget then keeps, each once
+    # size-pruned growth gives exactly the connected supports that hold the
+    # root, lie in ``allowed`` and fit the size budget, each once
+    def connected(adj, s):
+        seen = frontier = s & -s
+        while frontier:
+            grow = 0
+            for v in iter_bits(frontier):
+                grow |= adj[v] & s & ~seen
+            seen |= grow
+            frontier = grow
+        return seen == s
+
     rng = random.Random(2024)
     for _ in range(40):
         k = rng.randint(1, 12)
@@ -426,7 +435,8 @@ def test_budgeted_support_growth_matches_filtered_growth():
         got = _supports_within(adj, root, sizes, budget, allowed)
         assert len(got) == len(set(got))
         want = {
-            s for s in connected_sets_containing(adj, root, budget, allowed)
-            if sum(sizes[i] for i in iter_bits(s)) <= budget
+            s for s in range(1 << k)
+            if s >> root & 1 and not s & ~allowed and connected(adj, s)
+            and sum(sizes[i] for i in iter_bits(s)) <= budget
         }
         assert set(got) == want
