@@ -12,6 +12,7 @@ the opposite side independently.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -33,7 +34,6 @@ from .graphs import (
     Y_SIDE,
     BipartiteGraph,
     ExpansionParams,
-    iter_bits,
     neighborhood_bits,
     opposite,
     two_linked_component_bits,
@@ -41,7 +41,6 @@ from .graphs import (
 from .oracle import (
     DRAW_BITS,
     DRAW_DEN,
-    draw_index,
     exact_count_bipartite,
     exact_hardcore,
     quantize,
@@ -396,17 +395,20 @@ def count_hardcore_expander(
 
 @dataclass(frozen=True)
 class SideTable:
-    """All defect configurations of one side, with exact cumulative weights
-    and their quantized inversion thresholds."""
+    """All defect configurations of one side, each with the opposite side's
+    free vertices, exact integer cumulative weights over one common
+    denominator, and their quantized inversion thresholds."""
 
     side: str
     config_bits: tuple[int, ...]
-    cumulative: tuple[Fraction, ...]
+    free_bits: tuple[int, ...]
+    cumulative: tuple[int, ...]
+    denominator: int
     thresholds: tuple[int, ...]
     xi: Fraction
 
     def config_weight(self, i: int) -> Fraction:
-        return self.cumulative[i] - (self.cumulative[i - 1] if i else Fraction(0))
+        return Fraction(self.cumulative[i] - (self.cumulative[i - 1] if i else 0), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -421,23 +423,38 @@ class SamplerTables:
 
 
 def _build_side_table(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> SideTable:
-    universe = enumerate_polymers(G, fam, G.side_size(fam.side))
-    weights = [m.weight(p) for p in universe]
+    side, other = fam.side, opposite(fam.side)
+    n, n_other = G.side_size(side), G.side_size(other)
+    universe = enumerate_polymers(G, fam, n)
+    # compatible polymers have disjoint sets and neighbourhoods, so a
+    # configuration of size s and |N| = w weighs lam^s / (1+lam)^w (lam = 1
+    # unweighted); with lam = a/b that is a^s b^(n-s+w) (a+b)^(n'-w) over
+    # the common denominator b^n (a+b)^n', both exponents nonnegative
+    lam = m.lam if m.variant == "hardcore" else Fraction(1)
+    a, b = lam.numerator, lam.denominator
+    pow_a = [a**k for k in range(n + 1)]
+    pow_b = [b**k for k in range(n + n_other + 1)]
+    pow_ab = [(a + b) ** k for k in range(n_other + 1)]
+    full = G.full_mask(other)
     bits_list: list[int] = []
-    cum: list[Fraction] = []
-    acc = Fraction(0)
+    free_list: list[int] = []
+    cum: list[int] = []
+    acc = 0
     for config in iter_compatible_configs(universe):
-        w = Fraction(1)
-        bits = 0
+        bits = nbhd = 0
         for i in config:
-            w *= weights[i]
             bits |= universe[i].bits
-        acc += w
+            nbhd |= universe[i].nbhd
+        s, w = bits.bit_count(), nbhd.bit_count()
+        acc += pow_a[s] * pow_b[n - s + w] * pow_ab[n_other - w]
         bits_list.append(bits)
+        free_list.append(full & ~nbhd)
         cum.append(acc)
-    xi = acc
-    thresholds = tuple(quantize(c / xi) for c in cum)
-    return SideTable(fam.side, tuple(bits_list), tuple(cum), thresholds, xi)
+    den = pow_b[n] * pow_ab[n_other]
+    thresholds = tuple((c << DRAW_BITS) // acc for c in cum)
+    return SideTable(
+        side, tuple(bits_list), tuple(free_list), tuple(cum), den, thresholds, Fraction(acc, den)
+    )
 
 
 def sampler_tables(
@@ -471,34 +488,18 @@ def exact_mu_hat(
     xi_total = tables.x.xi + tables.y.xi
     out: dict[tuple[int, int], Fraction] = {}
     for table in (tables.x, tables.y):
-        p_side = table.xi / xi_total
-        other = opposite(table.side)
-        full = G.full_mask(other)
-        for i, bits in enumerate(table.config_bits):
-            w = table.config_weight(i)
-            free = full & ~neighborhood_bits(G, table.side, bits)
+        for i, (bits, free) in enumerate(zip(table.config_bits, table.free_bits)):
+            # side, configuration and fill: Xi/total * w/Xi * lam^k/(1+lam)^f
             free_n = free.bit_count()
-            free_verts = list(iter_bits(free))
-            for sub in range(1 << free_n):
-                t_bits = 0
-                for j in range(free_n):
-                    if (sub >> j) & 1:
-                        t_bits |= 1 << free_verts[j]
-                fill_p = lam_f ** t_bits.bit_count() / (1 + lam_f) ** free_n
-                key = (bits, t_bits) if table.side == X_SIDE else (t_bits, bits)
-                prob = p_side * (w / table.xi) * fill_p
-                out[key] = out.get(key, Fraction(0)) + prob
-    return out
-
-
-def _fill_free(rng: Random, free: int, fill_threshold: int, fair: bool) -> int:
-    out = 0
-    for v in iter_bits(free):
-        if fair:
-            if rng.getrandbits(1):
-                out |= 1 << v
-        elif rng.getrandbits(DRAW_BITS) < fill_threshold:
-            out |= 1 << v
+            p_config = table.config_weight(i) / xi_total / (1 + lam_f) ** free_n
+            by_size = [p_config * lam_f**k for k in range(free_n + 1)]
+            sub = free
+            while True:
+                key = (bits, sub) if table.side == X_SIDE else (sub, bits)
+                out[key] = out.get(key, Fraction(0)) + by_size[sub.bit_count()]
+                if not sub:
+                    break
+                sub = (sub - 1) & free
     return out
 
 
@@ -582,15 +583,20 @@ def _sample_run(
     if samples < 1:
         raise InvalidInputError("samples must be positive")
     rng = Random(seed)
+    getrandbits = rng.getrandbits
     membership = _membership(m)
     lam = m.lam if m.variant == "hardcore" else None
     if mode == "table":
         tables = sampler_tables(G, p, lam=lam, membership=membership)
         side_threshold = tables.side_threshold
+        rows = {
+            t.side: (t.thresholds, t.config_bits, t.free_bits) for t in (tables.x, tables.y)
+        }
 
-        def defect(side: str) -> int:
-            table = tables.table(side)
-            return table.config_bits[draw_index(rng, table.thresholds)]
+        def defect(side: str) -> tuple[int, int]:
+            thresholds, config_bits, free_bits = rows[side]
+            i = bisect_left(thresholds, getrandbits(DRAW_BITS) + 1)
+            return config_bits[i], free_bits[i]
 
     elif mode == "sequential":
         ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=m.variant)
@@ -631,8 +637,9 @@ def _sample_run(
             xi_of = {side: lambda r, f=f: math.exp(f(r)) for side, f in memo_of.items()}
             side_threshold = int(DRAW_DEN / (1.0 + math.exp(vy - vx)))
 
-        def defect(side: str) -> int:
-            return _sequential_defect(G, side, universes[side], m, rng, use_exact_xi, xi_of[side])
+        def defect(side: str) -> tuple[int, int]:
+            bits = _sequential_defect(G, side, universes[side], m, rng, use_exact_xi, xi_of[side])
+            return bits, G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
 
     else:
         raise InvalidInputError(f"unknown sampling mode {mode!r}")
@@ -641,10 +648,19 @@ def _sample_run(
     fill_threshold = quantize(fill_num)
     out = []
     for _ in range(samples):
-        side = X_SIDE if rng.getrandbits(DRAW_BITS) < side_threshold else Y_SIDE
-        bits = defect(side)
-        free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
-        fill = _fill_free(rng, free, fill_threshold, fair)
+        side = X_SIDE if getrandbits(DRAW_BITS) < side_threshold else Y_SIDE
+        bits, free = defect(side)
+        # one draw per free vertex, ascending: a fair bit, or 96 bits
+        # against the quantized fill probability
+        fill = 0
+        while free:
+            low = free & -free
+            free ^= low
+            if fair:
+                if getrandbits(1):
+                    fill |= low
+            elif getrandbits(DRAW_BITS) < fill_threshold:
+                fill |= low
         out.append((bits, fill) if side == X_SIDE else (fill, bits))
     return out
 

@@ -220,7 +220,10 @@ def estimate_D(
 ) -> DEstimate:
     """Relative-error Monte-Carlo estimate of the multiplicity D(A).  A
     sample count m over ``D_DRAW_BUDGET`` raises CapacityError before the
-    first draw."""
+    first draw.  The budget bounds draws, not time: for |A| <= 18 the draws
+    index a precomputed hit table in numpy chunks, but past 18 each draw is
+    a Python neighbourhood and 2-linkedness scan (about 30 us on the whole
+    side of K_{64,64}), so a call within the budget can still run for hours."""
     p = params or ExpansionParams()
     _check_container_set(G, A, p)
     if epsilon <= 0:

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import CapacityError, InvalidInputError
 from .graphs import BipartiteGraph, Graph, iter_bits, neighborhood_bits
@@ -205,13 +205,6 @@ def quantize(fr: Fraction) -> int:
     return (fr.numerator << DRAW_BITS) // fr.denominator
 
 
-def draw_index(rng: random.Random, thresholds: Sequence[int]) -> int:
-    """Index i drawn with probability (thresholds[i] - thresholds[i-1]) / 2^96
-    from ascending quantized cumulative thresholds ending at 2^96."""
-    u = rng.getrandbits(DRAW_BITS)
-    return bisect_left(thresholds, u + 1)
-
-
 class ExactSampler:
     """Draws from the hard-core measure by inversion on the exact table,
     each set with its exact probability to within 2^-96."""
@@ -225,9 +218,14 @@ class ExactSampler:
         top = G.n_x + G.n_y
         weight = [p**k * q ** (top - k) for k in range(top + 1)]
         self.keys = list(iter_independent_sets(G))
-        cum = list(accumulate(weight[s.bit_count() + t.bit_count()] for s, t in self.keys))
-        self.thresholds = [(c << DRAW_BITS) // cum[-1] for c in cum]
+        # the cumulative weights stream into the thresholds; only the set
+        # sizes are held, as shared small ints
+        sizes = [s.bit_count() + t.bit_count() for s, t in self.keys]
+        total = sum(weight[k] for k in sizes)
+        self.thresholds = [(c << DRAW_BITS) // total for c in accumulate(weight[k] for k in sizes)]
         self.rng = random.Random(seed)
+        self._getrandbits = self.rng.getrandbits
 
     def sample(self) -> tuple[int, int]:
-        return self.keys[draw_index(self.rng, self.thresholds)]
+        # key i with probability (thresholds[i] - thresholds[i-1]) / 2^96
+        return self.keys[bisect_left(self.thresholds, self._getrandbits(DRAW_BITS) + 1)]

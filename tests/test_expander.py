@@ -4,6 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import biscount.expander
 import util
 from biscount.cluster_expansion import exact_xi
@@ -23,8 +26,8 @@ from biscount.expander import (
     sampler_tables,
     sampler_tv_bound,
 )
-from biscount.graphs import X_SIDE, Y_SIDE, neighborhood_bits
-from biscount.instances import complete_bipartite, even_cycle, hypercube
+from biscount.graphs import X_SIDE, Y_SIDE, neighborhood_bits, opposite
+from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.oracle import exact_count_bipartite
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
 from util import P1, P100
@@ -296,13 +299,44 @@ def test_sampler_tables_structure(c8):
     for table in (tables.x, tables.y):
         assert list(table.thresholds) == sorted(table.thresholds)
         assert table.thresholds[-1] == DRAW_DEN
-        assert table.cumulative[-1] == table.xi
+        assert Fraction(table.cumulative[-1], table.denominator) == table.xi
         assert table.config_bits[0] == 0  # empty defect first
+        assert table.free_bits[0] == c8.full_mask(opposite(table.side))
     # symmetric sides split evenly
     assert tables.side_threshold == DRAW_DEN // 2
     assert tables.fill_num == Fraction(1, 2)
     assert tables.table(X_SIDE) is tables.x
     assert tables.table(Y_SIDE) is tables.y
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([8, 10]),
+    seed=st.integers(0, 1 << 16),
+    lam=st.sampled_from([None, Fraction(1, 2), Fraction(1)]),
+)
+def test_integer_tables_match_fraction_reference(n, seed, lam):
+    """Integer-weighted tables give the Fraction route's thresholds, Xi and
+    free sides, and their draws are the per-draw reference loop's."""
+    G = random_shift(n, 3, seed)
+    membership = "expanding" if lam is None else "small"
+    m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
+    tables = sampler_tables(G, P1, lam=lam, membership=membership)
+    side_threshold, ref = util.reference_tables(G, P1, lam, membership)
+    assert tables.side_threshold == side_threshold
+    for table in (tables.x, tables.y):
+        bits_ref, thresholds_ref, _ = ref[table.side]
+        assert list(table.config_bits) == bits_ref
+        assert list(table.thresholds) == thresholds_ref
+        assert table.xi == exact_xi(full_universe(G, membership, table.side, P1), m)
+        full = G.full_mask(opposite(table.side))
+        for bits, free in zip(table.config_bits, table.free_bits):
+            assert free == full & ~neighborhood_bits(G, table.side, bits)
+    if lam is None:
+        draws = sample_expander(G, 0.2, P1, seed=seed, samples=200)
+    else:
+        draws = sample_hardcore_expander(G, HardCoreParams(lam), 0.2, P1, seed=seed, samples=200)
+    assert draws == util.reference_table_draws(G, P1, lam, membership, seed, 200)
 
 
 def test_table_sampler_law_matches_mu_hat(c8):

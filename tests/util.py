@@ -6,6 +6,7 @@ against an independently written route.
 """
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from biscount import (
@@ -17,9 +18,15 @@ from biscount import (
     is_small,
     is_two_linked,
 )
-from biscount.expander import DRAW_DEN, quantize
+from biscount.expander import DRAW_BITS, DRAW_DEN, quantize
 from biscount.graphs import closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.instances import random_regular, random_shift
+from biscount.polymers import (
+    PolymerFamily,
+    WeightModel,
+    enumerate_polymers,
+    iter_compatible_configs,
+)
 
 P1 = ExpansionParams(c1=1.0)
 P100 = ExpansionParams()
@@ -262,4 +269,64 @@ def induced_table_distribution(G: BipartiteGraph, tables):
                 p = p_side * p_config * p_in**k * (1 - p_in) ** (nf - k)
                 key = (bits, sub) if table.side == "X" else (sub, bits)
                 out[key] = out.get(key, Fraction(0)) + p
+    return out
+
+
+def reference_tables(
+    G: BipartiteGraph, params: ExpansionParams, lam: Fraction | None, membership: str
+):
+    """The table sampler's inputs built in Fractions, one configuration at a
+    time: the side threshold and, per side, (config masks, thresholds, Xi)."""
+    m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
+    sides = {}
+    for side in ("X", "Y"):
+        fam = PolymerFamily(membership, side, params)
+        universe = enumerate_polymers(G, fam, G.side_size(side))
+        weights = [m.weight(p) for p in universe]
+        bits_list, cum = [], []
+        acc = Fraction(0)
+        for config in iter_compatible_configs(universe):
+            w = Fraction(1)
+            bits = 0
+            for i in config:
+                w *= weights[i]
+                bits |= universe[i].bits
+            acc += w
+            bits_list.append(bits)
+            cum.append(acc)
+        sides[side] = (bits_list, [quantize(c / acc) for c in cum], acc)
+    xi_x, xi_y = sides["X"][2], sides["Y"][2]
+    return quantize(xi_x / (xi_x + xi_y)), sides
+
+
+def reference_table_draws(
+    G: BipartiteGraph,
+    params: ExpansionParams,
+    lam: Fraction | None,
+    membership: str,
+    seed: int,
+    samples: int,
+) -> list[tuple[int, int]]:
+    """Table-mode draws recomputed per draw from the Fraction tables: the
+    configuration's free side from its neighbourhood, then each free vertex
+    filled in ascending order by a fair bit or a 96-bit threshold draw."""
+    side_threshold, sides = reference_tables(G, params, lam, membership)
+    fill_num = Fraction(1, 2) if lam is None else Fraction(lam) / (1 + Fraction(lam))
+    fair = fill_num == Fraction(1, 2)
+    fill_threshold = quantize(fill_num)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        side = "X" if rng.getrandbits(DRAW_BITS) < side_threshold else "Y"
+        bits_list, thresholds, _ = sides[side]
+        bits = bits_list[bisect_left(thresholds, rng.getrandbits(DRAW_BITS) + 1)]
+        free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
+        fill = 0
+        for v in iter_bits(free):
+            if fair:
+                if rng.getrandbits(1):
+                    fill |= 1 << v
+            elif rng.getrandbits(DRAW_BITS) < fill_threshold:
+                fill |= 1 << v
+        out.append((bits, fill) if side == "X" else (fill, bits))
     return out
