@@ -121,19 +121,25 @@ class KPReport:
 def verify_kp(universe: Sequence[Polymer], m: WeightModel, kp: KPFunctions) -> KPReport:
     """Check the convergence condition per polymer of ``universe``, summing
     over the polymers of that universe only (enumerate it to the size cap
-    the check should reach).  An empty universe passes vacuously."""
+    the check should reach).  An empty universe passes vacuously.
+
+    The weight, f and g depend on a polymer only through its class
+    (|gamma|, |N(gamma)|), so each sum is taken by class: the boosted weight
+    w e^{f+g} of the class times the number of its members incompatible
+    with gamma, added by ``math.fsum``."""
     incompat = incompatibility_masks(universe)
-    boosted = [
-        math.exp(m.log_weight(p) + kp.f(p) + kp.g(p)) for p in universe
-    ]
+    boosted: dict[tuple[int, int], float] = {}
+    members: dict[tuple[int, int], int] = {}
+    for i, p in enumerate(universe):
+        key = (p.size, p.nbhd_size)
+        if key not in boosted:
+            boosted[key] = math.exp(m.log_weight(p) + kp.f(p) + kp.g(p))
+        members[key] = members.get(key, 0) | 1 << i
+    by_class = [(boosted[key], mask) for key, mask in members.items()]
     checks = []
     for i, p in enumerate(universe):
-        lhs = 0.0
         mask = incompat[i]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            lhs += boosted[low.bit_length() - 1]
+        lhs = math.fsum(b * (mask & in_class).bit_count() for b, in_class in by_class)
         rhs = kp.f(p)
         checks.append(
             KPPolymerCheck(p.bits, p.size, p.nbhd_size, lhs, rhs, lhs <= rhs)

@@ -427,14 +427,8 @@ def _build_side_table(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> 
     n, n_other = G.side_size(side), G.side_size(other)
     universe = enumerate_polymers(G, fam, n)
     # compatible polymers have disjoint sets and neighbourhoods, so a
-    # configuration of size s and |N| = w weighs lam^s / (1+lam)^w (lam = 1
-    # unweighted); with lam = a/b that is a^s b^(n-s+w) (a+b)^(n'-w) over
-    # the common denominator b^n (a+b)^n', both exponents nonnegative
-    lam = m.lam if m.variant == "hardcore" else Fraction(1)
-    a, b = lam.numerator, lam.denominator
-    pow_a = [a**k for k in range(n + 1)]
-    pow_b = [b**k for k in range(n + n_other + 1)]
-    pow_ab = [(a + b) ** k for k in range(n_other + 1)]
+    # configuration of size s and |N| = w weighs what its class (s, w) does
+    weights = m.class_weights(n, n_other)
     full = G.full_mask(other)
     bits_list: list[int] = []
     free_list: list[int] = []
@@ -446,11 +440,11 @@ def _build_side_table(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> 
             bits |= universe[i].bits
             nbhd |= universe[i].nbhd
         s, w = bits.bit_count(), nbhd.bit_count()
-        acc += pow_a[s] * pow_b[n - s + w] * pow_ab[n_other - w]
+        acc += weights.numerator(s, w)
         bits_list.append(bits)
         free_list.append(full & ~nbhd)
         cum.append(acc)
-    den = pow_b[n] * pow_ab[n_other]
+    den = weights.denominator
     thresholds = tuple((c << DRAW_BITS) // acc for c in cum)
     return SideTable(
         side, tuple(bits_list), tuple(free_list), tuple(cum), den, thresholds, Fraction(acc, den)

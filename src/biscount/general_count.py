@@ -16,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator
-
-import numpy as np
 
 from .cluster_expansion import (
     KP_ASSUMED,
@@ -150,23 +147,47 @@ D_DRAW_CHUNK = 1 << 20  # estimate_D's draws held at once (8 MiB of uint64)
 D_DRAW_BUDGET = 1 << 30  # most draws one estimate_D call may make
 
 
-def exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
-    """|{B subseteq A : B 2-linked, N(B) = N(A)}| by direct scan."""
-    if A.size > EXHAUSTIVE_D_CAP:
-        raise CapacityError(f"exhaustive D capped at |A| <= {EXHAUSTIVE_D_CAP}")
-    target = neighborhood_bits(G, A.side, A.bits)
+def _count_d_hits(G: BipartiteGraph, A: SideSet, table=None) -> int:
+    """The number of B subseteq A counted by D(A), 2-linked with
+    N(B) = N(A); with ``table``, table[local] = 1 for each of them, where
+    bit j of ``local`` stands for the j-th vertex of A in ascending order.
+
+    A depth-first walk that decides the vertices of A in order and carries
+    N(B) as the OR of their rows; a branch whose N(B) together with the rows
+    still undecided misses part of N(A) is cut, so 2-linkedness is tested
+    only on the covering sets."""
     verts = A.vertices()
+    rows = G.rows(A.side)
+    suffix = [0] * (len(verts) + 1)  # suffix[j]: N of the vertices from j on
+    for j in range(len(verts) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] | rows[verts[j]]
+    target = suffix[0]
     count = 0
-    for r in range(1, len(verts) + 1):
-        for combo in combinations(verts, r):
-            bits = 0
-            for v in combo:
-                bits |= 1 << v
-            if neighborhood_bits(G, A.side, bits) != target:
-                continue
+
+    def walk(j: int, local: int, bits: int, nbhd: int) -> None:
+        nonlocal count
+        if nbhd | suffix[j] != target:
+            return
+        if j == len(verts):
             if is_two_linked(G, SideSet(A.side, bits)):
                 count += 1
+                if table is not None:
+                    table[local] = 1
+            return
+        v = verts[j]
+        walk(j + 1, local | 1 << j, bits | 1 << v, nbhd | rows[v])
+        walk(j + 1, local, bits, nbhd)
+
+    walk(0, 0, 0, 0)
     return count
+
+
+def exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
+    """|{B subseteq A : B 2-linked, N(B) = N(A)}| by a walk over the subsets
+    of A that covers only those whose neighbourhood can still reach N(A)."""
+    if A.size > EXHAUSTIVE_D_CAP:
+        raise CapacityError(f"exhaustive D capped at |A| <= {EXHAUSTIVE_D_CAP}")
+    return _count_d_hits(G, A)
 
 
 def _check_container_set(G: BipartiteGraph, A: SideSet, params: ExpansionParams) -> None:
@@ -221,9 +242,11 @@ def estimate_D(
     """Relative-error Monte-Carlo estimate of the multiplicity D(A).  A
     sample count m over ``D_DRAW_BUDGET`` raises CapacityError before the
     first draw.  The budget bounds draws, not time: for |A| <= 18 the draws
-    index a precomputed hit table in numpy chunks, but past 18 each draw is
-    a Python neighbourhood and 2-linkedness scan (about 30 us on the whole
-    side of K_{64,64}), so a call within the budget can still run for hours."""
+    index, in numpy chunks, a hit table filled by the walk ``exhaustive_D``
+    counts with, but past 18 each draw is a Python neighbourhood and
+    2-linkedness scan (about 30 us on the whole side of K_{64,64}), so a call
+    within the budget can still run for hours.  numpy is imported only
+    where a D is sampled: here, and for ``count_general``'s child seeds."""
     p = params or ExpansionParams()
     _check_container_set(G, A, p)
     if epsilon <= 0:
@@ -234,30 +257,31 @@ def estimate_D(
     m, a2_size = _d_sample_budget(G, A, eps_eff, delta, p)
     _check_draws(A, m)
 
-    target = neighborhood_bits(G, A.side, A.bits)
+    import numpy as np
+
     verts = A.vertices()
     na = len(verts)
     rng = np.random.default_rng(seed)
-
-    def is_hit(local: int) -> bool:
-        bits = 0
-        for j in range(na):
-            if (local >> j) & 1:
-                bits |= 1 << verts[j]
-        if neighborhood_bits(G, A.side, bits) != target:
-            return False
-        return bits != 0 and is_two_linked(G, SideSet(A.side, bits))
-
     if na <= 18:
         table = np.zeros(1 << na, dtype=np.uint8)
-        for local in range(1 << na):
-            table[local] = is_hit(local)
+        _count_d_hits(G, A, table)
         # chunked draws continue one stream, so the hits match a single draw
         hits = 0
         for start in range(0, m, D_DRAW_CHUNK):
             draws = rng.integers(0, 1 << na, size=min(D_DRAW_CHUNK, m - start), dtype=np.uint64)
             hits += int(table[draws].sum())
     else:
+        target = neighborhood_bits(G, A.side, A.bits)
+
+        def is_hit(local: int) -> bool:
+            bits = 0
+            for j in range(na):
+                if (local >> j) & 1:
+                    bits |= 1 << verts[j]
+            if neighborhood_bits(G, A.side, bits) != target:
+                return False
+            return bits != 0 and is_two_linked(G, SideSet(A.side, bits))
+
         # na uniform bits per draw from whole bytes, at any width
         width = (na + 7) // 8
         mask = (1 << na) - 1
@@ -343,7 +367,7 @@ def count_general(
     delta_prime = delta / max(1, nonempty)
     eps_d = min(epsilon, 1.0) / (2.0 * n)
 
-    seeds = np.random.SeedSequence(seed).generate_state(max(1, len(pool)))
+    seeds = None  # child i of SeedSequence(seed) over the pool, built on first use
     d_values: dict[int, float] = {}
     d_sampled = d_samples = 0
     # every D's route is planned, and its draws held to the budget, before
@@ -353,11 +377,15 @@ def count_general(
     for s, k, exact in zip(pool, draws, scan):
         if not exact:
             _check_draws(s, k)
-    for s, child, exact in zip(pool, seeds, scan):
+    for i, (s, exact) in enumerate(zip(pool, scan)):
         if exact:
             d_values[s.bits] = float(exhaustive_D(G, s))
         else:
-            est = estimate_D(G, s, eps_d, delta_prime, int(child), p)
+            if seeds is None:
+                import numpy as np
+
+                seeds = np.random.SeedSequence(seed).generate_state(len(pool))
+            est = estimate_D(G, s, eps_d, delta_prime, int(seeds[i]), p)
             d_values[s.bits] = est.value
             d_sampled += 1
             d_samples += est.samples_used

@@ -12,6 +12,7 @@ polynomial is the log expansion, and clusters give it term by term.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -120,12 +121,24 @@ class WeightModel:
         raise InvalidInputError("tilde weights have no exact rational form")
 
     def log_weight(self, p: Polymer) -> float:
+        return self.log_class_weight(p.size, p.nbhd_size)
+
+    def log_class_weight(self, size: int, nbhd_size: int) -> float:
+        """ln of the weight of a polymer, or of a compatible configuration,
+        with ``size`` vertices and ``nbhd_size`` neighbours: every model's
+        log weight is linear in the pair, so it adds over compatible sets."""
         if self.variant == "unweighted":
-            return -p.nbhd_size * math.log(2)
+            return -nbhd_size * math.log(2)
         if self.variant == "hardcore":
-            return p.size * math.log(self.lam) - p.nbhd_size * math.log(1 + self.lam)
-        boost = p.size * (math.log2(self.d) ** 2 / self.d)
-        return (boost - p.nbhd_size) * math.log(2)
+            return size * math.log(self.lam) - nbhd_size * math.log(1 + self.lam)
+        boost = size * (math.log2(self.d) ** 2 / self.d)
+        return (boost - nbhd_size) * math.log(2)
+
+    def class_weights(self, n: int, n_other: int) -> ClassWeights:
+        """Exact weights by class (s, w) for s <= n and w <= n_other."""
+        if self.variant == "tilde":
+            raise InvalidInputError("tilde weights have no exact rational form")
+        return ClassWeights(self.lam if self.variant == "hardcore" else Fraction(1), n, n_other)
 
     def describe(self) -> str:
         if self.variant == "hardcore":
@@ -133,6 +146,25 @@ class WeightModel:
         if self.variant == "tilde":
             return f"tilde(d={self.d})"
         return "unweighted"
+
+
+class ClassWeights:
+    """lam^s / (1+lam)^w (lam = 1 unweighted), the weight of a compatible
+    configuration with s vertices and w neighbours, as an integer numerator
+    over one common denominator for 0 <= s <= n and 0 <= w <= n_other: with
+    lam = a/b it is a^s b^(n-s+w) (a+b)^(n_other-w) / (b^n (a+b)^n_other),
+    both exponents nonnegative."""
+
+    def __init__(self, lam: Fraction, n: int, n_other: int) -> None:
+        a, b = lam.numerator, lam.denominator
+        self._pow_a = [a**k for k in range(n + 1)]
+        self._pow_b = [b**k for k in range(n + n_other + 1)]
+        self._pow_ab = [(a + b) ** k for k in range(n_other + 1)]
+        self._n, self._n_other = n, n_other
+        self.denominator = self._pow_b[n] * self._pow_ab[n_other]
+
+    def numerator(self, s: int, w: int) -> int:
+        return self._pow_a[s] * self._pow_b[self._n - s + w] * self._pow_ab[self._n_other - w]
 
 
 def are_compatible(g1: Polymer, g2: Polymer) -> bool:
@@ -197,15 +229,16 @@ def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
     incompatibility."""
     if len({p.side for p in universe}) > 1:
         raise InvalidInputError("compatibility is defined for same-side polymers")
+    nbrs = [list(iter_bits(p.nbhd)) for p in universe]
     bins: dict[int, int] = {}
-    for i, p in enumerate(universe):
+    for i, ys in enumerate(nbrs):
         bit = 1 << i
-        for y in iter_bits(p.nbhd):
+        for y in ys:
             bins[y] = bins.get(y, 0) | bit
     masks = []
-    for p in universe:
+    for ys in nbrs:
         mask = 0
-        for y in iter_bits(p.nbhd):
+        for y in ys:
             mask |= bins[y]
         masks.append(mask)
     return masks
@@ -430,20 +463,41 @@ def xi_size_polynomial(
     """Coefficients c_k = total weight of compatible configurations with
     combined polymer size k; c_0 = 1 and sum(c) = Xi.  With ``upto``, only
     c_0..c_upto, from the configurations of total size at most ``upto``.
-    Exact models give Fractions, the tilde model floats."""
-    sizes = [p.size for p in universe]
-    exact = m.exact_available
-    weights = [m.weight(p) if exact else math.exp(m.log_weight(p)) for p in universe]
-    one = Fraction(1) if exact else 1.0
-    coeffs = SizePolynomial([one * 0] * ((sum(sizes) if upto is None else upto) + 1))
-    for walked, config in enumerate(iter_compatible_configs(universe, max_configs, upto), 1):
-        w = one
-        s = 0
-        for i in config:
-            w *= weights[i]
-            s += sizes[i]
-        coeffs[s] += w
-    coeffs.configs = walked
+    Exact models give Fractions, the tilde model floats.
+
+    Compatible polymers have disjoint vertices and disjoint neighbourhoods,
+    so a configuration's weight depends only on its class (s, w), its total
+    size and total neighbourhood size: the walk only counts configurations
+    per class, and each nonzero class is weighed once, in integers over one
+    common denominator (exact) or by ``math.fsum`` (tilde)."""
+    bits = nbhd = total_size = 0
+    for p in universe:
+        bits |= p.bits
+        nbhd |= p.nbhd
+        total_size += p.size
+    # a configuration covers w <= |union of N(gamma)| neighbours, so the
+    # cell s * stride + w is a sum of per-polymer keys without carries
+    stride = nbhd.bit_count() + 1
+    keys = [p.size * stride + p.nbhd_size for p in universe]
+    cells = Counter(
+        sum(map(keys.__getitem__, config))
+        for config in iter_compatible_configs(universe, max_configs, upto)
+    )
+    length = (total_size if upto is None else upto) + 1
+    if m.exact_available:
+        weights = m.class_weights(bits.bit_count(), stride - 1)
+        nums = [0] * length
+        for cell, count in cells.items():
+            s, w = divmod(cell, stride)
+            nums[s] += count * weights.numerator(s, w)
+        coeffs = SizePolynomial(Fraction(c, weights.denominator) for c in nums)
+    else:
+        terms: list[list[float]] = [[] for _ in range(length)]
+        for cell, count in cells.items():
+            s, w = divmod(cell, stride)
+            terms[s].append(count * math.exp(m.log_class_weight(s, w)))
+        coeffs = SizePolynomial(math.fsum(t) for t in terms)
+    coeffs.configs = sum(cells.values())
     return coeffs
 
 
@@ -451,12 +505,29 @@ def log_series_coefficients(coeffs: Sequence[Fraction], upto: int) -> list[Fract
     """Taylor coefficients a_l of ln(sum c_k z^k) around z=0, l = 0..upto, by
     a_l = c_l - sum_{j<l} (j/l) a_j c_{l-j}: exact for Fraction (or int)
     coefficients, in floats for float ones.  The cluster expansion's grade-l
-    terms sum to exactly a_l."""
+    terms sum to exactly a_l.
+
+    Exact input runs in integers: with c_k = C_k / L over the common
+    denominator L, B_l = l a_l L^l obeys
+    B_l = l C_l L^(l-1) - sum_{j<l} B_j C_{l-j} L^(l-j-1)."""
     if not coeffs or coeffs[0] != 1:
         raise InvalidInputError("series log needs c_0 = 1")
-    num = float if isinstance(coeffs[0], float) else Fraction
-    c = [num(coeffs[k]) if k < len(coeffs) else num(0) for k in range(upto + 1)]
-    a = [num(0)] * (upto + 1)
+    if isinstance(coeffs[0], float):
+        c = [float(coeffs[k]) if k < len(coeffs) else 0.0 for k in range(upto + 1)]
+        a = [0.0] * (upto + 1)
+        for ell in range(1, upto + 1):
+            a[ell] = c[ell] - sum((j * a[j] * c[ell - j] for j in range(1, ell)), 0.0) / ell
+        return a
+    c = [Fraction(coeffs[k]) if k < len(coeffs) else Fraction(0) for k in range(upto + 1)]
+    den = math.lcm(*(x.denominator for x in c))
+    nums = [x.numerator * (den // x.denominator) for x in c]
+    pow_den = [1]
+    for _ in range(upto):
+        pow_den.append(pow_den[-1] * den)
+    big_b = [0] * (upto + 1)
     for ell in range(1, upto + 1):
-        a[ell] = c[ell] - sum((j * a[j] * c[ell - j] for j in range(1, ell)), num(0)) / ell
-    return a
+        acc = ell * nums[ell] * pow_den[ell - 1]
+        for j in range(1, ell):
+            acc -= big_b[j] * nums[ell - j] * pow_den[ell - j - 1]
+        big_b[ell] = acc
+    return [Fraction(b, ell * pow_den[ell]) if ell else Fraction(0) for ell, b in enumerate(big_b)]

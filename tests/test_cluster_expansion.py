@@ -22,7 +22,7 @@ from biscount import (
     truncation_bound,
     verify_kp,
 )
-from biscount.cluster_expansion import KP_ASSUMED, KP_FAILED, KP_VERIFIED
+from biscount.cluster_expansion import KP_ASSUMED, KP_FAILED, KP_VERIFIED, KPFunctions
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.polymers import (
     PolymerFamily,
@@ -35,6 +35,7 @@ from biscount.polymers import (
     xi_size_polynomial,
 )
 
+import util
 from util import P1, brute_polymer_sets, random_instances
 
 
@@ -334,3 +335,76 @@ def test_budgeted_walk_config_count_and_cap(c8):
     assert est.log_value == float(sum(log_series_coefficients(coeffs, 8)[1:]))
     with pytest.raises(CapacityError):
         xi_size_polynomial(uni, m, max_configs=est.config_count - 1, upto=8)
+
+
+def model_setup(model, d):
+    """Weight model, polymer family and convergence functions by name:
+    unweighted and tilde over expanding polymers, hard-core at lambda = 1/2
+    over small ones."""
+    if model == "hardcore":
+        lam = Fraction(1, 2)
+        return WeightModel.hardcore(lam), "small", kp_hardcore(d, lam, Fraction(1, 2))
+    m = WeightModel.unweighted() if model == "unweighted" else WeightModel.tilde(d)
+    return m, "expanding", kp_unweighted(d)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([8, 10]),
+    seed=st.integers(0, 1 << 16),
+    model=st.sampled_from(["unweighted", "hardcore", "tilde"]),
+)
+def test_class_arithmetic_matches_per_polymer_references(n, seed, model):
+    """The class-aggregated size polynomial, integer log series and grouped
+    convergence check give the per-configuration and pairwise routes'
+    values: equal Fractions for exact models, floats within 1e-12."""
+    G = random_shift(n, 3, seed)
+    m, membership, kp = model_setup(model, G.d)
+    ell = 6
+    for side in ("X", "Y"):
+        uni = enumerate_polymers(G, PolymerFamily(membership, side, P1), n)
+        for upto in (None, ell):
+            got = xi_size_polynomial(uni, m, upto=upto)
+            want = util.reference_size_polynomial(uni, m, upto=upto)
+            assert got.configs == want.configs
+            if m.exact_available:
+                assert all(isinstance(c, Fraction) for c in got)
+                assert got == want
+            else:
+                assert len(got) == len(want)
+                assert all(g == pytest.approx(w, rel=1e-12, abs=0) for g, w in zip(got, want))
+        if m.exact_available:
+            coeffs = xi_size_polynomial(uni, m, upto=ell)
+            assert log_series_coefficients(coeffs, ell) == util.reference_log_series(coeffs, ell)
+        assert_kp_matches_pairwise(uni, m, kp)
+        # the model's own rates fail everywhere at desk scale; g = -f keeps
+        # the boosted weights bounded while f grows, so these probes pass
+        # some polymers, fail others, and the verdicts are compared on both
+        for rate in (0.25, 0.5, 1.0):
+            assert_kp_matches_pairwise(uni, m, KPFunctions(rate, -rate, "probe"))
+
+
+def assert_kp_matches_pairwise(uni, m, kp):
+    """Every KPReport field of the grouped check equals the pairwise
+    route's, lhs within a relative 1e-12 (the two sum in different orders)."""
+    report = verify_kp(uni, m, kp)
+    ref = util.reference_verify_kp(uni, m, kp)
+    assert (report.all_pass, report.truncated_universe) == (ref.all_pass, ref.truncated_universe)
+    assert len(report.checks) == len(ref.checks)
+    for c, r in zip(report.checks, ref.checks):
+        assert (c.bits, c.size, c.nbhd_size, c.rhs, c.passed) == (
+            r.bits, r.size, r.nbhd_size, r.rhs, r.passed
+        )
+        assert c.lhs == pytest.approx(r.lhs, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", ["C8", "Q4", "Q5"])
+@pytest.mark.parametrize("model", ["unweighted", "hardcore", "tilde"])
+def test_grouped_kp_matches_pairwise_on_named_graphs(name, model):
+    # the universes count_expander checks at epsilon = 0.2 (ell for 0.05)
+    G = {"C8": lambda: even_cycle(8), "Q4": lambda: hypercube(4), "Q5": lambda: hypercube(5)}[name]()
+    m, membership, kp = model_setup(model, G.d)
+    ell = choose_ell(G.n_x, G.d, 0.05, model=model)
+    uni = enumerate_polymers(G, PolymerFamily(membership, "X", P1), min(ell, G.n_x))
+    assert uni
+    assert_kp_matches_pairwise(uni, m, kp)

@@ -339,6 +339,20 @@ def test_integer_tables_match_fraction_reference(n, seed, lam):
     assert draws == util.reference_table_draws(G, P1, lam, membership, seed, 200)
 
 
+@pytest.mark.parametrize("build, want", [
+    (lambda: random_shift(16, 4, 1), 13.281679152852403),
+    (lambda: random_shift(20, 6, 1), 15.181945919729229),
+    (lambda: hypercube(5), 12.719059117045111),
+], ids=["shift(16,4,1)", "shift(20,6,1)", "Q5"])
+def test_forced_count_at_scale_pinned(build, want):
+    """Forced two-sided counts on universes of thousands of polymers keep
+    their values, and the convergence check still fails at the cap on both
+    sides."""
+    out = count_expander(build(), 0.2, P1, force_method="expander-CE")
+    assert out.log_value == pytest.approx(want, rel=1e-12, abs=0)
+    assert [t.kp_status for t in out.side_breakdown] == ["failed-at-cap"] * 2
+
+
 def test_table_sampler_law_matches_mu_hat(c8):
     """The exact law induced by the quantized tables is within 1e-9 of the
     two-step measure in total variation."""

@@ -1,14 +1,21 @@
 """Exact and Monte-Carlo counting through non-expanding container families."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 import util
+
+import biscount
 from biscount import general_count
 from biscount.cluster_expansion import KP_ASSUMED
+from biscount.containers import distinct_nonexpanding_closed
 from biscount.errors import CapacityError, InvalidInputError
 from biscount.general_count import (
     NonExpandingFamily,
@@ -172,6 +179,40 @@ def test_exhaustive_d_matches_brute(params, request):
         for bits in container_pool(G, X_SIDE, params):
             A = SideSet(X_SIDE, bits)
             assert exhaustive_D(G, A) == brute_D(G, A)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: even_cycle(8), lambda: even_cycle(12), lambda: hypercube(4),
+    lambda: random_shift(8, 3, 1),
+], ids=["C8", "C12", "Q4", "shift(8,3,1)"])
+def test_exhaustive_d_walk_matches_direct_scan(build):
+    # the covering walk counts what the direct scan over all subsets counts,
+    # on every container set count_general meets
+    G = build()
+    pool = distinct_nonexpanding_closed(G, P1, X_SIDE)
+    assert pool
+    for A in pool:
+        assert exhaustive_D(G, A) == util.reference_exhaustive_D(G, A)
+
+
+def test_exact_d_routes_leave_numpy_unloaded():
+    # numpy is imported only when estimate_D samples; C8's sets are all
+    # scanned exactly, so neither the import nor the count loads it
+    code = (
+        "import sys, biscount\n"
+        "out = biscount.count_general(biscount.even_cycle(8), 0.05, 0.05, seed=1,"
+        " params=biscount.ExpansionParams(c1=1.0))\n"
+        "print(out.notes['d_sampled'], 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(biscount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_exhaustive_d_capacity():

@@ -5,9 +5,11 @@ direct definitions, transfer matrices) so the package is always checked
 against an independently written route.
 """
 
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
 
 from biscount import (
     BipartiteGraph,
@@ -21,10 +23,13 @@ from biscount import (
 from biscount.expander import DRAW_BITS, DRAW_DEN, quantize
 from biscount.graphs import closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.instances import random_regular, random_shift
+from biscount.cluster_expansion import KPPolymerCheck, KPReport
 from biscount.polymers import (
     PolymerFamily,
+    SizePolynomial,
     WeightModel,
     enumerate_polymers,
+    incompatibility_masks,
     iter_compatible_configs,
 )
 
@@ -330,3 +335,61 @@ def reference_table_draws(
                 fill |= 1 << v
         out.append((bits, fill) if side == "X" else (fill, bits))
     return out
+
+
+def reference_exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
+    """D(A) by the direct scan: every nonempty B subseteq A, by size, built
+    from its vertices, with its neighbourhood and 2-linkedness recomputed."""
+    target = neighborhood_bits(G, A.side, A.bits)
+    verts = A.vertices()
+    count = 0
+    for r in range(1, len(verts) + 1):
+        for combo in combinations(verts, r):
+            bits = 0
+            for v in combo:
+                bits |= 1 << v
+            if neighborhood_bits(G, A.side, bits) != target:
+                continue
+            if is_two_linked(G, SideSet(A.side, bits)):
+                count += 1
+    return count
+
+
+def reference_verify_kp(universe, m: WeightModel, kp) -> KPReport:
+    """The convergence check summed one incompatible pair at a time."""
+    incompat = incompatibility_masks(universe)
+    boosted = [math.exp(m.log_weight(p) + kp.f(p) + kp.g(p)) for p in universe]
+    checks = []
+    for i, p in enumerate(universe):
+        lhs = 0.0
+        for j in iter_bits(incompat[i]):
+            lhs += boosted[j]
+        rhs = kp.f(p)
+        checks.append(KPPolymerCheck(p.bits, p.size, p.nbhd_size, lhs, rhs, lhs <= rhs))
+    return KPReport(tuple(checks), all(c.passed for c in checks))
+
+
+def reference_size_polynomial(universe, m: WeightModel, upto: int | None = None):
+    """The size polynomial weighed one configuration at a time: a product of
+    per-polymer Fractions (floats for the tilde model) added at its size."""
+    sizes = [p.size for p in universe]
+    exact = m.exact_available
+    weights = [m.weight(p) if exact else math.exp(m.log_weight(p)) for p in universe]
+    one = Fraction(1) if exact else 1.0
+    coeffs = SizePolynomial([one * 0] * ((sum(sizes) if upto is None else upto) + 1))
+    for config in iter_compatible_configs(universe, max_size=upto):
+        w = one
+        for i in config:
+            w *= weights[i]
+        coeffs[sum(sizes[i] for i in config)] += w
+        coeffs.configs += 1
+    return coeffs
+
+
+def reference_log_series(coeffs, upto: int) -> list[Fraction]:
+    """a_l = c_l - sum_{j<l} (j/l) a_j c_{l-j} in Fractions throughout."""
+    c = [Fraction(coeffs[k]) if k < len(coeffs) else Fraction(0) for k in range(upto + 1)]
+    a = [Fraction(0)] * (upto + 1)
+    for ell in range(1, upto + 1):
+        a[ell] = c[ell] - sum((j * a[j] * c[ell - j] for j in range(1, ell)), Fraction(0)) / ell
+    return a
