@@ -104,11 +104,9 @@ from .polymers import (
     PolymerFamily,
     WeightModel,
     are_compatible,
-    enumerate_clusters,
     enumerate_polymers,
     log_series_coefficients,
     restrict_universe,
-    ursell,
     xi_size_polynomial,
 )
 

@@ -49,7 +49,7 @@ from .oracle import (
     exact_count_general,
     exact_hardcore,
 )
-from .polymers import PolymerFamily, WeightModel, enumerate_clusters, enumerate_polymers
+from .polymers import PolymerFamily, WeightModel, enumerate_polymers
 
 SCHEMA = 1
 DECIMAL_DIGIT_CAP = 4000
@@ -234,8 +234,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"unknown count mode {args.mode!r}")
 
     elapsed = time.perf_counter() - start
-    if args.dump_clusters:
-        _dump_clusters(G, p, args.epsilon, args.dump_clusters)
     config = _resolved_config(
         args,
         G,
@@ -261,23 +259,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         args.out,
     )
     return 0
-
-
-def _dump_clusters(G: BipartiteGraph, p: ExpansionParams, epsilon: float, path: str) -> None:
-    from .cluster_expansion import choose_ell
-
-    ell = choose_ell(G.n_x, G.d, epsilon / 4.0)
-    m = WeightModel.unweighted()
-    dump = {}
-    for side in ("X", "Y"):
-        fam = PolymerFamily("expanding", side, p)
-        universe = enumerate_polymers(G, fam, min(ell, G.side_size(side)))
-        dump[side] = [
-            {"indices": list(t.indices), "size": t.size, "value": float(t.value)}
-            for t in enumerate_clusters(universe, ell, m)
-        ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dump, fh, indent=2)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -487,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--mode", default="oracle",
                        choices=["oracle", "expander", "hardcore", "general", "general-exact"])
     count.add_argument("--force-method", default=None, choices=["brute", "expander-CE"])
-    count.add_argument("--dump-clusters", default=None,
-                       help="write the per-side cluster terms to this JSON file")
     _add_common(count)
     count.set_defaults(func=_cmd_count)
 

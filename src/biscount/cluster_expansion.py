@@ -1,9 +1,14 @@
 """Truncated cluster-expansion evaluation of ln Xi with certified error.
 
-The truncation keeps the grades <= ell of ln Xi, taken as the truncated
-log series of the size polynomial (Ursell clusters remain a test oracle);
-under the convergence condition the discarded tail is exponentially small
-in ell, and the bound actually asserted depends on the weight model.  The
+The truncation keeps the grades <= ell of ln Xi, computed one way: as
+a_1 + ... + a_ell, the log series of the size polynomial walked over the
+compatible configurations of total size <= ell.  Grade by grade this is the
+cluster expansion truncated at total cluster size ell (the sum of
+phi(H) prod w(gamma) / prod m! over clusters of size <= ell), an identity the
+test suite checks in exact arithmetic against its own Ursell cluster
+enumerator.  Under the convergence condition the discarded tail is
+exponentially small in ell, and the bound actually asserted depends on the
+weight model.  The
 condition itself is checked numerically per polymer up to a size cap; the
 asymptotic guarantee behind it only kicks in for large degree, so
 desk-scale failures are reported rather than hidden.  Every routine that
@@ -179,13 +184,8 @@ class LogPartitionEstimate:
     log_value: float
     ell_used: int
     certified_bound: float
-    kp_status: str
     model: str
     config_count: int
-
-    @property
-    def certified(self) -> bool:
-        return self.kp_status == KP_VERIFIED
 
 
 def truncated_log_xi(
@@ -194,7 +194,6 @@ def truncated_log_xi(
     ell: int,
     n: int,
     d: int,
-    kp_status: str = KP_ASSUMED,
 ) -> LogPartitionEstimate:
     """ln Xi(ell) = a_1 + ... + a_ell, the log-series coefficients of the
     size polynomial c_0..c_ell walked over the configurations of total size
@@ -210,7 +209,7 @@ def truncated_log_xi(
     coeffs = xi_size_polynomial(universe, m, upto=ell)
     total = sum(log_series_coefficients(coeffs, ell)[1:])
     bound = truncation_bound(n, d, ell, model) if n else 0.0
-    return LogPartitionEstimate(float(total), ell, bound, kp_status, model, coeffs.configs)
+    return LogPartitionEstimate(float(total), ell, bound, model, coeffs.configs)
 
 
 def exact_xi(universe: Sequence[Polymer], m: WeightModel) -> Fraction | float:

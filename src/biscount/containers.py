@@ -288,12 +288,15 @@ def enumerate_nonexpanding_closed(
     """G'(v, a): closed 2-linked non-expanding sets containing v of size a.
 
     Reconstruction route: the neighborhood weight w of such a set lies in
-    [a, a * (1 + c1 * log2^2(d) / d)]; an essential subset F of the
+    [a, w_hi], w_hi the largest size up to the other side that the
+    expansion rule rejects beside a; an essential subset F of the
     neighborhood determines the set up to at most 2(w - a) extra
     neighborhood vertices drawn from N^2(F); the set itself is then the
     collection of side vertices whose neighborhoods fall inside the
-    reconstructed W.  Every survivor of the final checks is genuine, and
-    the essential-subset guarantee makes the enumeration complete.
+    reconstructed W.  Every survivor of the final checks is genuine.
+    Completeness rests on the asymptotic essential-subset argument and the
+    caps on F and the extras, so it is checked, not proven: the tests hold
+    the output to ``distinct_nonexpanding_closed`` on small graphs and Q5.
     """
     params = params or ExpansionParams()
     n = G.side_size(side)
@@ -304,9 +307,9 @@ def enumerate_nonexpanding_closed(
     d = G.d
     q = (math.log2(d) ** 2 / d) if d >= 2 else 0.0
     w_lo = a
-    w_hi = min(G.side_size(opposite(side)), math.floor(a * (1.0 + params.c1 * q)))
-    if w_hi < w_lo:
-        w_hi = w_lo
+    # |N| >= a in a regular bipartite graph; the rule rejects |N| < a / (1 - c1 q / 2)
+    n_other = G.side_size(opposite(side))
+    w_hi = max((w for w in range(a, n_other + 1) if not params.expands(d, w, a)), default=a)
     rows_side = G.rows(side)
     found: set[int] = set()
     budget = max_candidates

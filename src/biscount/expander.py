@@ -239,7 +239,7 @@ def _side_estimate(
     n = G.side_size(fam.side)
     universe = enumerate_polymers(G, fam, min(ell, n))
     status = KP_VERIFIED if verify_kp(universe, m, kp).all_pass else KP_FAILED
-    est = truncated_log_xi(universe, m, ell, n, G.d, kp_status=status)
+    est = truncated_log_xi(universe, m, ell, n, G.d)
     return SideTerm(fam.side, est.log_value, ell, status, est.config_count, est.certified_bound)
 
 

@@ -46,7 +46,6 @@ from .graphs import (
     closure_bits,
     is_expanding,
     is_two_linked,
-    iter_bits,
     neighborhood_bits,
     opposite,
 )
@@ -217,13 +216,10 @@ class DEstimate:
     p_lower: Fraction
 
 
-def _d_sample_budget(
-    G: BipartiteGraph, A: SideSet, epsilon: float, delta: float, params: ExpansionParams
-) -> tuple[int, int]:
+def _d_draws(epsilon: float, delta: float, a2_size: int) -> int:
     """The Monte-Carlo sample count m = ceil(3 eps^-2 ln(2/delta) 2^{|A''|})
-    for D(A) at epsilon <= 1, with |A''|."""
-    _, a2 = small_generator(G, A, params)
-    return math.ceil(3.0 * epsilon**-2 * math.log(2.0 / delta) * 2**a2.size), a2.size
+    for D(A) at epsilon <= 1, from |A''| of ``small_generator``."""
+    return math.ceil(3.0 * epsilon**-2 * math.log(2.0 / delta) * 2**a2_size)
 
 
 def _check_draws(A: SideSet, m: int) -> None:
@@ -254,7 +250,8 @@ def estimate_D(
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
     eps_eff = min(epsilon, 1.0)
-    m, a2_size = _d_sample_budget(G, A, eps_eff, delta, p)
+    a2_size = small_generator(G, A, p)[1].size
+    m = _d_draws(eps_eff, delta, a2_size)
     _check_draws(A, m)
 
     import numpy as np
@@ -362,17 +359,24 @@ def count_general(
     m = WeightModel.unweighted()
 
     pool = distinct_nonexpanding_closed(G, p, side)
+    eps_d = min(epsilon, 1.0) / (2.0 * n)
+    a2_sizes = [small_generator(G, s, p)[1].size for s in pool]
+    # each pool set is a nonempty family, so delta' <= delta / |pool|: a set
+    # too large to scan is sampled, and its draws at that bound, a lower
+    # bound on the run's, are held to the budget before any family is listed
+    for s, a2_size in zip(pool, a2_sizes):
+        if s.size > EXHAUSTIVE_D_CAP:
+            _check_draws(s, _d_draws(eps_d, delta / len(pool), a2_size))
     families = list(_families_over(G, side, pool, max_families))
     nonempty = sum(1 for f in families if f.sets)
     delta_prime = delta / max(1, nonempty)
-    eps_d = min(epsilon, 1.0) / (2.0 * n)
 
     seeds = None  # child i of SeedSequence(seed) over the pool, built on first use
     d_values: dict[int, float] = {}
     d_sampled = d_samples = 0
     # every D's route is planned, and its draws held to the budget, before
     # any subset scan or draw runs
-    draws = [_d_sample_budget(G, s, eps_d, delta_prime, p)[0] for s in pool]
+    draws = [_d_draws(eps_d, delta_prime, a2_size) for a2_size in a2_sizes]
     scan = [s.size <= EXHAUSTIVE_D_CAP and 1 << s.size <= k for s, k in zip(pool, draws)]
     for s, k, exact in zip(pool, draws, scan):
         if not exact:

@@ -129,21 +129,6 @@ def test_count_exact_replay_identical(tmp_path, c8_file):
     assert strip_timing(read_json(f1)) == strip_timing(read_json(f2))
 
 
-def test_dump_clusters(tmp_path, capsys, c8_file):
-    dump = str(tmp_path / "clusters.json")
-    run_json(capsys, [
-        "count", "--graph", c8_file, "--mode", "expander",
-        "--force-method", "expander-CE", "--c1", "1.0", "--dump-clusters", dump,
-    ])
-    data = read_json(dump)
-    assert set(data) == {"X", "Y"}
-    for side in ("X", "Y"):
-        assert len(data[side]) > 0
-        for term in data[side]:
-            assert term["size"] >= 1
-            assert isinstance(term["value"], float)
-
-
 def test_sample_oracle_valid_and_reproducible(capsys, c8_file):
     argv = ["sample", "--graph", c8_file, "--samples", "5", "--seed", "3"]
     doc1 = run_json(capsys, argv)

@@ -225,6 +225,18 @@ def test_enumerate_nonexpanding_closed_sound_and_complete():
                         assert got == buckets.get((v, a), set())
 
 
+def test_enumerate_nonexpanding_closed_q5_window_past_the_expansion_gap():
+    # on Q5 at c1 = 1 the rule rejects |N| < a / (1 - c1 log2^2(d) / (2d)),
+    # 13 beside a = 6, and all 60 sets of size 6 at anchor 0 have |N| = 13,
+    # past a(1 + c1 log2^2(d) / d) = 12.47
+    G = hypercube(5)
+    want = {
+        s.bits for s in distinct_nonexpanding_closed(G, P1) if s.bits & 1 and s.size == 6
+    }
+    assert len(want) == 60
+    assert {s.bits for s in enumerate_nonexpanding_closed(G, 0, 6, P1)} == want
+
+
 def test_distinct_nonexpanding_closed_frozen_anchors(c8):
     pool1 = distinct_nonexpanding_closed(c8, P1)
     assert [s.bits for s in pool1] == [0b1111]

@@ -128,6 +128,24 @@ def test_unweighted_identity_two_to_n_xi(params, membership, request):
             assert value == target
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.sampled_from([6, 8]), seed=st.integers(0, 1 << 16))
+def test_census_identities_on_random_shifts(n, seed):
+    """The census identities beyond the frozen graphs: |I_X| = 2^n Xi^X and
+    |I_Y| = 2^n Xi^Y exactly, the total is i(G), and the sets captured by
+    at least one side are among them."""
+    G = random_shift(n, 3, seed)
+    total = exact_count_bipartite(G).value
+    for params in (P1, P100):
+        for membership in ("expanding", "small"):
+            cen = polymer_census(G, params, membership)
+            for side, target in ((X_SIDE, cen.in_x), (Y_SIDE, cen.in_y)):
+                xi = exact_xi(full_universe(G, membership, side, params), WeightModel.unweighted())
+                assert (1 << G.side_size(side)) * xi == target
+            assert cen.total == total
+            assert cen.in_x + cen.in_y - cen.both <= cen.total
+
+
 @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(2)])
 @pytest.mark.parametrize("membership", ["expanding", "small"])
 def test_weighted_identity(lam, membership, request):

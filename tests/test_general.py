@@ -279,6 +279,21 @@ def test_estimate_d_draw_budget_refuses_before_drawing():
     assert time.perf_counter() - start < 10.0
 
 
+@pytest.mark.parametrize("params", [None, P1], ids=["c1=100", "c1=1"])
+def test_count_general_refuses_before_listing_families(params, monkeypatch):
+    # every pool set is a nonempty family, so delta' <= delta / |pool|; C50's
+    # whole side (|A| = 25, past the scan cap) needs about 5e14 draws even
+    # at that bound, and the run refuses before any family is listed
+    def unlisted(*args):
+        raise AssertionError("families listed before the D draws were checked")
+
+    monkeypatch.setattr(general_count, "_families_over", unlisted)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="draws"):
+        count_general(even_cycle(50), 0.05, 0.05, seed=1, params=params)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_estimate_d_draws_at_any_width():
     # |A| = 64 draws 64-bit local subsets; every nonempty subset of K64,64's
     # side covers the other side, so D = 2^64 - 1
@@ -373,15 +388,14 @@ def test_count_general_deterministic(c8):
 
 def test_count_general_samples_d_past_the_budget(c8, monkeypatch):
     # a budget below 2^|A| sends D to the Monte-Carlo estimator, and there
-    # the seed drives the draws
-    budget = general_count._d_sample_budget
+    # the seed drives the draws; C8's one container set has |A| = 4
+    draws = general_count._d_draws
 
-    def tight(G, A, epsilon, delta, params):
-        m, a2_size = budget(G, A, epsilon, delta, params)
-        assert m >= 1 << A.size
-        return (1 << A.size) - 1, a2_size
+    def tight(epsilon, delta, a2_size):
+        assert draws(epsilon, delta, a2_size) >= 1 << 4
+        return (1 << 4) - 1
 
-    monkeypatch.setattr(general_count, "_d_sample_budget", tight)
+    monkeypatch.setattr(general_count, "_d_draws", tight)
     a = count_general(c8, 0.1, 0.1, seed=6, params=P1)
     b = count_general(c8, 0.1, 0.1, seed=6, params=P1)
     c = count_general(c8, 0.1, 0.1, seed=7, params=P1)

@@ -16,11 +16,9 @@ from biscount import (
     ExpansionParams,
     InvalidInputError,
     are_compatible,
-    enumerate_clusters,
     enumerate_polymers,
     exact_xi,
     log_series_coefficients,
-    ursell,
     xi_size_polynomial,
 )
 from biscount.graphs import (
@@ -34,12 +32,20 @@ from biscount.polymers import (
     Polymer,
     PolymerFamily,
     WeightModel,
-    _supports_within,
     incompatibility_masks,
     iter_compatible_configs,
 )
 
-from util import P1, P100, brute_compatible_collections, brute_polymer_sets, random_instances
+from util import (
+    P1,
+    P100,
+    _supports_within,
+    brute_compatible_collections,
+    brute_polymer_sets,
+    enumerate_clusters,
+    random_instances,
+    ursell,
+)
 
 
 def universe_cases():

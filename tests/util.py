@@ -8,13 +8,18 @@ against an independently written route.
 import math
 import random
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
+from typing import Iterator, Sequence
 
 from biscount import (
     BipartiteGraph,
+    CapacityError,
     ExpansionParams,
     Graph,
+    InvalidInputError,
     SideSet,
     is_expanding,
     is_small,
@@ -25,9 +30,11 @@ from biscount.graphs import closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.instances import random_regular, random_shift
 from biscount.cluster_expansion import KPPolymerCheck, KPReport
 from biscount.polymers import (
+    Polymer,
     PolymerFamily,
     SizePolynomial,
     WeightModel,
+    _fits_masks,
     enumerate_polymers,
     incompatibility_masks,
     iter_compatible_configs,
@@ -393,3 +400,169 @@ def reference_log_series(coeffs, upto: int) -> list[Fraction]:
     for ell in range(1, upto + 1):
         a[ell] = c[ell] - sum((j * a[j] * c[ell - j] for j in range(1, ell)), Fraction(0)) / ell
     return a
+
+
+# -- Ursell clusters: the independent route to ln Xi(ell) ----------------------
+#
+# The package evaluates ln Xi(ell) only as the truncated log series of the size
+# polynomial; these routines sum the cluster expansion term by term, so the
+# tests can hold the two routes equal grade by grade.
+
+URSELL_CAP = 10  # largest multiset evaluated: O(3^k) time, 2^k memory
+
+
+def ursell(adj: Sequence[int], cap: int = URSELL_CAP) -> int:
+    """Raw Ursell value of an incompatibility graph H on k vertices:
+    the alternating sum of (-1)^{|E'|} over spanning connected edge subsets.
+
+    Computed by the deletion recursion: with A(S) = 1 iff H[S] is edgeless,
+    C(S) = A(S) - sum over proper S1 containing min(S) of C(S1) * A(S - S1).
+    """
+    k = len(adj)
+    if k == 0:
+        raise InvalidInputError("the Ursell function needs at least one vertex")
+    if k > cap:
+        raise CapacityError(f"Ursell cap {cap} exceeded ({k} vertices)")
+    full = (1 << k) - 1
+    edgeless = [False] * (full + 1)
+    edgeless[0] = True
+    for mask in range(1, full + 1):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << v)
+        edgeless[mask] = edgeless[rest] and not (adj[v] & mask)
+    conn = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        rbit = mask & -mask
+        rest = mask ^ rbit
+        total = 1 if edgeless[mask] else 0
+        # proper subsets containing the root: root | sub for sub strictly
+        # inside rest
+        sub = rest
+        while True:
+            sub = (sub - 1) & rest
+            if sub == rest:
+                break
+            total -= conn[rbit | sub] * (1 if edgeless[rest ^ sub] else 0)
+            if sub == 0:
+                break
+        conn[mask] = total
+    return conn[full]
+
+
+@dataclass(frozen=True)
+class ClusterTerm:
+    """One cluster's contribution to ln Xi: a multiset of universe indices,
+    its total vertex count, and the signed value phi(H) * prod(w) / prod(m!)."""
+
+    indices: tuple[int, ...]
+    size: int
+    value: Fraction | float
+
+
+def _multiset_ursell(
+    support: Sequence[int], mult: Sequence[int], incompat: Sequence[int]
+) -> int:
+    # Expand the multiset into one vertex per copy; copies of one polymer
+    # are pairwise incompatible, so H is determined by the support edges.
+    owners = []
+    for idx, m in zip(support, mult):
+        owners.extend([idx] * m)
+    k = len(owners)
+    adj = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if owners[i] == owners[j] or incompat[owners[i]] >> owners[j] & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return ursell(adj, cap=URSELL_CAP)
+
+
+def _supports_within(
+    adj: Sequence[int], root: int, sizes: Sequence[int], budget: int, allowed: int
+) -> list[int]:
+    """All masks S with root in S, S within ``allowed``, S connected under
+    ``adj`` and total size sum(sizes[i] for i in S) <= budget, each once.
+    A forbidden-set walk, the growth ``graphs.two_linked_sets`` makes in the
+    square graph, here over ``adj`` with the size budget applied at every
+    step: a polymer too large for the room a support has left is too large
+    for every extension of it too, so it is never tried."""
+    fits = _fits_masks(sizes, budget)
+    out: list[int] = []
+
+    def rec(s: int, room: int, frontier: int, forbidden: int) -> None:
+        out.append(s)
+        ext = frontier & fits[room]
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            u = low.bit_length() - 1
+            forbidden |= low
+            grow = adj[u] & allowed & ~forbidden & ~s & ~ext
+            rec(s | low, room - sizes[u], ext | grow, forbidden)
+
+    root_bit = 1 << root
+    rec(root_bit, budget - sizes[root], adj[root] & allowed & ~root_bit, root_bit)
+    return out
+
+
+def enumerate_clusters(
+    universe: Sequence[Polymer],
+    ell: int,
+    m: WeightModel,
+    max_clusters: int = 1 << 22,
+) -> Iterator[ClusterTerm]:
+    """Stream every cluster of total size <= ell with its signed term.
+
+    Clusters are unordered multisets of polymers whose incompatibility graph
+    is connected (copies of one polymer are always mutually incompatible, so
+    connectivity is a support property).  Growth is rooted at the lowest
+    universe index.  Terms use the symmetrized convention: raw Ursell value
+    times the weight product divided by the product of multiplicity
+    factorials; their sum over all sizes is ln Xi.  More than URSELL_CAP
+    polymers in one cluster raise CapacityError.  A test oracle only:
+    ``truncated_log_xi`` takes the series route.
+    """
+    if ell < 1 or not universe:
+        return
+    k = len(universe)
+    incompat = incompatibility_masks(universe)
+    support_adj = [incompat[i] & ~(1 << i) for i in range(k)]
+    sizes = [p.size for p in universe]
+    exact = m.exact_available
+    weights = [m.weight(p) if exact else math.exp(m.log_weight(p)) for p in universe]
+    emitted = 0
+    for root in range(k):
+        if sizes[root] > ell:
+            continue
+        allowed = ((1 << k) - 1) & ~((1 << root) - 1)
+        for support_bits in _supports_within(support_adj, root, sizes, ell, allowed):
+            support = list(iter_bits(support_bits))
+            mult = [1] * len(support)
+
+            def rec(pos: int, total: int) -> Iterator[ClusterTerm]:
+                nonlocal emitted
+                if pos == len(support):
+                    phi = _multiset_ursell(support, mult, incompat)
+                    if phi:
+                        val = Fraction(phi) if exact else float(phi)
+                        idx_tuple: list[int] = []
+                        for idx, mm in zip(support, mult):
+                            val *= weights[idx] ** mm
+                            val /= factorial(mm)
+                            idx_tuple.extend([idx] * mm)
+                        emitted += 1
+                        if emitted > max_clusters:
+                            raise CapacityError(
+                                f"more than {max_clusters} clusters at ell={ell}"
+                            )
+                        yield ClusterTerm(tuple(idx_tuple), total, val)
+                    return
+                i = support[pos]
+                mm = 1
+                while total + sizes[i] * mm <= ell:
+                    mult[pos] = mm
+                    yield from rec(pos + 1, total + sizes[i] * mm)
+                    mm += 1
+                mult[pos] = 1
+
+            yield from rec(0, 0)
