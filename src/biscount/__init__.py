@@ -102,11 +102,11 @@ from .oracle import (
 from .polymers import (
     Polymer,
     PolymerFamily,
+    PolymerUniverse,
     WeightModel,
     are_compatible,
     enumerate_polymers,
     log_series_coefficients,
-    restrict_universe,
     xi_size_polynomial,
 )
 

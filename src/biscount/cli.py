@@ -262,6 +262,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise InvalidInputError("--samples must be at least 1")
     G = _read_graph(args.graph)
     p = ExpansionParams(c1=args.c1)
     lam = _parse_lambda(args.lam, args.float_lambda) if args.lam else None
@@ -315,6 +317,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_kp(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        raise InvalidInputError("--cap must be at least 1")
     G = _read_graph(args.graph)
     p = ExpansionParams(c1=args.c1)
     lam = _parse_lambda(args.lam, args.float_lambda) if args.lam else None

@@ -13,7 +13,7 @@ condition itself is checked numerically per polymer up to a size cap; the
 asymptotic guarantee behind it only kicks in for large degree, so
 desk-scale failures are reported rather than hidden.  Every routine that
 works on a polymer universe takes it from the caller, which enumerates it
-once and restricts it to each region.
+once and passes each region as a polymer mask over it.
 """
 
 from __future__ import annotations
@@ -21,16 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InvalidInputError
 from .graphs import BipartiteGraph
 from .polymers import (
     Polymer,
     PolymerFamily,
+    PolymerUniverse,
     WeightModel,
     enumerate_polymers,
-    incompatibility_masks,
     log_series_coefficients,
     xi_size_polynomial,
 )
@@ -123,7 +122,7 @@ class KPReport:
     truncated_universe: bool = True
 
 
-def verify_kp(universe: Sequence[Polymer], m: WeightModel, kp: KPFunctions) -> KPReport:
+def verify_kp(universe: PolymerUniverse, m: WeightModel, kp: KPFunctions) -> KPReport:
     """Check the convergence condition per polymer of ``universe``, summing
     over the polymers of that universe only (enumerate it to the size cap
     the check should reach).  An empty universe passes vacuously.
@@ -132,7 +131,7 @@ def verify_kp(universe: Sequence[Polymer], m: WeightModel, kp: KPFunctions) -> K
     (|gamma|, |N(gamma)|), so each sum is taken by class: the boosted weight
     w e^{f+g} of the class times the number of its members incompatible
     with gamma, added by ``math.fsum``."""
-    incompat = incompatibility_masks(universe)
+    incompat = universe.incompat
     boosted: dict[tuple[int, int], float] = {}
     members: dict[tuple[int, int], int] = {}
     for i, p in enumerate(universe):
@@ -189,34 +188,35 @@ class LogPartitionEstimate:
 
 
 def truncated_log_xi(
-    universe: Sequence[Polymer],
+    universe: PolymerUniverse,
     m: WeightModel,
     ell: int,
     n: int,
     d: int,
+    mask: int = -1,
 ) -> LogPartitionEstimate:
     """ln Xi(ell) = a_1 + ... + a_ell, the log-series coefficients of the
     size polynomial c_0..c_ell walked over the configurations of total size
     <= ell (within the walk's configuration budget); equal to the sum of the
     clusters of size <= ell.  Exact models sum in Fractions and round once.
 
-    ``universe`` must hold every polymer of size <= ell of the ground set;
-    larger ones may be present and are never walked.  The certified tail
-    bound is taken for a ground set of ``n`` vertices in a d-regular graph."""
+    The ground set's polymers are ``mask`` (default -1: all) of ``universe``,
+    which holds every one of size <= ell (larger ones are never walked).
+    The tail bound is taken for ``n`` ground vertices, d-regular."""
     if ell < 0:
         raise InvalidInputError("ell must be nonnegative")
     model = "hardcore" if m.variant == "hardcore" else "unweighted"
-    coeffs = xi_size_polynomial(universe, m, upto=ell)
+    coeffs = xi_size_polynomial(universe, m, upto=ell, mask=mask)
     total = sum(log_series_coefficients(coeffs, ell)[1:])
     bound = truncation_bound(n, d, ell, model) if n else 0.0
     return LogPartitionEstimate(float(total), ell, bound, model, coeffs.configs)
 
 
-def exact_xi(universe: Sequence[Polymer], m: WeightModel) -> Fraction | float:
-    """Xi of a complete polymer universe, the sum of its size polynomial
-    over every compatible configuration; a universe with more than
-    polymers.CONFIG_BUDGET of them raises CapacityError."""
-    return sum(xi_size_polynomial(universe, m))
+def exact_xi(universe: PolymerUniverse, m: WeightModel, mask: int = -1) -> Fraction | float:
+    """Xi of the polymers ``mask`` (default -1: all) of a complete universe,
+    the sum of its size polynomial over every compatible configuration;
+    more than polymers.CONFIG_BUDGET of them raise CapacityError."""
+    return sum(xi_size_polynomial(universe, m, mask=mask))
 
 
 def exact_log_xi(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> float:

@@ -34,6 +34,7 @@ from .graphs import (
     Y_SIDE,
     BipartiteGraph,
     ExpansionParams,
+    iter_bits,
     neighborhood_bits,
     opposite,
     two_linked_component_bits,
@@ -46,12 +47,11 @@ from .oracle import (
     quantize,
 )
 from .polymers import (
-    Polymer,
     PolymerFamily,
+    PolymerUniverse,
     WeightModel,
     enumerate_polymers,
     iter_compatible_configs,
-    restrict_universe,
 )
 
 LN2 = math.log(2)
@@ -507,7 +507,7 @@ def _threshold(num: Fraction | float, den: Fraction | float) -> int:
 def _sequential_defect(
     G: BipartiteGraph,
     side: str,
-    universe: list[Polymer],
+    universe: PolymerUniverse,
     m: WeightModel,
     rng: Random,
     use_exact_xi: bool,
@@ -517,8 +517,7 @@ def _sequential_defect(
     vertex, either no polymer contains it (remove the vertex) or one does
     (remove the polymer's blocked set), with probabilities given by ratios
     of region partition functions, read from ``xi_of``.  ``universe`` is the
-    side's whole polymer universe; each region's candidates are restricted
-    from it."""
+    side's whole polymer universe; a region's candidates are a mask over it."""
     n = G.side_size(side)
     region = G.full_mask(side)
     chosen = 0
@@ -527,9 +526,9 @@ def _sequential_defect(
             continue
         xi_r = xi_of(region)
         xi_without = xi_of(region & ~(1 << v))
-        cands = [p for p in restrict_universe(universe, region) if (p.bits >> v) & 1]
         branches = []
-        for p in cands:
+        for i in iter_bits(universe.within(region) & universe.holding.get(v, 0)):
+            p = universe[i]
             # N^2(gamma): gamma and every vertex sharing a neighbour with it
             blocked = neighborhood_bits(G, opposite(side), p.nbhd) & region
             weight = m.weight(p) if use_exact_xi else math.exp(m.log_weight(p))
@@ -594,34 +593,20 @@ def _sample_run(
 
     elif mode == "sequential":
         ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=m.variant)
-        # one universe per side for the whole run; every region restricts it
+        # one universe per side for the whole run; a region is a mask over it
         universes = {
             side: enumerate_polymers(G, PolymerFamily(membership, side, p), G.side_size(side))
             for side in (X_SIDE, Y_SIDE)
         }
 
-        def region_memo(universe: list[Polymer]):
-            # Xi of a region depends on it only through the polymers inside,
-            # so one memo per side, keyed by their masks, serves the run; it
-            # holds Xi exactly, or ln Xi(ell) in floats
-            memo: dict[tuple[int, ...], Fraction | float] = {}
+        def region_memo(side: str):
+            # one memo per side serves the run: Xi exactly, or ln Xi(ell) in floats
+            u, n = universes[side], G.side_size(side)
+            if use_exact_xi:
+                return u.region_memo(lambda mask: exact_xi(u, m, mask))
+            return u.region_memo(lambda mask: truncated_log_xi(u, m, ell, n, G.d, mask).log_value)
 
-            def value_of(region: int) -> Fraction | float:
-                local = restrict_universe(universe, region)
-                key = tuple(q.bits for q in local)
-                value = memo.get(key)
-                if value is None:
-                    if use_exact_xi:
-                        value = exact_xi(local, m)
-                    else:
-                        log_xi = truncated_log_xi(local, m, ell, region.bit_count(), G.d)
-                        value = log_xi.log_value
-                    memo[key] = value
-                return value
-
-            return value_of
-
-        memo_of = {side: region_memo(universe) for side, universe in universes.items()}
+        memo_of = {side: region_memo(side) for side in universes}
         # the side choice reads each whole side from the memo the peeling uses
         vx, vy = (memo_of[side](G.full_mask(side)) for side in (X_SIDE, Y_SIDE))
         if use_exact_xi:

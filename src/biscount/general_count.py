@@ -49,7 +49,7 @@ from .graphs import (
     neighborhood_bits,
     opposite,
 )
-from .polymers import PolymerFamily, WeightModel, enumerate_polymers, restrict_universe
+from .polymers import PolymerFamily, WeightModel, enumerate_polymers
 
 
 @dataclass(frozen=True)
@@ -306,12 +306,12 @@ def assemble_exact(
     n_other = G.side_size(other)
     m = WeightModel.unweighted()
     universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), G.side_size(side))
+    xi_of = universe.region_memo(lambda mask: exact_xi(universe, m, mask))
     total = Fraction(0)
     for family in enumerate_families(G, p, side):
         union = family.union_bits
         covered = neighborhood_bits(G, side, union).bit_count()
-        local = restrict_universe(universe, family_region(G, side, union))
-        xi = exact_xi(local, m)
+        xi = xi_of(family_region(G, side, union))
         prod = 1
         for s in family.sets:
             prod *= exhaustive_D(G, s)
@@ -343,8 +343,8 @@ def count_general(
     otherwise ``estimate_D`` samples it.  ``notes`` counts both routes and
     the draws, and the "certified" flag needs every D exact.
     One polymer universe, to the truncation size, serves the convergence
-    check and every family's local expansion, restricted to the family's
-    region.  When d > sqrt(n) the local partition functions are dropped
+    check and every family's local expansion, taken once per distinct
+    region mask.  When d > sqrt(n) the local partition functions are dropped
     (replaced by 1), as the defect structure is negligible in that regime,
     and the convergence condition is reported as assumed."""
     _check_epsilon(epsilon)
@@ -400,6 +400,8 @@ def count_general(
         universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), min(big_l, n))
         report = verify_kp(universe, m, kp_unweighted(d))
         kp_status = KP_VERIFIED if report.all_pass else KP_FAILED
+        # ln Xi(ell) once per region mask; the side's tail bound covers each
+        log_xi = universe.region_memo(lambda mask: truncated_log_xi(universe, m, big_l, n, d, mask))
 
     term_logs: list[float] = []
     zero_estimates = 0
@@ -419,9 +421,7 @@ def count_general(
             zero_estimates += 1
             continue
         if not drop_xi:
-            region = family_region(G, side, union)
-            local = restrict_universe(universe, region)
-            est_xi = truncated_log_xi(local, m, big_l, region.bit_count(), d)
+            est_xi = log_xi(family_region(G, side, union))
             config_total += est_xi.config_count
             log_term += est_xi.log_value
         term_logs.append(log_term)

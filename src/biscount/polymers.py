@@ -17,11 +17,12 @@ exact arithmetic against a cluster enumerator of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InvalidInputError
 from .graphs import (
@@ -185,9 +186,9 @@ def enumerate_polymers(
     fam: PolymerFamily,
     size_cap: int,
     max_polymers: int = 1 << 20,
-) -> list[Polymer]:
+) -> PolymerUniverse:
     """The polymer universe up to ``size_cap`` vertices, sorted by bit mask.
-    A region's universe is this one filtered by ``restrict_universe``.
+    A region's polymers are the universe's mask ``within(region)``.
 
     A filter of ``graphs.two_linked_sets`` over the family's side: every set
     it yields is 2-linked and comes with |N(S)| and |[S]|, which decide
@@ -210,17 +211,11 @@ def enumerate_polymers(
                 )
             out.append(Polymer(side, bits, nbhd))
     out.sort(key=lambda p: p.bits)
-    return out
+    return PolymerUniverse(out)
 
 
-def restrict_universe(universe: Sequence[Polymer], region: int) -> list[Polymer]:
-    """The polymers of ``universe`` that lie inside ``region``, in order.
-
-    This is exactly the universe of the region itself: membership is decided
-    by parent-graph predicates, and 2-linkedness depends on the set alone
-    (its square-graph edges join its own vertices), so a polymer inside the
-    region is found by enumerating either the region or the whole side."""
-    return [p for p in universe if not p.bits & ~region]
+CONFIG_BUDGET = 1 << 22  # compatible configurations one walk may visit
+MASK_BUDGET = 256 << 23  # bits (256 MiB) the incompatibility masks of a universe may hold
 
 
 def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
@@ -231,7 +226,8 @@ def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
     holds y: mask[i] is the OR of the bins over N(gamma_i).  Two same-side
     polymers that share a vertex share its neighbours (graphs of degree 0
     are rejected and ``nbhd`` is N(bits)), so sharing a neighbour is exactly
-    incompatibility."""
+    incompatibility.  Masks over ``MASK_BUDGET``, counted from the largest
+    bin each one takes, raise CapacityError before any is built."""
     if len({p.side for p in universe}) > 1:
         raise InvalidInputError("compatibility is defined for same-side polymers")
     nbrs = [list(iter_bits(p.nbhd)) for p in universe]
@@ -240,6 +236,10 @@ def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
         bit = 1 << i
         for y in ys:
             bins[y] = bins.get(y, 0) | bit
+    need = sum(max(map(bins.__getitem__, ys)).bit_length() for ys in nbrs)
+    if need > MASK_BUDGET:
+        mib = need >> 23
+        raise CapacityError(f"incompatibility masks of {len(universe)} polymers need {mib} MiB")
     masks = []
     for ys in nbrs:
         mask = 0
@@ -247,6 +247,44 @@ def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
             mask |= bins[y]
         masks.append(mask)
     return masks
+
+
+class PolymerUniverse(tuple):
+    """The polymers of one (graph, family, size cap) with what every reader
+    takes from them, built once: ``incompat``, ``sizes``, ``holding[v]``
+    (the polymers holding vertex v) and the size polynomial's cell ``keys``.
+    A region is read as the polymer mask ``within``."""
+
+    def __new__(cls, polymers: Iterable[Polymer]) -> PolymerUniverse:
+        self = super().__new__(cls, polymers)
+        self.incompat = incompatibility_masks(self)
+        self.sizes = [p.size for p in self]
+        self.all = (1 << len(self)) - 1
+        self.holding, reach = {}, 0
+        for i, p in enumerate(self):
+            reach |= p.nbhd
+            for v in iter_bits(p.bits):
+                self.holding[v] = self.holding.get(v, 0) | 1 << i
+        # a configuration covers w <= |union of N(gamma)| neighbours, so the
+        # cell s * stride + w is a sum of per-polymer keys without carries
+        self.stride = reach.bit_count() + 1
+        self.keys = [p.size * self.stride + p.nbhd_size for p in self]
+        return self
+
+    def within(self, region: int) -> int:
+        """The mask of the polymers inside ``region``, its own universe's: both
+        membership and 2-linkedness are decided on the set alone."""
+        mask = self.all
+        for v, held in self.holding.items():
+            if not region >> v & 1:
+                mask &= ~held
+        return mask
+
+    def region_memo(self, evaluate: Callable[[int], object]) -> Callable[[int], object]:
+        """``evaluate`` of a region's polymer mask, taken once per distinct
+        mask: a region's Xi depends on it only through the polymers inside."""
+        cached = functools.cache(evaluate)
+        return lambda region: cached(self.within(region))
 
 
 def _fits_masks(sizes: Sequence[int], budget: int) -> list[int]:
@@ -260,18 +298,16 @@ def _fits_masks(sizes: Sequence[int], budget: int) -> list[int]:
     return fits
 
 
-CONFIG_BUDGET = 1 << 22  # compatible configurations one walk may visit
-
-
 def iter_compatible_configs(
-    universe: Sequence[Polymer], max_configs: int = CONFIG_BUDGET, max_size: int | None = None
+    universe: PolymerUniverse, max_configs: int = CONFIG_BUDGET, max_size: int | None = None,
+    mask: int = -1,
 ) -> Iterator[tuple[int, ...]]:
-    """Every collection of pairwise-compatible polymers as a tuple of
-    ascending universe indices; the empty collection comes first.  With
-    ``max_size``, only those of total size at most ``max_size``: a polymer
-    too large for the budget left is masked out before it is tried."""
-    incompat = incompatibility_masks(universe)
-    sizes = [p.size for p in universe]
+    """Every collection of pairwise-compatible polymers of ``mask`` (default
+    -1: all) as a tuple of ascending universe indices; the empty collection
+    comes first.  With ``max_size``, only those of total size at most
+    ``max_size``: a polymer too large for the budget left is masked out
+    before it is tried."""
+    incompat, sizes = universe.incompat, universe.sizes
     budget = sum(sizes) if max_size is None else max(max_size, 0)
     fits = _fits_masks(sizes, budget)
     count = 0
@@ -290,7 +326,7 @@ def iter_compatible_configs(
             left = room - sizes[i]
             yield from walk(free & ~incompat[i] & fits[left], chosen + (i,), left)
 
-    yield from walk(fits[budget], (), budget)
+    yield from walk(fits[budget] & mask, (), budget)
 
 
 class SizePolynomial(list):
@@ -301,35 +337,30 @@ class SizePolynomial(list):
 
 
 def xi_size_polynomial(
-    universe: Sequence[Polymer], m: WeightModel, max_configs: int = CONFIG_BUDGET,
-    upto: int | None = None,
+    universe: PolymerUniverse, m: WeightModel, max_configs: int = CONFIG_BUDGET,
+    upto: int | None = None, mask: int = -1,
 ) -> SizePolynomial:
-    """Coefficients c_k = total weight of compatible configurations with
-    combined polymer size k; c_0 = 1 and sum(c) = Xi.  With ``upto``, only
-    c_0..c_upto, from the configurations of total size at most ``upto``.
-    Exact models give Fractions, the tilde model floats.
+    """Coefficients c_k = total weight of the compatible configurations of
+    ``mask`` (default -1: all) with combined polymer size k; c_0 = 1 and
+    sum(c) = Xi.  With ``upto``, only c_0..c_upto, from the configurations
+    of total size at most ``upto``.  Exact models give Fractions, the tilde
+    model floats.
 
     Compatible polymers have disjoint vertices and disjoint neighbourhoods,
     so a configuration's weight depends only on its class (s, w), its total
     size and total neighbourhood size: the walk only counts configurations
     per class, and each nonzero class is weighed once, in integers over one
     common denominator (exact) or by ``math.fsum`` (tilde)."""
-    bits = nbhd = total_size = 0
-    for p in universe:
-        bits |= p.bits
-        nbhd |= p.nbhd
-        total_size += p.size
-    # a configuration covers w <= |union of N(gamma)| neighbours, so the
-    # cell s * stride + w is a sum of per-polymer keys without carries
-    stride = nbhd.bit_count() + 1
-    keys = [p.size * stride + p.nbhd_size for p in universe]
+    if upto is None:
+        upto = sum(map(universe.sizes.__getitem__, iter_bits(mask & universe.all)))
+    stride, keys = universe.stride, universe.keys
     cells = Counter(
         sum(map(keys.__getitem__, config))
-        for config in iter_compatible_configs(universe, max_configs, upto)
+        for config in iter_compatible_configs(universe, max_configs, upto, mask)
     )
-    length = (total_size if upto is None else upto) + 1
+    length = upto + 1
     if m.exact_available:
-        weights = m.class_weights(bits.bit_count(), stride - 1)
+        weights = m.class_weights(len(universe.holding), stride - 1)
         nums = [0] * length
         for cell, count in cells.items():
             s, w = divmod(cell, stride)

@@ -181,6 +181,19 @@ def test_verify_kp_vacuous_pass(tmp_path, capsys):
     assert res["polymers_checked"] == 0
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_verify_kp_rejects_cap_below_one(c8_file, cap, capsys):
+    # a cap below 1 checks no polymer, which is no verification at all
+    assert main(["verify-kp", "--graph", c8_file, "--c1", "1.0", f"--cap={cap}"]) == 2
+    assert "--cap must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["oracle", "expander"])
+def test_sample_rejects_zero_samples(c8_file, mode, capsys):
+    assert main(["sample", "--graph", c8_file, "--mode", mode, "--samples", "0"]) == 2
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_kp_hardcore_requires_lambda(c8_file):
     assert main(["verify-kp", "--graph", c8_file, "--model", "hardcore"]) == 2
 
@@ -248,9 +261,9 @@ def test_exit_code_internal_on_broken_peeling_identity(capsys, c8_file, monkeypa
 
     real = biscount.expander.exact_xi
 
-    def off_by_one_through_vertex_0(universe, m):
-        xi = real(universe, m)
-        return xi + 1 if any(p.bits & 1 for p in universe) else xi
+    def off_by_one_through_vertex_0(universe, m, mask):
+        xi = real(universe, m, mask)
+        return xi + 1 if mask & universe.holding[0] else xi
 
     monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_through_vertex_0)
     assert main(["sample", "--graph", c8_file, "--mode", "expander",

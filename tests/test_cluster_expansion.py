@@ -26,13 +26,14 @@ from biscount.cluster_expansion import KPFunctions
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.polymers import (
     PolymerFamily,
+    PolymerUniverse,
     WeightModel,
     enumerate_polymers,
     iter_compatible_configs,
     log_series_coefficients,
-    restrict_universe,
     xi_size_polynomial,
 )
+from biscount.graphs import iter_bits
 
 import util
 from util import P1, brute_polymer_sets, enumerate_clusters, random_instances
@@ -129,7 +130,8 @@ def test_exact_xi_capacity(c8, monkeypatch):
     # with more compatible configurations than it allows raises
     real = cluster_expansion.xi_size_polynomial
     monkeypatch.setattr(
-        cluster_expansion, "xi_size_polynomial", lambda u, m: real(u, m, max_configs=3)
+        cluster_expansion, "xi_size_polynomial",
+        lambda u, m, mask: real(u, m, max_configs=3, mask=mask),
     )
     fam = PolymerFamily("expanding", "X", P1)
     with pytest.raises(CapacityError, match="more than 3 polymer configurations"):
@@ -190,9 +192,11 @@ def test_error_within_bound_wherever_kp_passes():
 
 
 def test_restriction_gives_subuniverse_and_smaller_xi(q3, c8):
-    # a region's universe, filtered from the side's universe at any size
-    # cap, is exactly the brute-force polymer list inside the region up to
-    # that cap; the unweighted partition function can only shrink with it
+    # a region's polymer mask over the side's universe at any size cap
+    # selects exactly the brute-force polymer list inside the region up to
+    # that cap, and the list filter of the universe; the size polynomial of
+    # the mask is that of the filtered universe, and the unweighted
+    # partition function can only shrink with it
     m = WeightModel.unweighted()
     for G in [c8, q3] + random_instances(4, seed=77, max_side=6):
         fam = PolymerFamily("expanding", "X", P1)
@@ -203,11 +207,15 @@ def test_restriction_gives_subuniverse_and_smaller_xi(q3, c8):
         for cap in range(1, n + 1):
             uni = enumerate_polymers(G, fam, cap)
             for region in range(1 << n):
-                got = [p.bits for p in restrict_universe(uni, region)]
+                got = [uni[i].bits for i in iter_bits(uni.within(region))]
                 want = [b for b in brute if not b & ~region and b.bit_count() <= cap]
                 assert got == want
+                assert got == [p.bits for p in uni if not p.bits & ~region]
         for region in range(1 << n):
-            assert exact_xi(restrict_universe(full, region), m) <= xi_full
+            part = xi_size_polynomial(full, m, mask=full.within(region))
+            ref = xi_size_polynomial(PolymerUniverse(p for p in full if not p.bits & ~region), m)
+            assert (part, part.configs) == (ref, ref.configs)
+            assert exact_xi(full, m, full.within(region)) == sum(part) <= xi_full
 
 
 def test_tail_mass_frozen_anchors(c8):

@@ -1,6 +1,7 @@
 """Two-sided expander counting, the weighted variant, and the samplers."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biscount.expander
+import biscount.polymers
 import util
 from biscount.cluster_expansion import exact_xi
 from biscount.errors import CapacityError, InvalidInputError
@@ -26,7 +28,7 @@ from biscount.expander import (
     sampler_tables,
     sampler_tv_bound,
 )
-from biscount.graphs import X_SIDE, Y_SIDE, neighborhood_bits, opposite
+from biscount.graphs import X_SIDE, Y_SIDE, iter_bits, neighborhood_bits, opposite
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.oracle import exact_count_bipartite
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
@@ -531,18 +533,38 @@ def test_table_draws_pinned(c8, lam):
     assert draws == TABLE_DRAWS[lam]
 
 
+@pytest.mark.parametrize("G", [even_cycle(8), hypercube(4)], ids=["C8", "Q4"])
+def test_forced_count_builds_masks_once_per_side_universe(G, monkeypatch):
+    # the convergence check and the configuration walk read the masks the
+    # side's universe was built with; every module binding the builder is
+    # watched
+    real = biscount.polymers.incompatibility_masks
+    built = []
+
+    def recording(universe):
+        built.append(len(universe))
+        return real(universe)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("biscount") and getattr(module, "incompatibility_masks", None) is real:
+            monkeypatch.setattr(module, "incompatibility_masks", recording)
+    out = count_expander(G, 0.2, P1, force_method="expander-CE")
+    assert len(built) == 2
+    assert [t.config_count > 0 for t in out.side_breakdown] == [True, True]
+
+
 def test_sequential_xi_taken_once_per_sub_universe(monkeypatch):
     # Xi depends on a region only through the polymers inside it, so a run
-    # takes it once per distinct restricted universe; the side choice reads
-    # each whole side's Xi from the same memo the peeling uses (an empty
-    # universe names no side, so those are left out)
+    # takes it once per distinct polymer mask; the side choice reads each
+    # whole side's Xi from the same memo the peeling uses (an empty mask
+    # names no side, so those are left out)
     real = biscount.expander.exact_xi
     seen = []
 
-    def recording(universe, m):
-        if universe:
-            seen.append(tuple((p.side, p.bits) for p in universe))
-        return real(universe, m)
+    def recording(universe, m, mask):
+        if mask:
+            seen.append(tuple((universe[i].side, universe[i].bits) for i in iter_bits(mask)))
+        return real(universe, m, mask)
 
     monkeypatch.setattr(biscount.expander, "exact_xi", recording)
     draws = sample_expander(even_cycle(12), 0.2, P1, seed=3, samples=50, mode="sequential")
@@ -556,10 +578,10 @@ def test_float_sequential_log_xi_taken_once_per_sub_universe(monkeypatch):
     real = biscount.expander.truncated_log_xi
     seen = []
 
-    def recording(universe, *args, **kwargs):
-        if universe:
-            seen.append(tuple((p.side, p.bits) for p in universe))
-        return real(universe, *args, **kwargs)
+    def recording(universe, m, ell, n, d, mask):
+        if mask:
+            seen.append(tuple((universe[i].side, universe[i].bits) for i in iter_bits(mask)))
+        return real(universe, m, ell, n, d, mask)
 
     monkeypatch.setattr(biscount.expander, "truncated_log_xi", recording)
     draws = sample_expander(
@@ -609,11 +631,11 @@ def test_sequential_peeling_identity_survives_optimized_mode(c8, monkeypatch):
     # a partition function that disagrees with its peeling must raise
     real = biscount.expander.exact_xi
 
-    def off_by_one_through_vertex_0(universe, m):
+    def off_by_one_through_vertex_0(universe, m, mask):
         # the first peeling step's region is the only one still holding
         # vertex 0's polymers
-        xi = real(universe, m)
-        return xi + 1 if any(p.bits & 1 for p in universe) else xi
+        xi = real(universe, m, mask)
+        return xi + 1 if mask & universe.holding[0] else xi
 
     monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_through_vertex_0)
     with pytest.raises(RuntimeError, match="peeling identity"):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 import util
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biscount
 from biscount import general_count
@@ -39,7 +41,7 @@ from biscount.graphs import (
 )
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.oracle import exact_count_bipartite
-from biscount.polymers import PolymerFamily, enumerate_polymers
+from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
 from util import P1, P100
 
 
@@ -318,6 +320,46 @@ def test_assemble_exact_matches_oracle(params, request):
         truth = exact_count_bipartite(G).value
         assert assemble_exact(G, params) == truth
         assert assemble_exact(G, params, side=Y_SIDE) == truth
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([6, 8, 10]),
+    d=st.sampled_from([3, 4]),
+    seed=st.integers(0, 1 << 16),
+    side=st.sampled_from([X_SIDE, Y_SIDE]),
+    params=st.sampled_from([P1, P100]),
+)
+def test_assemble_exact_matches_oracle_on_random_shifts(n, d, seed, side, params):
+    # the exact family sum reads each family's Xi through the region-mask memo
+    G = random_shift(n, d, seed)
+    assert assemble_exact(G, params, side) == exact_count_bipartite(G).value
+
+
+def test_count_general_takes_each_region_log_xi_once(monkeypatch):
+    # C16 at c1 = 1: 26 families over 18 distinct regions, so 18 truncated
+    # walks, one per region mask, while config_count still sums per family
+    G = even_cycle(16)
+    regions = [family_region(G, X_SIDE, f.union_bits) for f in enumerate_families(G, P1)]
+    assert (len(regions), len(set(regions))) == (26, 18)
+    real = general_count.truncated_log_xi
+    masks = []
+
+    def recording(universe, m, ell, n, d, mask):
+        masks.append(mask)
+        return real(universe, m, ell, n, d, mask)
+
+    monkeypatch.setattr(general_count, "truncated_log_xi", recording)
+    out = count_general(G, 0.05, 0.05, seed=1, params=P1)
+    assert len(masks) == len(set(masks)) == 18
+    assert out.notes["families"] == 26
+    ell = out.side_breakdown[0].ell
+    universe = enumerate_polymers(G, PolymerFamily("expanding", X_SIDE, P1), ell)
+    per_family = [
+        real(universe, WeightModel.unweighted(), ell, G.n_x, G.d, universe.within(r)).config_count
+        for r in regions
+    ]
+    assert out.side_breakdown[0].config_count == sum(per_family)
 
 
 def test_count_general_exact_wrapper(c8):

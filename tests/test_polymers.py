@@ -6,11 +6,15 @@ sum reproduces the directly enumerated polymer partition function.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import biscount
 from biscount import (
     CapacityError,
     ExpansionParams,
@@ -31,6 +35,7 @@ from biscount.instances import complete_bipartite, even_cycle, hypercube, random
 from biscount.polymers import (
     Polymer,
     PolymerFamily,
+    PolymerUniverse,
     WeightModel,
     incompatibility_masks,
     iter_compatible_configs,
@@ -129,7 +134,7 @@ def test_enumerate_polymers_nothing_expands_at_large_c1(q5):
     # pruned at once
     for side in ("X", "Y"):
         fam = PolymerFamily("expanding", side, ExpansionParams(c1=1e6))
-        assert enumerate_polymers(q5, fam, 16) == []
+        assert enumerate_polymers(q5, fam, 16) == ()
 
 
 def test_are_compatible_symmetric_and_matches_definition():
@@ -169,6 +174,30 @@ def test_incompatibility_masks_match_pairwise_recompute(c8, q5):
                     assert bool(masks[i] >> j & 1) == (not are_compatible(g1, g2))
 
 
+def test_oversized_universe_raises_capacity_error_not_memory_error():
+    # Q6's X universe at ell = 5 holds 144,568 polymers, whose masks would
+    # take about 2.5 GiB: the budget refuses them before any is built, well
+    # inside a 2 GiB address space
+    code = (
+        "import resource, biscount\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "try:\n"
+        "    biscount.count_expander(biscount.hypercube(6), 0.2,"
+        " biscount.ExpansionParams(c1=1), force_method='expander-CE')\n"
+        "except biscount.CapacityError as exc:\n"
+        "    print('CapacityError', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biscount.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CapacityError incompatibility masks of 144568 polymers")
+
+
 def test_mixed_side_universe_is_rejected():
     # X- and Y-side bit indices name different vertices, so neither the masks
     # nor Xi of a mixed universe mean anything
@@ -176,7 +205,7 @@ def test_mixed_side_universe_is_rejected():
     with pytest.raises(InvalidInputError):
         incompatibility_masks(mixed)
     with pytest.raises(InvalidInputError):
-        exact_xi(mixed, WeightModel.unweighted())
+        PolymerUniverse(mixed)
 
 
 def brute_ursell(adj):
