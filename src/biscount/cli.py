@@ -374,6 +374,8 @@ def _cmd_verify_kp(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.t_max < 0:
+        raise InvalidInputError("--t-max must be at least 0")
     G = _read_graph(args.graph).to_general()
     start = time.perf_counter()
     exact = exact_count_general(G).value

@@ -141,7 +141,13 @@ def small_generator(
     a maximal disjoint-neighborhood core A0 inside [A], a greedy cover A1 of
     the high-degree neighborhood vertices, shortest-path linking A2, and a
     minimal cover A3 (drawn from A itself) of the low-degree remainder.
+    ``params`` is not read.  The pair depends on G and A alone and is kept
+    in the graph's memo, built once per graph object.
     """
+    return G.memo(("small_generator", A), lambda: _small_generator(G, A))
+
+
+def _small_generator(G: BipartiteGraph, A: SideSet) -> tuple[SideSet, SideSet]:
     if not A.bits:
         raise InvalidInputError("small_generator needs a nonempty set")
     side = A.side
@@ -366,15 +372,21 @@ def distinct_nonexpanding_closed(
 ) -> list[SideSet]:
     """Every closed 2-linked non-expanding set on a side: the sets of the
     side's 2-linked walk with [S] = S that do not expand.  Ground truth for
-    the anchored enumeration and the pool behind family assembly."""
+    the anchored enumeration and the pool behind family assembly.  The walk
+    runs once per (graph object, params, side): the pool is kept in the
+    graph's memo and every call gets its own copy of the list."""
     params = params or ExpansionParams()
-    out = [
-        SideSet(side, bits)
-        for bits, nbhd, closed in two_linked_sets(G, side, G.side_size(side))
-        if closed == bits
-        and not params.expands(G.d, nbhd.bit_count(), closed.bit_count())
-    ]
-    return sorted(out, key=lambda s: s.bits)
+
+    def build() -> tuple[SideSet, ...]:
+        out = [
+            SideSet(side, bits)
+            for bits, nbhd, closed in two_linked_sets(G, side, G.side_size(side))
+            if closed == bits
+            and not params.expands(G.d, nbhd.bit_count(), closed.bit_count())
+        ]
+        return tuple(sorted(out, key=lambda s: s.bits))
+
+    return list(G.memo(("nonexpanding_closed", params, side), build))
 
 
 # -- degree-greedy certificates ---------------------------------------------

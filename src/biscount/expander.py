@@ -516,23 +516,29 @@ def _sequential_defect(
     """Draw a defect configuration by per-vertex peeling: at each surviving
     vertex, either no polymer contains it (remove the vertex) or one does
     (remove the polymer's blocked set), with probabilities given by ratios
-    of region partition functions, read from ``xi_of``.  ``universe`` is the
-    side's whole polymer universe; a region's candidates are a mask over it."""
+    of region partition functions, read from ``xi_of`` by polymer mask.
+    ``universe`` is the side's whole polymer universe; a region's polymers
+    are a mask over it, taken once per vertex step."""
     n = G.side_size(side)
     region = G.full_mask(side)
     chosen = 0
     for v in range(n):
         if not (region >> v) & 1:
             continue
-        xi_r = xi_of(region)
-        xi_without = xi_of(region & ~(1 << v))
+        inside = universe.within(region)
+        holding = universe.holding.get(v, 0)
+        xi_r = xi_of(inside)
+        # without v, the region keeps exactly the polymers that avoid v
+        xi_without = xi_of(inside & ~holding)
         branches = []
-        for i in iter_bits(universe.within(region) & universe.holding.get(v, 0)):
+        for i in iter_bits(inside & holding):
             p = universe[i]
             # N^2(gamma): gamma and every vertex sharing a neighbour with it
             blocked = neighborhood_bits(G, opposite(side), p.nbhd) & region
             weight = m.weight(p) if use_exact_xi else math.exp(m.log_weight(p))
-            branches.append((p.bits, blocked, weight * xi_of(region & ~blocked)))
+            branches.append(
+                (p.bits, blocked, weight * xi_of(universe.within(region & ~blocked)))
+            )
         if use_exact_xi and xi_r != xi_without + sum(b[2] for b in branches):
             # the one-vertex peeling identity; exact arithmetic makes it a
             # hard invariant rather than a tolerance check
@@ -607,13 +613,14 @@ def _sample_run(
             return u.region_memo(lambda mask: truncated_log_xi(u, m, ell, n, G.d, mask).log_value)
 
         memo_of = {side: region_memo(side) for side in universes}
-        # the side choice reads each whole side from the memo the peeling uses
-        vx, vy = (memo_of[side](G.full_mask(side)) for side in (X_SIDE, Y_SIDE))
+        # the side choice reads each whole side, every polymer, from the memo
+        # the peeling uses
+        vx, vy = (memo_of[side](universes[side].all) for side in (X_SIDE, Y_SIDE))
         if use_exact_xi:
             xi_of = memo_of
             side_threshold = _threshold(vx, vx + vy)
         else:
-            xi_of = {side: lambda r, f=f: math.exp(f(r)) for side, f in memo_of.items()}
+            xi_of = {side: lambda mask, f=f: math.exp(f(mask)) for side, f in memo_of.items()}
             side_threshold = int(DRAW_DEN / (1.0 + math.exp(vy - vx)))
 
         def defect(side: str) -> tuple[int, int]:

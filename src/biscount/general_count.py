@@ -153,40 +153,59 @@ def _count_d_hits(G: BipartiteGraph, A: SideSet, table=None) -> int:
 
     A depth-first walk that decides the vertices of A in order and carries
     N(B) as the OR of their rows; a branch whose N(B) together with the rows
-    still undecided misses part of N(A) is cut, so 2-linkedness is tested
-    only on the covering sets."""
+    still undecided misses part of N(A) is never entered, so 2-linkedness is
+    tested only on the covering sets, by one square-graph search from B's
+    lowest vertex.  B = {} is never 2-linked."""
     verts = A.vertices()
     rows = G.rows(A.side)
+    square = G.square_rows(A.side)
     suffix = [0] * (len(verts) + 1)  # suffix[j]: N of the vertices from j on
     for j in range(len(verts) - 1, -1, -1):
         suffix[j] = suffix[j + 1] | rows[verts[j]]
     target = suffix[0]
+
+    def linked(bits: int) -> bool:
+        reach = frontier = bits & -bits
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= square[low.bit_length() - 1]
+            frontier = grow & bits & ~reach
+            reach |= frontier
+        return reach == bits != 0
+
+    # a stacked state can still cover N(A) with its undecided rows; taking
+    # the next vertex keeps that, so the descent always takes it and stacks
+    # the skip only when the skip can still cover
     count = 0
-
-    def walk(j: int, local: int, bits: int, nbhd: int) -> None:
-        nonlocal count
-        if nbhd | suffix[j] != target:
-            return
-        if j == len(verts):
-            if is_two_linked(G, SideSet(A.side, bits)):
-                count += 1
-                if table is not None:
-                    table[local] = 1
-            return
-        v = verts[j]
-        walk(j + 1, local | 1 << j, bits | 1 << v, nbhd | rows[v])
-        walk(j + 1, local, bits, nbhd)
-
-    walk(0, 0, 0, 0)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        j, local, bits, nbhd = stack.pop()
+        while j < len(verts):
+            v = verts[j]
+            if nbhd | suffix[j + 1] == target:
+                stack.append((j + 1, local, bits, nbhd))
+            local |= 1 << j
+            bits |= 1 << v
+            nbhd |= rows[v]
+            j += 1
+        if linked(bits):
+            count += 1
+            if table is not None:
+                table[local] = 1
     return count
 
 
 def exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
     """|{B subseteq A : B 2-linked, N(B) = N(A)}| by a walk over the subsets
-    of A that covers only those whose neighbourhood can still reach N(A)."""
+    of A that covers only those whose neighbourhood can still reach N(A).
+    The count depends on G and A alone, so it is kept in the graph's memo
+    and taken once per graph object."""
     if A.size > EXHAUSTIVE_D_CAP:
         raise CapacityError(f"exhaustive D capped at |A| <= {EXHAUSTIVE_D_CAP}")
-    return _count_d_hits(G, A)
+    return G.memo(("exhaustive_D", A), lambda: _count_d_hits(G, A))
 
 
 def _check_container_set(G: BipartiteGraph, A: SideSet, params: ExpansionParams) -> None:
@@ -311,7 +330,7 @@ def assemble_exact(
     for family in enumerate_families(G, p, side):
         union = family.union_bits
         covered = neighborhood_bits(G, side, union).bit_count()
-        xi = xi_of(family_region(G, side, union))
+        xi = xi_of(universe.within(family_region(G, side, union)))
         prod = 1
         for s in family.sets:
             prod *= exhaustive_D(G, s)
@@ -341,7 +360,10 @@ def count_general(
     exact, by the full subset scan, when its 2^|A| subsets cost no more than
     the m samples ``estimate_D`` would draw and |A| <= EXHAUSTIVE_D_CAP;
     otherwise ``estimate_D`` samples it.  ``notes`` counts both routes and
-    the draws, and the "certified" flag needs every D exact.
+    the draws, and the "certified" flag needs every D exact.  The pool, the
+    generator pairs and the exact D values depend on the graph alone and are
+    kept in its memo (``BipartiteGraph.memo``), so later calls on the same
+    graph object take them from there; sampled D values are drawn per call.
     One polymer universe, to the truncation size, serves the convergence
     check and every family's local expansion, taken once per distinct
     region mask.  When d > sqrt(n) the local partition functions are dropped
@@ -421,7 +443,7 @@ def count_general(
             zero_estimates += 1
             continue
         if not drop_xi:
-            est_xi = log_xi(family_region(G, side, union))
+            est_xi = log_xi(universe.within(family_region(G, side, union)))
             config_total += est_xi.config_count
             log_term += est_xi.log_value
         term_logs.append(log_term)

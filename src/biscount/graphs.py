@@ -21,9 +21,11 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapacityError, GraphFormatError, InvalidInputError
+
+T = TypeVar("T")
 
 X_SIDE = "X"
 Y_SIDE = "Y"
@@ -195,21 +197,50 @@ class BipartiteGraph:
             rows[self.n_x + v] = self.row_y[v]
         return Graph(n, rows)
 
+    def memo(self, key: Hashable, build: Callable[[], T]) -> T:
+        """The value stored under ``key``, from ``build()`` on the first call.
+
+        The one per-graph memo: it holds objects that depend on the graph
+        alone (and on the parts of ``key`` besides), such as the square rows,
+        the container pool of ``containers.distinct_nonexpanding_closed`` and
+        exact multiplicities, and it lives exactly as long as this graph
+        object.  Callers never mutate what it hands out.  A ``build`` that
+        raises stores nothing."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     def square_rows(self, side: str) -> list[int]:
         """Adjacency rows of the square graph restricted to one side."""
-        key = ("square", side)
-        if key not in self._cache:
-            n = self.side_size(side)
+
+        def build() -> list[int]:
             rows = self.rows(side)
             other = self.rows(opposite(side))
             out = []
-            for v in range(n):
+            for v in range(self.side_size(side)):
                 m = 0
                 for y in iter_bits(rows[v]):
                     m |= other[y]
                 out.append(m & ~(1 << v))
-            self._cache[key] = out
-        return self._cache[key]
+            return out
+
+        return self.memo(("square", side), build)
+
+    def closure_candidates(self, side: str) -> list[tuple[tuple[int, int], ...]]:
+        """Per vertex u, the pairs (1 << v, row of v) for u itself and its
+        square-graph neighbours: the only vertices that can join [S] when u
+        joins S, as a vertex that newly fits inside N(S) has a neighbour in
+        N(u)."""
+
+        def build() -> list[tuple[tuple[int, int], ...]]:
+            rows = self.rows(side)
+            return [
+                tuple((1 << v, rows[v]) for v in iter_bits(square | 1 << u))
+                for u, square in enumerate(self.square_rows(side))
+            ]
+
+        return self.memo(("closure_candidates", side), build)
 
 
 # -- set operations ---------------------------------------------------------
@@ -369,27 +400,19 @@ def two_linked_sets(
     if cap < 1:
         return
     rows = G.rows(side)
-    cols = G.rows(opposite(side))
     square = G.square_rows(side)
-
-    def closure_gain(nbhd: int, fresh: int, closed: int) -> int:
-        # [S] after N(S) grew by ``fresh``: a vertex joins only through a
-        # neighbour in ``fresh``, and only if all its neighbours are in N(S)
-        reach = 0
-        for y in iter_bits(fresh):
-            reach |= cols[y]
-        for v in iter_bits(reach & ~closed):
-            if not rows[v] & ~nbhd:
-                closed |= 1 << v
-        return closed
-
+    gains = G.closure_candidates(side)
     if root is None:
         starts = [(r, (2 << r) - 1) for r in range(n)]
     else:
         starts = [(root, 1 << root)] if 0 <= root < n else []
     for r, forbidden in starts:
-        stack = [(1 << r, 1, rows[r], closure_gain(rows[r], rows[r], 0),
-                  square[r] & ~forbidden, forbidden)]
+        nbhd = rows[r]
+        closed = 0
+        for bit, row in gains[r]:
+            if not row & ~nbhd:
+                closed |= bit
+        stack = [(1 << r, 1, nbhd, closed, square[r] & ~forbidden, forbidden)]
         while stack:
             s, size, nbhd, closed, frontier, forbidden = stack.pop()
             if top is not None and nbhd.bit_count() > top[closed.bit_count()]:
@@ -402,13 +425,19 @@ def two_linked_sets(
                 frontier ^= low
                 u = low.bit_length() - 1
                 forbidden |= low
-                fresh = rows[u] & ~nbhd
-                wider = nbhd | fresh
+                wider = nbhd | rows[u]
+                grown = closed
+                if wider != nbhd:
+                    # [S] grows only by u and the vertices sharing a
+                    # neighbour with it, once their rows fit inside N(S)
+                    for bit, row in gains[u]:
+                        if not row & ~wider:
+                            grown |= bit
                 stack.append((
                     s | low,
                     size + 1,
                     wider,
-                    closure_gain(wider, fresh, closed) if fresh else closed,
+                    grown,
                     frontier | (square[u] & ~forbidden),
                     forbidden,
                 ))

@@ -252,7 +252,8 @@ def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
 class PolymerUniverse(tuple):
     """The polymers of one (graph, family, size cap) with what every reader
     takes from them, built once: ``incompat``, ``sizes``, ``holding[v]``
-    (the polymers holding vertex v) and the size polynomial's cell ``keys``.
+    (the polymers holding vertex v), the size polynomial's cell ``keys`` and,
+    on first use, the walk's size masks ``fits``.
     A region is read as the polymer mask ``within``."""
 
     def __new__(cls, polymers: Iterable[Polymer]) -> PolymerUniverse:
@@ -269,6 +270,7 @@ class PolymerUniverse(tuple):
         # cell s * stride + w is a sum of per-polymer keys without carries
         self.stride = reach.bit_count() + 1
         self.keys = [p.size * self.stride + p.nbhd_size for p in self]
+        self._fits: list[int] = []
         return self
 
     def within(self, region: int) -> int:
@@ -280,11 +282,23 @@ class PolymerUniverse(tuple):
                 mask &= ~held
         return mask
 
+    def fits(self, budget: int) -> list[int]:
+        """A list whose entry r, for r = 0..budget at least, is the mask of the
+        polymers of size at most r.  It is built once per universe, on first
+        use, up to the largest polymer size; every later entry is ``all``, so
+        a larger budget only lengthens the one list."""
+        fits = self._fits
+        if not fits:
+            fits.extend(_fits_masks(self.sizes, max(self.sizes, default=0)))
+        if len(fits) <= budget:
+            fits.extend([self.all] * (budget + 1 - len(fits)))
+        return fits
+
     def region_memo(self, evaluate: Callable[[int], object]) -> Callable[[int], object]:
-        """``evaluate`` of a region's polymer mask, taken once per distinct
-        mask: a region's Xi depends on it only through the polymers inside."""
-        cached = functools.cache(evaluate)
-        return lambda region: cached(self.within(region))
+        """``evaluate`` of a polymer mask, taken once per distinct mask.  A
+        region's Xi depends on it only through the polymers inside, so a
+        region is looked up as its mask ``within(region)``."""
+        return functools.cache(evaluate)
 
 
 def _fits_masks(sizes: Sequence[int], budget: int) -> list[int]:
@@ -309,7 +323,7 @@ def iter_compatible_configs(
     before it is tried."""
     incompat, sizes = universe.incompat, universe.sizes
     budget = sum(sizes) if max_size is None else max(max_size, 0)
-    fits = _fits_masks(sizes, budget)
+    fits = universe.fits(budget)
     count = 0
 
     def walk(free: int, chosen: tuple[int, ...], room: int) -> Iterator[tuple[int, ...]]:

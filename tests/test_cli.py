@@ -207,6 +207,13 @@ def test_certify_census(capsys, c8_file):
     assert all(r["total"] == 47 and r["matches_oracle"] for r in res["census"])
 
 
+@pytest.mark.parametrize("t_max", ["-1", "-4"])
+def test_certify_rejects_t_max_below_zero(c8_file, t_max, capsys):
+    # a negative --t-max leaves the census empty, a report that certifies nothing
+    assert main(["certify", "--graph", c8_file, f"--t-max={t_max}"]) == 2
+    assert "--t-max must be at least 0" in capsys.readouterr().err
+
+
 def test_check_expander_verified(capsys, c8_file):
     doc = run_json(capsys, ["check-expander", "--graph", c8_file])
     assert doc["result"]["status"] == "verified"

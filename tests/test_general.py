@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biscount
-from biscount import general_count
+from biscount import containers, general_count
 from biscount.cluster_expansion import KP_ASSUMED
 from biscount.containers import distinct_nonexpanding_closed
 from biscount.errors import CapacityError, InvalidInputError
@@ -195,6 +195,86 @@ def test_exhaustive_d_walk_matches_direct_scan(build):
     assert pool
     for A in pool:
         assert exhaustive_D(G, A) == util.reference_exhaustive_D(G, A)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([8, 10]),
+    d=st.sampled_from([3, 4]),
+    seed=st.integers(0, 1 << 16),
+    side=st.sampled_from([X_SIDE, Y_SIDE]),
+    params=st.sampled_from([P1, P100]),
+)
+def test_d_hits_match_direct_scan_on_random_shifts(n, d, seed, side, params):
+    # the covering walk, with one square-graph search per covering set,
+    # counts what the direct scan counts on every pool set, and its hit
+    # table marks exactly that many subsets, each 2-linked with N(B) = N(A)
+    G = random_shift(n, d, seed)
+    pool = distinct_nonexpanding_closed(G, params, side)
+    assert pool
+    for A in pool:
+        table = bytearray(1 << A.size)
+        assert general_count._count_d_hits(G, A, table) == util.reference_exhaustive_D(G, A)
+        verts = A.vertices()
+        marked = [
+            SideSet(side, sum(1 << v for j, v in enumerate(verts) if local >> j & 1))
+            for local, hit in enumerate(table) if hit
+        ]
+        assert len(marked) == sum(table)
+        target = neighborhood_bits(G, side, A.bits)
+        for B in marked:
+            assert neighborhood_bits(G, side, B.bits) == target
+            assert is_two_linked(G, B)
+
+
+def test_d_hits_of_the_empty_set_is_zero(c8):
+    # B = {} is not 2-linked, so the empty set covers nothing
+    assert general_count._count_d_hits(c8, SideSet(X_SIDE, 0)) == 0
+
+
+def test_count_general_second_call_reads_the_graph_memo(monkeypatch):
+    # the pool, the generator pairs and the exact D values depend on the
+    # graph alone: a second call on the same graph object walks none of them
+    # and returns an identical result
+    G = even_cycle(16)
+    first = count_general(G, 0.05, 0.05, seed=1, params=P1)
+    assert (first.notes["d_exact"], first.notes["d_sampled"]) == (25, 0)
+    walked = []
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            walked.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    recording(containers, "two_linked_sets")
+    recording(containers, "_small_generator")
+    recording(general_count, "_count_d_hits")
+    assert count_general(G, 0.05, 0.05, seed=1, params=P1) == first
+    assert walked == []
+    # the pool is handed out as a copy, so a caller cannot change the memo
+    distinct_nonexpanding_closed(G, P1).clear()
+    assert len(distinct_nonexpanding_closed(G, P1)) == first.notes["distinct_sets"]
+    assert walked == []
+
+
+def test_graph_memo_keys_keep_c1_apart():
+    # c1 = 1 and c1 = 100 on one graph object give what fresh graphs give:
+    # the pool is keyed by its params, and the D values by the set alone
+    G = random_shift(10, 3, 7)
+    for params in (P1, P100, P1, P100):
+        fresh = random_shift(10, 3, 7)
+        assert distinct_nonexpanding_closed(G, params) == distinct_nonexpanding_closed(
+            fresh, params
+        )
+        assert count_general(G, 0.05, 0.05, seed=2, params=params) == count_general(
+            fresh, 0.05, 0.05, seed=2, params=params
+        )
+        assert count_general_exact(G, params) == count_general_exact(fresh, params)
+    assert distinct_nonexpanding_closed(G, P1) != distinct_nonexpanding_closed(G, P100)
 
 
 def test_exact_d_routes_leave_numpy_unloaded():

@@ -168,6 +168,38 @@ def test_square_rows_matches_shared_neighbor_definition():
                     assert bool(sq[u] >> v & 1) == share
 
 
+def test_graph_memo_builds_once_per_key_and_stores_no_failure():
+    G = even_cycle(8)
+    built = []
+
+    def build():
+        built.append(None)
+        return len(built)
+
+    def fail():
+        raise ValueError("no value")
+
+    assert G.memo(("probe", 1), build) == G.memo(("probe", 1), build) == 1
+    assert G.memo(("probe", 2), build) == 2
+    with pytest.raises(ValueError):
+        G.memo(("probe", 3), fail)
+    assert G.memo(("probe", 3), build) == 3
+    # the memo belongs to the graph object: an equal graph shares nothing
+    assert even_cycle(8).memo(("probe", 1), build) == 4
+
+
+def test_closure_candidates_are_each_vertex_and_its_square_neighbours():
+    for G in random_instances(6, seed=43, max_side=8):
+        for side in ("X", "Y"):
+            rows, sq = G.rows(side), G.square_rows(side)
+            n = G.side_size(side)
+            table = G.closure_candidates(side)
+            assert len(table) == n
+            for u, pairs in enumerate(table):
+                want = tuple((1 << v, rows[v]) for v in range(n) if v == u or sq[u] >> v & 1)
+                assert pairs == want
+
+
 def test_two_linked_sets_matches_brute():
     # the walk yields each 2-linked set within the cap once, with its N(S)
     # and [S], min-rooted and rooted, and under a non-increasing top table

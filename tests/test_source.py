@@ -23,6 +23,19 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_only_graphs_reaches_into_the_graph_memo():
+    # every per-graph object is kept through BipartiteGraph.memo, so one
+    # module decides what the memo holds and how
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    found = sorted({
+        path.name
+        for path in SOURCES + tests
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_cache"
+    })
+    assert found == ["graphs.py"]
+
+
 def test_failing_hypothesis_test_reports_as_a_failure(tmp_path):
     # the configured warning filters make warnings errors; a failing @given
     # test must still end as an ordinary failure (exit code 1) that shows its
