@@ -205,6 +205,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     p = ExpansionParams(c1=args.c1)
     lam = _parse_lambda(args.lam, args.float_lambda) if args.lam else None
     alpha = _parse_alpha(args.alpha)
+    if lam is not None and args.mode not in ("oracle", "hardcore"):
+        raise InvalidInputError(f"--mode {args.mode} counts without a fugacity; drop --lambda")
     start = time.perf_counter()
 
     if args.mode == "oracle":
@@ -267,13 +269,18 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     G = _read_graph(args.graph)
     p = ExpansionParams(c1=args.c1)
     lam = _parse_lambda(args.lam, args.float_lambda) if args.lam else None
+    if lam is not None and args.mode == "expander":
+        raise InvalidInputError("--mode expander samples without a fugacity; drop --lambda")
+    if args.mode == "oracle" and args.sampler is not None:
+        raise InvalidInputError("--sampler applies to --mode expander and hardcore, not oracle")
+    sampler = None if args.mode == "oracle" else args.sampler or "table"
     start = time.perf_counter()
     if args.mode == "oracle":
-        sampler = ExactSampler(G, lam if lam is not None else Fraction(1), seed=args.seed)
-        draws = [sampler.sample() for _ in range(args.samples)]
+        oracle = ExactSampler(G, lam if lam is not None else Fraction(1), seed=args.seed)
+        draws = [oracle.sample() for _ in range(args.samples)]
     elif args.mode == "expander":
         draws = sample_expander(
-            G, args.epsilon, p, seed=args.seed, samples=args.samples, mode=args.sampler
+            G, args.epsilon, p, seed=args.seed, samples=args.samples, mode=sampler
         )
     elif args.mode == "hardcore":
         if lam is None:
@@ -285,7 +292,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             p,
             seed=args.seed,
             samples=args.samples,
-            mode=args.sampler,
+            mode=sampler,
         )
     else:
         raise InvalidInputError(f"unknown sample mode {args.mode!r}")
@@ -295,7 +302,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         G,
         {
             "mode": args.mode,
-            "sampler": args.sampler,
+            "sampler": sampler,
             "samples": args.samples,
             "epsilon": args.epsilon,
             "lambda": str(lam) if lam is not None else None,
@@ -480,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     sample = sub.add_parser("sample", help="draw independent sets")
     sample.add_argument("--mode", default="oracle", choices=["oracle", "expander", "hardcore"])
     sample.add_argument("--samples", type=int, default=1)
-    sample.add_argument("--sampler", default="table", choices=["table", "sequential"])
+    sample.add_argument("--sampler", default=None, choices=["table", "sequential"],
+                        help="expander and hardcore modes only (default: table)")
     _add_common(sample)
     sample.set_defaults(func=_cmd_sample)
 

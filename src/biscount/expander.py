@@ -11,8 +11,9 @@ the opposite side independently.
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -60,6 +61,18 @@ METHOD_BRUTE = "brute"
 METHOD_EXPANDER = "expander-CE"
 METHOD_GENERAL = "general"
 METHOD_ORACLE = "oracle"
+
+# getrandbits(1) keeps the top bit of one 32-bit Mersenne Twister word
+FILL_WORD = 32
+FILL_WORD_MASK = (1 << FILL_WORD) - 1
+# the top bits of the first c words, c = 0..32
+FILL_TOPS = [
+    sum(1 << (FILL_WORD * t + FILL_WORD - 1) for t in range(c)) for c in range(FILL_WORD + 1)
+]
+# a fair fill's plan: the bits one call draws; the first window's top bits,
+# multiplier, shift back and vertices; then, per further window, its first
+# word's offset and the same four
+FillPlan = tuple[int, int, int, int, int, tuple[tuple[int, int, int, int, int], ...]]
 
 
 def _log_int(v: int) -> float:
@@ -497,71 +510,150 @@ def exact_mu_hat(
     return out
 
 
-def _threshold(num: Fraction | float, den: Fraction | float) -> int:
-    """The draw threshold realizing probability num/den: quantized exactly
-    for Fractions, rounded down in floats."""
-    ratio = num / den
-    return quantize(ratio) if isinstance(ratio, Fraction) else int(ratio * DRAW_DEN)
+class _Peeling:
+    """One side's sequential peeling for one run.
 
+    A step depends on its region alone: every vertex below the region's
+    lowest one is gone, either removed or blocked by a chosen polymer, and
+    the lowest one is the vertex peeled.  So each distinct region's step,
+    its thresholds and the (polymer bits, kept vertices) of each outcome,
+    is built once per run, on its first visit, where its peeling identity
+    is checked.
 
-def _sequential_defect(
-    G: BipartiteGraph,
-    side: str,
-    universe: PolymerUniverse,
-    m: WeightModel,
-    rng: Random,
-    use_exact_xi: bool,
-    xi_of,
-) -> int:
-    """Draw a defect configuration by per-vertex peeling: at each surviving
-    vertex, either no polymer contains it (remove the vertex) or one does
-    (remove the polymer's blocked set), with probabilities given by ratios
-    of region partition functions, read from ``xi_of`` by polymer mask.
-    ``universe`` is the side's whole polymer universe; a region's polymers
-    are a mask over it, taken once per vertex step."""
-    n = G.side_size(side)
-    region = G.full_mask(side)
-    chosen = 0
-    for v in range(n):
-        if not (region >> v) & 1:
-            continue
-        inside = universe.within(region)
+    Exact runs peel on integers: ``xi_of`` gives a region's Xi as its
+    numerator N(M) over the universe's one denominator, a branch's mass
+    w(gamma) Xi(M') is N(M') a^|gamma| b^(|N(gamma)| - |gamma|) /
+    (a+b)^|N(gamma)| with lambda = a/b, and each threshold is the floor
+    ``quantize`` takes.  The division is exact, as no configuration of M'
+    touches N(gamma) and |N(gamma)| >= |gamma| in a regular bipartite
+    graph.  Float runs peel on exp(ln Xi(ell)) and float weights."""
+
+    def __init__(
+        self, G: BipartiteGraph, side: str, universe: PolymerUniverse, m: WeightModel,
+        exact: bool, xi_of,
+    ) -> None:
+        self.side, self.universe, self.exact, self.xi_of = side, universe, exact, xi_of
+        self.full = G.full_mask(side)
+        self.within = functools.cache(universe.within)
+        # N^2(gamma): gamma and every vertex sharing a neighbour with it
+        self.square = [neighborhood_bits(G, opposite(side), p.nbhd) for p in universe]
+        if exact:
+            lam = m.lam if m.variant == "hardcore" else Fraction(1)
+            a, b = lam.numerator, lam.denominator
+            self.weights = [
+                (a**p.size * b ** (p.nbhd_size - p.size), (a + b) ** p.nbhd_size)
+                for p in universe
+            ]
+        else:
+            self.weights = [math.exp(m.log_weight(p)) for p in universe]
+        self.steps: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+
+    def step(self, region: int) -> tuple[list[int], list[tuple[int, int]]]:
+        """The thresholds and outcomes of peeling ``region``'s lowest vertex v:
+        v removed, or one polymer holding v chosen and its N^2 blocked."""
+        universe, xi_of, within = self.universe, self.xi_of, self.within
+        v = (region & -region).bit_length() - 1
+        inside = within(region)
         holding = universe.holding.get(v, 0)
         xi_r = xi_of(inside)
         # without v, the region keeps exactly the polymers that avoid v
-        xi_without = xi_of(inside & ~holding)
-        branches = []
+        acc = xi_of(inside & ~holding)
+        cumulative = [acc]
+        outcomes = [(0, ~(1 << v))]
         for i in iter_bits(inside & holding):
-            p = universe[i]
-            # N^2(gamma): gamma and every vertex sharing a neighbour with it
-            blocked = neighborhood_bits(G, opposite(side), p.nbhd) & region
-            weight = m.weight(p) if use_exact_xi else math.exp(m.log_weight(p))
-            branches.append(
-                (p.bits, blocked, weight * xi_of(universe.within(region & ~blocked)))
-            )
-        if use_exact_xi and xi_r != xi_without + sum(b[2] for b in branches):
-            # the one-vertex peeling identity; exact arithmetic makes it a
-            # hard invariant rather than a tolerance check
-            raise RuntimeError(f"peeling identity broken at vertex {v} of side {side}")
-        u = rng.getrandbits(DRAW_BITS)
-        if u < _threshold(xi_without, xi_r):
-            region &= ~(1 << v)
-            continue
-        acc = xi_without
-        picked = None
-        for bits, blocked, mass in branches:
+            blocked = self.square[i] & region
+            xi_rest = xi_of(within(region & ~blocked))
+            if self.exact:
+                num, den = self.weights[i]
+                mass, rest = divmod(xi_rest * num, den)
+                if rest:
+                    raise RuntimeError(
+                        f"branch mass of polymer {i} of side {self.side} is not an integer"
+                    )
+            else:
+                mass = self.weights[i] * xi_rest
             acc = acc + mass
-            if u < _threshold(acc, xi_r):
-                picked = (bits, blocked)
-                break
-        if picked is None and branches:
-            picked = (branches[-1][0], branches[-1][1])
-        if picked is None:
-            region &= ~(1 << v)
-            continue
-        chosen |= picked[0]
-        region &= ~picked[1]
+            cumulative.append(acc)
+            outcomes.append((universe[i].bits, ~blocked))
+        if self.exact:
+            if acc != xi_r:
+                # the one-vertex peeling identity; exact arithmetic makes it a
+                # hard invariant rather than a tolerance check
+                raise RuntimeError(f"peeling identity broken at vertex {v} of side {self.side}")
+            thresholds = [(c << DRAW_BITS) // xi_r for c in cumulative]
+        else:
+            thresholds = [int(c / xi_r * DRAW_DEN) for c in cumulative]
+        step = self.steps[region] = (thresholds, outcomes)
+        return step
+
+
+def _sequential_defect(peeling: _Peeling, rng: Random) -> int:
+    """Draw a defect configuration by per-vertex peeling: at each surviving
+    vertex, either no polymer contains it (remove the vertex) or one does
+    (remove the polymer's blocked set), with probabilities given by ratios
+    of region partition functions.  One 96-bit draw per step picks the
+    first outcome whose threshold exceeds it, or the last outcome."""
+    steps = peeling.steps
+    region = peeling.full
+    chosen = 0
+    while region:
+        step = steps.get(region)
+        if step is None:
+            step = peeling.step(region)
+        thresholds, outcomes = step
+        bits, keep = outcomes[
+            bisect_right(thresholds, rng.getrandbits(DRAW_BITS), 0, len(outcomes) - 1)
+        ]
+        chosen |= bits
+        region &= keep
     return chosen
+
+
+def _fair_fill_plan(free: int) -> FillPlan:
+    """How one ``getrandbits(32 f)`` call fills the f vertices of ``free``
+    exactly as f calls of ``getrandbits(1)``, one per vertex ascending, do.
+
+    Both read the same f 32-bit words in order: ``getrandbits(1)`` keeps a
+    word's top bit, and the one call puts word j at bits 32j..32j+31, so
+    the j-th free vertex's fair bit is bit 32j+31.  The free vertices are
+    cut into windows of 32 consecutive positions.  A window's c bits, 32
+    apart, reach their vertices in one multiply: the partial product taking
+    bit t to the place of vertex i lands 32(t - i) away from that place,
+    outside the window unless t = i, and no two partial products share a
+    bit, so nothing carries."""
+    windows = []
+    first = 0
+    while free:
+        base = (free & -free).bit_length() - 1
+        window = free & (FILL_WORD_MASK << base)
+        free ^= window
+        c = window.bit_count()
+        # bit 32t + 31 goes to the window's t-th vertex v through the term
+        # 2^(v + top - 32t) of the multiplier, its exponent nonnegative
+        top = FILL_WORD * (c - 1)
+        mult, shift, rest = 0, top, window
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            mult |= low << shift
+            shift -= FILL_WORD
+        windows.append((FILL_WORD * first, FILL_TOPS[c], mult, top + FILL_WORD - 1, window))
+        first += c
+    if not windows:
+        return 0, 0, 0, 0, 0, ()
+    _, tops, mult, shift, window = windows[0]
+    return FILL_WORD * first, tops, mult, shift, window, tuple(windows[1:])
+
+
+def _fair_fill(plan: FillPlan, getrandbits) -> int:
+    """The fair fill of a free side, drawn through its ``_fair_fill_plan``:
+    one call (``getrandbits(0)`` draws nothing) and one multiply a window."""
+    nbits, tops, mult, shift, window, more = plan
+    words = getrandbits(nbits)
+    fill = (words & tops) * mult >> shift & window
+    for first, tops, mult, shift, window in more:
+        fill |= (words >> first & tops) * mult >> shift & window
+    return fill
 
 
 def _sample_run(
@@ -599,32 +691,38 @@ def _sample_run(
 
     elif mode == "sequential":
         ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=m.variant)
-        # one universe per side for the whole run; a region is a mask over it
-        universes = {
-            side: enumerate_polymers(G, PolymerFamily(membership, side, p), G.side_size(side))
-            for side in (X_SIDE, Y_SIDE)
-        }
 
-        def region_memo(side: str):
-            # one memo per side serves the run: Xi exactly, or ln Xi(ell) in floats
-            u, n = universes[side], G.side_size(side)
+        def peeling(side: str) -> tuple[_Peeling, Fraction | float]:
+            # one universe per side for the whole run, a region a mask over
+            # it, and one memo that the side choice reads the whole side
+            # from too: Xi exactly, as its integer numerator over the
+            # universe's one denominator, or ln Xi(ell)
+            n = G.side_size(side)
+            u = enumerate_polymers(G, PolymerFamily(membership, side, p), n)
             if use_exact_xi:
-                return u.region_memo(lambda mask: exact_xi(u, m, mask))
-            return u.region_memo(lambda mask: truncated_log_xi(u, m, ell, n, G.d, mask).log_value)
+                den = m.class_weights(len(u.holding), u.stride - 1).denominator
 
-        memo_of = {side: region_memo(side) for side in universes}
-        # the side choice reads each whole side, every polymer, from the memo
-        # the peeling uses
-        vx, vy = (memo_of[side](universes[side].all) for side in (X_SIDE, Y_SIDE))
+                def numerator(mask: int) -> int:
+                    scaled = exact_xi(u, m, mask) * den
+                    if scaled.denominator != 1:
+                        raise RuntimeError(f"Xi of side {side} is not over its common denominator")
+                    return scaled.numerator
+
+                xi_of = u.region_memo(numerator)
+                return _Peeling(G, side, u, m, True, xi_of), Fraction(xi_of(u.all), den)
+            log_xi = u.region_memo(lambda mask: truncated_log_xi(u, m, ell, n, G.d, mask).log_value)
+            xi_of = lambda mask: math.exp(log_xi(mask))  # noqa: E731
+            return _Peeling(G, side, u, m, False, xi_of), log_xi(u.all)
+
+        (peel_x, vx), (peel_y, vy) = (peeling(side) for side in (X_SIDE, Y_SIDE))
+        peelings = {X_SIDE: peel_x, Y_SIDE: peel_y}
         if use_exact_xi:
-            xi_of = memo_of
-            side_threshold = _threshold(vx, vx + vy)
+            side_threshold = quantize(vx / (vx + vy))
         else:
-            xi_of = {side: lambda mask, f=f: math.exp(f(mask)) for side, f in memo_of.items()}
             side_threshold = int(DRAW_DEN / (1.0 + math.exp(vy - vx)))
 
         def defect(side: str) -> tuple[int, int]:
-            bits = _sequential_defect(G, side, universes[side], m, rng, use_exact_xi, xi_of[side])
+            bits = _sequential_defect(peelings[side], rng)
             return bits, G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
 
     else:
@@ -632,21 +730,26 @@ def _sample_run(
     fill_num = Fraction(1, 2) if lam is None else lam / (1 + lam)
     fair = fill_num == Fraction(1, 2)
     fill_threshold = quantize(fill_num)
+    plans: dict[int, FillPlan] = {}
     out = []
     for _ in range(samples):
         side = X_SIDE if getrandbits(DRAW_BITS) < side_threshold else Y_SIDE
         bits, free = defect(side)
-        # one draw per free vertex, ascending: a fair bit, or 96 bits
-        # against the quantized fill probability
-        fill = 0
-        while free:
-            low = free & -free
-            free ^= low
-            if fair:
-                if getrandbits(1):
+        if fair:
+            # one call for the whole free side, planned once per free mask
+            plan = plans.get(free)
+            if plan is None:
+                plan = plans[free] = _fair_fill_plan(free)
+            fill = _fair_fill(plan, getrandbits)
+        else:
+            # one 96-bit draw per free vertex, ascending, against the
+            # quantized fill probability
+            fill = 0
+            while free:
+                low = free & -free
+                free ^= low
+                if getrandbits(DRAW_BITS) < fill_threshold:
                     fill |= low
-            elif getrandbits(DRAW_BITS) < fill_threshold:
-                fill |= low
         out.append((bits, fill) if side == X_SIDE else (fill, bits))
     return out
 

@@ -159,6 +159,38 @@ def test_sample_hardcore_sequential(capsys, c8_file):
     assert len(doc["result"]["samples"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--mode", "expander"],
+    ["count", "--mode", "general"],
+    ["count", "--mode", "general-exact"],
+    ["sample", "--mode", "expander"],
+], ids=["count-expander", "count-general", "count-general-exact", "sample-expander"])
+def test_lambda_rejected_where_ignored(c8_file, argv, capsys):
+    # these modes are unweighted: echoing a fugacity they never used would
+    # report an unweighted answer as a weighted one
+    code = main([argv[0], "--graph", c8_file, *argv[1:], "--c1", "1.0", "--lambda", "1/2"])
+    assert code == 2
+    assert "drop --lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["count", "sample"])
+def test_lambda_accepted_by_oracle_mode(capsys, c8_file, subcommand):
+    doc = run_json(capsys, [subcommand, "--graph", c8_file, "--lambda", "1/2"])
+    assert doc["config"]["lambda"] == "1/2"
+
+
+def test_sample_oracle_reports_no_sampler(capsys, c8_file):
+    doc = run_json(capsys, ["sample", "--graph", c8_file, "--samples", "2"])
+    assert doc["config"]["sampler"] is None
+
+
+@pytest.mark.parametrize("sampler", ["table", "sequential"])
+def test_sample_oracle_rejects_sampler(c8_file, sampler, capsys):
+    # the oracle draws from its exact table; neither expander sampler runs
+    assert main(["sample", "--graph", c8_file, "--sampler", sampler]) == 2
+    assert "--sampler applies to --mode expander and hardcore" in capsys.readouterr().err
+
+
 def test_verify_kp_failed_at_cap(capsys, c8_file):
     doc = run_json(capsys, [
         "verify-kp", "--graph", c8_file, "--c1", "1.0", "--cap", "4",

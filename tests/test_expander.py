@@ -1,11 +1,15 @@
 """Two-sided expander counting, the weighted variant, and the samplers."""
 
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biscount.expander
@@ -17,6 +21,8 @@ from biscount.expander import (
     DRAW_DEN,
     ApproxCount,
     HardCoreParams,
+    _fair_fill,
+    _fair_fill_plan,
     count_expander,
     count_hardcore_expander,
     epsilon_zero,
@@ -359,6 +365,41 @@ def test_integer_tables_match_fraction_reference(n, seed, lam):
     assert draws == util.reference_table_draws(G, P1, lam, membership, seed, 200)
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([8, 10]),
+    seed=st.integers(0, 1 << 16),
+    lam=st.sampled_from([None, Fraction(1, 2), Fraction(2)]),
+    draw_seed=st.integers(0, 1 << 16),
+)
+def test_integer_peeling_matches_fraction_reference(n, seed, lam, draw_seed):
+    """Exact sequential draws peel on integer numerators over one common
+    denominator; every draw is the one the Fraction loop makes."""
+    G = random_shift(n, 3, seed)
+    if lam is None:
+        draws = sample_expander(G, 0.2, P1, seed=draw_seed, samples=8, mode="sequential")
+    else:
+        draws = sample_hardcore_expander(
+            G, HardCoreParams(lam), 0.2, P1, seed=draw_seed, samples=8, mode="sequential"
+        )
+    assert draws == util.reference_sequential_draws(G, P1, lam, draw_seed, 8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(free=st.sets(st.integers(0, 99), max_size=100), seed=st.integers(0, 1 << 30))
+@example(free=set(range(100)), seed=1)
+@example(free=set(), seed=2)
+def test_fair_fill_reads_what_per_vertex_bits_read(free, seed):
+    # one getrandbits(32 f) call gives the fill and leaves the generator
+    # where f ascending getrandbits(1) calls do, across several windows
+    mask = sum(1 << v for v in free)
+    batched, looped = Random(seed), Random(seed)
+    fill = _fair_fill(_fair_fill_plan(mask), batched.getrandbits)
+    want = sum(1 << v for v in sorted(free) if looped.getrandbits(1))
+    assert fill == want
+    assert batched.getstate() == looped.getstate()
+
+
 @pytest.mark.parametrize("build, want", [
     (lambda: random_shift(16, 4, 1), 13.281679152852403),
     (lambda: random_shift(20, 6, 1), 15.181945919729229),
@@ -640,3 +681,34 @@ def test_sequential_peeling_identity_survives_optimized_mode(c8, monkeypatch):
     monkeypatch.setattr(biscount.expander, "exact_xi", off_by_one_through_vertex_0)
     with pytest.raises(RuntimeError, match="peeling identity"):
         sample_expander(c8, 0.2, P1, seed=0, samples=1, mode="sequential")
+
+
+def test_peeling_identity_raises_under_python_optimize():
+    # python -O strips assert statements; the identity check must still
+    # stop a draw whose partition functions disagree with its peeling
+    script = (
+        "import sys\n"
+        "import biscount.expander as ex\n"
+        "from biscount import ExpansionParams\n"
+        "from biscount.instances import even_cycle\n"
+        "real = ex.exact_xi\n"
+        "def off_by_one_through_vertex_0(universe, m, mask):\n"
+        "    xi = real(universe, m, mask)\n"
+        "    return xi + 1 if mask & universe.holding[0] else xi\n"
+        "ex.exact_xi = off_by_one_through_vertex_0\n"
+        "print('optimize', sys.flags.optimize, __debug__)\n"
+        "try:\n"
+        "    ex.sample_expander(even_cycle(8), 0.2, ExpansionParams(c1=1.0), seed=0,\n"
+        "                       samples=1, mode='sequential')\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = str(Path(biscount.expander.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1 False"
+    assert lines[1].startswith("raised peeling identity broken at vertex 0 of side ")

@@ -28,7 +28,7 @@ from biscount import (
 from biscount.expander import DRAW_BITS, DRAW_DEN, quantize
 from biscount.graphs import closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.instances import random_regular, random_shift
-from biscount.cluster_expansion import KPPolymerCheck, KPReport
+from biscount.cluster_expansion import KPPolymerCheck, KPReport, exact_xi
 from biscount.polymers import (
     Polymer,
     PolymerFamily,
@@ -323,24 +323,94 @@ def reference_table_draws(
     configuration's free side from its neighbourhood, then each free vertex
     filled in ascending order by a fair bit or a 96-bit threshold draw."""
     side_threshold, sides = reference_tables(G, params, lam, membership)
-    fill_num = Fraction(1, 2) if lam is None else Fraction(lam) / (1 + Fraction(lam))
-    fair = fill_num == Fraction(1, 2)
-    fill_threshold = quantize(fill_num)
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
         side = "X" if rng.getrandbits(DRAW_BITS) < side_threshold else "Y"
         bits_list, thresholds, _ = sides[side]
         bits = bits_list[bisect_left(thresholds, rng.getrandbits(DRAW_BITS) + 1)]
-        free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
-        fill = 0
-        for v in iter_bits(free):
-            if fair:
-                if rng.getrandbits(1):
-                    fill |= 1 << v
-            elif rng.getrandbits(DRAW_BITS) < fill_threshold:
+        out.append(reference_fill(G, side, bits, lam, rng))
+    return out
+
+
+def reference_fill(
+    G: BipartiteGraph, side: str, bits: int, lam: Fraction | None, rng: random.Random
+) -> tuple[int, int]:
+    """The (X-mask, Y-mask) draw of defect ``bits`` on ``side``: its free side
+    from its neighbourhood, each free vertex filled in ascending order by a
+    fair bit (lambda = 1) or a 96-bit threshold draw."""
+    fill_num = Fraction(1, 2) if lam is None else Fraction(lam) / (1 + Fraction(lam))
+    free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
+    fill = 0
+    for v in iter_bits(free):
+        if fill_num == Fraction(1, 2):
+            if rng.getrandbits(1):
                 fill |= 1 << v
-        out.append((bits, fill) if side == "X" else (fill, bits))
+        elif rng.getrandbits(DRAW_BITS) < quantize(fill_num):
+            fill |= 1 << v
+    return (bits, fill) if side == "X" else (fill, bits)
+
+
+def reference_sequential_draws(
+    G: BipartiteGraph,
+    params: ExpansionParams,
+    lam: Fraction | None,
+    seed: int,
+    samples: int,
+) -> list[tuple[int, int]]:
+    """Exact sequential-mode draws with every peeling weight, sum, identity
+    check and threshold in Fractions, one vertex step at a time: the side by
+    Xi^X / (Xi^X + Xi^Y); then at each surviving vertex v, v removed or one
+    polymer of the region holding v chosen (and N^2 of it removed), by
+    thresholds on the running sums Xi(region - v), + w(gamma) Xi(region -
+    N^2(gamma)), ... over Xi(region), the last outcome when the draw passes
+    them all; then the fill.  The unweighted model peels the expanding
+    family, the hard-core model the small one."""
+    membership = "expanding" if lam is None else "small"
+    m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
+    universes = {
+        side: enumerate_polymers(G, PolymerFamily(membership, side, params), G.side_size(side))
+        for side in ("X", "Y")
+    }
+    cache: dict[tuple[str, int], Fraction] = {}
+
+    def xi(side: str, region: int) -> Fraction:
+        universe = universes[side]
+        mask = sum(1 << i for i, p in enumerate(universe) if p.bits & ~region == 0)
+        if (side, mask) not in cache:
+            cache[side, mask] = exact_xi(universe, m, mask)
+        return cache[side, mask]
+
+    def defect(side: str) -> int:
+        region, chosen = G.full_mask(side), 0
+        for v in range(G.side_size(side)):
+            if not region >> v & 1:
+                continue
+            xi_r, xi_without = xi(side, region), xi(side, region & ~(1 << v))
+            branches = []
+            for p in universes[side]:
+                if p.bits >> v & 1 and p.bits & ~region == 0:
+                    blocked = neighborhood_bits(G, opposite(side), p.nbhd) & region
+                    branches.append((p.bits, blocked, m.weight(p) * xi(side, region & ~blocked)))
+            assert xi_r == xi_without + sum(mass for _, _, mass in branches)
+            u = rng.getrandbits(DRAW_BITS)
+            outcomes = [(0, 1 << v, xi_without)] + branches
+            acc = Fraction(0)
+            for bits, blocked, mass in outcomes:
+                acc += mass
+                if u < quantize(acc / xi_r):
+                    break
+            chosen |= bits
+            region &= ~blocked
+        return chosen
+
+    xi_x, xi_y = xi("X", G.full_mask("X")), xi("Y", G.full_mask("Y"))
+    side_threshold = quantize(xi_x / (xi_x + xi_y))
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        side = "X" if rng.getrandbits(DRAW_BITS) < side_threshold else "Y"
+        out.append(reference_fill(G, side, defect(side), lam, rng))
     return out
 
 
