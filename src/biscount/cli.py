@@ -54,6 +54,64 @@ from .polymers import PolymerFamily, WeightModel, enumerate_polymers
 SCHEMA = 1
 DECIMAL_DIGIT_CAP = 4000
 
+# The inputs each mode reads, by subcommand; MODE_FLAG names the flag that
+# picks the mode, and the first mode listed is its default.  --float-lambda
+# is read wherever --lambda is.  A given flag the mode does not read is
+# invalid input, and the report's config echoes exactly the inputs it read.
+MODE_FLAG = {"count": "mode", "sample": "mode", "verify-kp": "model"}
+READS: dict[str, dict[str, tuple[str, ...]]] = {
+    "count": {
+        "oracle": ("lambda", "epsilon"),
+        "expander": ("epsilon", "c1", "force_method"),
+        "hardcore": ("lambda", "alpha", "epsilon", "c1", "force_method"),
+        "general": ("epsilon", "delta", "c1", "seed"),
+        "general-exact": ("c1",),
+    },
+    "sample": {
+        "oracle": ("lambda", "seed", "samples"),
+        "expander": ("epsilon", "c1", "seed", "samples", "sampler"),
+        "hardcore": ("lambda", "epsilon", "c1", "seed", "samples", "sampler"),
+    },
+    "verify-kp": {
+        "unweighted": ("family", "side", "cap", "c1"),
+        "hardcore": ("family", "side", "cap", "c1", "lambda", "alpha"),
+    },
+}
+# The value of an input that is not given.  --lambda has none: oracle mode
+# then counts unweighted, and the hardcore modes require it.
+DEFAULTS = {
+    "lambda": None,
+    "float_lambda": False,
+    "alpha": "1/2",
+    "epsilon": 0.1,
+    "delta": 0.05,
+    "c1": 100.0,
+    "seed": 0,
+    "force_method": None,
+    "samples": 1,
+    "sampler": "table",
+    "family": "expanding",
+    "side": "X",
+    "cap": 6,
+}
+# argparse settings of the input flags beyond their name; each defaults to
+# None, so a given flag is told from an absent one
+FLAG_ARGS = {
+    "lambda": {"help": "fugacity as p/q, required by hardcore"},
+    "float_lambda": {"action": "store_true", "help": "accept a float --lambda"},
+    "alpha": {"help": "expansion ratio as p/q"},
+    "epsilon": {"type": float},
+    "delta": {"type": float},
+    "c1": {"type": float},
+    "seed": {"type": int},
+    "force_method": {"choices": ["brute", "expander-CE"]},
+    "samples": {"type": int},
+    "sampler": {"choices": ["table", "sequential"]},
+    "family": {"choices": ["expanding", "small"]},
+    "side": {"choices": ["X", "Y"]},
+    "cap": {"type": int},
+}
+
 
 def _parse_lambda(text: str, allow_float: bool) -> Fraction:
     if "/" in text or text.lstrip("+-").isdigit():
@@ -84,6 +142,42 @@ def _parse_alpha(text: str) -> Fraction:
     if not 0 < a <= 1:
         raise InvalidInputError("alpha must lie in (0, 1]")
     return a
+
+
+def _listing(items: list[str]) -> str:
+    return " and ".join(filter(None, [", ".join(items[:-1]), items[-1]]))
+
+
+def _readers(subcommand: str, name: str) -> list[str]:
+    """The modes of a subcommand that read an input."""
+    name = "lambda" if name == "float_lambda" else name
+    return [mode for mode, reads in READS[subcommand].items() if name in reads]
+
+
+def _inputs(args: argparse.Namespace) -> dict:
+    """The mode and the inputs it reads, with defaults filled in and lambda
+    and alpha parsed: the part of ``config`` that is not the graph.  A given
+    flag that the mode does not read is invalid input."""
+    key = MODE_FLAG[args.subcommand]
+    mode = getattr(args, key)
+    for name in DEFAULTS:
+        readers = _readers(args.subcommand, name)
+        if readers and mode not in readers and getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise InvalidInputError(
+                f"{flag} applies to --{key} {_listing(readers)}, not {mode}; drop {flag}"
+            )
+    cfg = {key: mode}
+    for name in READS[args.subcommand][mode]:
+        value = getattr(args, name)
+        cfg[name] = DEFAULTS[name] if value is None else value
+    if cfg.get("lambda") is not None:
+        cfg["lambda"] = _parse_lambda(cfg["lambda"], bool(args.float_lambda))
+    elif mode == "hardcore":
+        raise InvalidInputError(f"--{key} hardcore requires --lambda")
+    if "alpha" in cfg:
+        cfg["alpha"] = _parse_alpha(cfg["alpha"])
+    return cfg
 
 
 def _read_graph(path: str) -> BipartiteGraph:
@@ -187,197 +281,106 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolved_config(args: argparse.Namespace, G: BipartiteGraph, extra: dict) -> dict:
-    base = {
+def _report(
+    args: argparse.Namespace, G: BipartiteGraph, cfg: dict, result: dict, elapsed: float
+) -> int:
+    """Emit a run's report: its ``config`` is the graph and the inputs its
+    mode read, and its ``seed`` the seed the mode read, or None."""
+    config = {
         "subcommand": args.subcommand,
-        "graph": getattr(args, "graph", None),
+        "graph": args.graph,
         "fingerprint": G.fingerprint(),
         "n_x": G.n_x,
         "n_y": G.n_y,
         "d": G.d,
+        **cfg,
     }
-    base.update(extra)
-    return base
+    seed = cfg.get("seed")
+    _emit(
+        {"schema": SCHEMA, "config": config, "result": result, "seed": seed, "timing_s": elapsed},
+        args.out,
+    )
+    return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    cfg = _inputs(args)
     G = _read_graph(args.graph)
-    p = ExpansionParams(c1=args.c1)
-    lam = _parse_lambda(args.lam, args.float_lambda) if args.lam else None
-    alpha = _parse_alpha(args.alpha)
-    if lam is not None and args.mode not in ("oracle", "hardcore"):
-        raise InvalidInputError(f"--mode {args.mode} counts without a fugacity; drop --lambda")
+    p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
-
     if args.mode == "oracle":
-        if lam is not None:
-            exact = exact_hardcore(G, lam)
-        else:
-            exact = exact_count_bipartite(G)
+        lam = cfg["lambda"]
+        exact = exact_count_bipartite(G) if lam is None else exact_hardcore(G, lam)
         result = ApproxCount(
             log_value=_log_exact(exact.value),
-            rel_error_bound=min(args.epsilon, 0.999),
+            rel_error_bound=min(cfg["epsilon"], 0.999),
             method="oracle",
             flags=("exact",),
             exact_value=exact.value,
         )
     elif args.mode == "expander":
-        result = count_expander(G, args.epsilon, p, force_method=args.force_method)
+        result = count_expander(G, cfg["epsilon"], p, force_method=cfg["force_method"])
     elif args.mode == "hardcore":
-        if lam is None:
-            raise InvalidInputError("--mode hardcore requires --lambda")
-        hp = HardCoreParams(lam, alpha)
-        result = count_hardcore_expander(G, hp, args.epsilon, p, force_method=args.force_method)
+        hp = HardCoreParams(cfg["lambda"], cfg["alpha"])
+        result = count_hardcore_expander(G, hp, cfg["epsilon"], p, force_method=cfg["force_method"])
     elif args.mode == "general":
-        result = count_general(G, args.epsilon, args.delta, args.seed, p)
-    elif args.mode == "general-exact":
-        result = count_general_exact(G, p)
+        result = count_general(G, cfg["epsilon"], cfg["delta"], cfg["seed"], p)
     else:
-        raise InvalidInputError(f"unknown count mode {args.mode!r}")
-
-    elapsed = time.perf_counter() - start
-    config = _resolved_config(
-        args,
-        G,
-        {
-            "mode": args.mode,
-            "epsilon": args.epsilon,
-            "delta": args.delta,
-            "lambda": str(lam) if lam is not None else None,
-            "alpha": str(alpha),
-            "c1": args.c1,
-            "seed": args.seed,
-            "force_method": args.force_method,
-        },
-    )
-    _emit(
-        {
-            "schema": SCHEMA,
-            "config": config,
-            "result": _count_payload(result),
-            "seed": args.seed,
-            "timing_s": elapsed,
-        },
-        args.out,
-    )
-    return 0
+        result = count_general_exact(G, p)
+    return _report(args, G, cfg, _count_payload(result), time.perf_counter() - start)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.samples < 1:
+    cfg = _inputs(args)
+    if cfg["samples"] < 1:
         raise InvalidInputError("--samples must be at least 1")
     G = _read_graph(args.graph)
-    p = ExpansionParams(c1=args.c1)
-    lam = _parse_lambda(args.lam, args.float_lambda) if args.lam else None
-    if lam is not None and args.mode == "expander":
-        raise InvalidInputError("--mode expander samples without a fugacity; drop --lambda")
-    if args.mode == "oracle" and args.sampler is not None:
-        raise InvalidInputError("--sampler applies to --mode expander and hardcore, not oracle")
-    sampler = None if args.mode == "oracle" else args.sampler or "table"
+    p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":
-        oracle = ExactSampler(G, lam if lam is not None else Fraction(1), seed=args.seed)
-        draws = [oracle.sample() for _ in range(args.samples)]
+        oracle = ExactSampler(G, cfg["lambda"] or Fraction(1), seed=cfg["seed"])
+        draws = [oracle.sample() for _ in range(cfg["samples"])]
     elif args.mode == "expander":
         draws = sample_expander(
-            G, args.epsilon, p, seed=args.seed, samples=args.samples, mode=sampler
-        )
-    elif args.mode == "hardcore":
-        if lam is None:
-            raise InvalidInputError("--mode hardcore requires --lambda")
-        draws = sample_hardcore_expander(
-            G,
-            HardCoreParams(lam, _parse_alpha(args.alpha)),
-            args.epsilon,
-            p,
-            seed=args.seed,
-            samples=args.samples,
-            mode=sampler,
+            G, cfg["epsilon"], p, seed=cfg["seed"], samples=cfg["samples"], mode=cfg["sampler"]
         )
     else:
-        raise InvalidInputError(f"unknown sample mode {args.mode!r}")
+        draws = sample_hardcore_expander(
+            G, HardCoreParams(cfg["lambda"]), cfg["epsilon"], p,
+            seed=cfg["seed"], samples=cfg["samples"], mode=cfg["sampler"],
+        )
     elapsed = time.perf_counter() - start
-    config = _resolved_config(
-        args,
-        G,
-        {
-            "mode": args.mode,
-            "sampler": sampler,
-            "samples": args.samples,
-            "epsilon": args.epsilon,
-            "lambda": str(lam) if lam is not None else None,
-            "c1": args.c1,
-            "seed": args.seed,
-        },
-    )
-    _emit(
-        {
-            "schema": SCHEMA,
-            "config": config,
-            "result": {"samples": [_set_json(x, y) for x, y in draws]},
-            "seed": args.seed,
-            "timing_s": elapsed,
-        },
-        args.out,
-    )
-    return 0
+    return _report(args, G, cfg, {"samples": [_set_json(x, y) for x, y in draws]}, elapsed)
 
 
 def _cmd_verify_kp(args: argparse.Namespace) -> int:
-    if args.cap < 1:
+    cfg = _inputs(args)
+    if cfg["cap"] < 1:
         raise InvalidInputError("--cap must be at least 1")
     G = _read_graph(args.graph)
-    p = ExpansionParams(c1=args.c1)
-    lam = _parse_lambda(args.lam, args.float_lambda) if args.lam else None
-    alpha = _parse_alpha(args.alpha)
     if args.model == "hardcore":
-        if lam is None:
-            raise InvalidInputError("--model hardcore requires --lambda")
-        m = WeightModel.hardcore(lam)
-        kp = kp_hardcore(G.d, lam, alpha)
+        m = WeightModel.hardcore(cfg["lambda"])
+        kp = kp_hardcore(G.d, cfg["lambda"], cfg["alpha"])
     else:
         m = WeightModel.unweighted()
         kp = kp_unweighted(G.d)
     start = time.perf_counter()
-    fam = PolymerFamily(args.family, args.side, p)
-    report = verify_kp(enumerate_polymers(G, fam, args.cap), m, kp)
+    fam = PolymerFamily(cfg["family"], cfg["side"], ExpansionParams(c1=cfg["c1"]))
+    report = verify_kp(enumerate_polymers(G, fam, cfg["cap"]), m, kp)
     elapsed = time.perf_counter() - start
-    failures = [c for c in report.checks if not c.passed]
-    config = _resolved_config(
-        args,
-        G,
-        {
-            "family": args.family,
-            "side": args.side,
-            "model": args.model,
-            "lambda": str(lam) if lam is not None else None,
-            "alpha": str(alpha),
-            "c1": args.c1,
-            "cap": args.cap,
-        },
-    )
-    _emit(
-        {
-            "schema": SCHEMA,
-            "config": config,
-            "result": {
-                "all_pass": report.all_pass,
-                "status": "verified-to-cap" if report.all_pass else "failed-at-cap",
-                "polymers_checked": len(report.checks),
-                "failures": len(failures),
-                "worst": max(
-                    ({"bits": c.bits, "lhs": c.lhs, "rhs": c.rhs} for c in report.checks),
-                    key=lambda c: c["lhs"] - c["rhs"],
-                    default=None,
-                ),
-                "truncated_universe": report.truncated_universe,
-            },
-            "seed": None,
-            "timing_s": elapsed,
-        },
-        args.out,
-    )
-    return 0
+    result = {
+        "all_pass": report.all_pass,
+        "status": "verified-to-cap" if report.all_pass else "failed-at-cap",
+        "polymers_checked": len(report.checks),
+        "failures": sum(not c.passed for c in report.checks),
+        "worst": max(
+            ({"bits": c.bits, "lhs": c.lhs, "rhs": c.rhs} for c in report.checks),
+            key=lambda c: c["lhs"] - c["rhs"],
+            default=None,
+        ),
+        "truncated_universe": report.truncated_universe,
+    }
+    return _report(args, G, cfg, result, elapsed)
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -449,16 +452,19 @@ def _cmd_check_expander(args: argparse.Namespace) -> int:
 # -- argument wiring ---------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser, with_seed: bool = True) -> None:
+def _add_inputs(sp: argparse.ArgumentParser, subcommand: str) -> None:
+    """--graph, --out, the mode flag and the input flags its modes read."""
+    key = MODE_FLAG[subcommand]
+    modes = list(READS[subcommand])
+    sp.add_argument(f"--{key}", default=modes[0], choices=modes)
     sp.add_argument("--graph", required=True, help="graph file in the p bis format")
-    sp.add_argument("--epsilon", type=float, default=0.1)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--lambda", dest="lam", default=None, help="fugacity as p/q")
-    sp.add_argument("--float-lambda", action="store_true")
-    sp.add_argument("--alpha", default="1/2")
-    sp.add_argument("--c1", type=float, default=100.0)
-    if with_seed:
-        sp.add_argument("--seed", type=int, default=0)
+    for name in DEFAULTS:
+        readers = _readers(subcommand, name)
+        if readers:
+            kwargs = {"default": None, **FLAG_ARGS[name]}
+            note = f"read by --{key} {_listing(readers)}; default {DEFAULTS[name]}"
+            kwargs["help"] = f"{kwargs['help']}; {note}" if "help" in kwargs else note
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
     sp.add_argument("--out", default=None, help="write the JSON result here")
 
 
@@ -477,28 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=_cmd_gen)
 
-    count = sub.add_parser("count", help="count independent sets")
-    count.add_argument("--mode", default="oracle",
-                       choices=["oracle", "expander", "hardcore", "general", "general-exact"])
-    count.add_argument("--force-method", default=None, choices=["brute", "expander-CE"])
-    _add_common(count)
-    count.set_defaults(func=_cmd_count)
-
-    sample = sub.add_parser("sample", help="draw independent sets")
-    sample.add_argument("--mode", default="oracle", choices=["oracle", "expander", "hardcore"])
-    sample.add_argument("--samples", type=int, default=1)
-    sample.add_argument("--sampler", default=None, choices=["table", "sequential"],
-                        help="expander and hardcore modes only (default: table)")
-    _add_common(sample)
-    sample.set_defaults(func=_cmd_sample)
-
-    vkp = sub.add_parser("verify-kp", help="check the convergence condition")
-    vkp.add_argument("--family", default="expanding", choices=["expanding", "small"])
-    vkp.add_argument("--side", default="X", choices=["X", "Y"])
-    vkp.add_argument("--model", default="unweighted", choices=["unweighted", "hardcore"])
-    vkp.add_argument("--cap", type=int, default=6)
-    _add_common(vkp, with_seed=False)
-    vkp.set_defaults(func=_cmd_verify_kp)
+    for name, func, text in (
+        ("count", _cmd_count, "count independent sets"),
+        ("sample", _cmd_sample, "draw independent sets"),
+        ("verify-kp", _cmd_verify_kp, "check the convergence condition"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        _add_inputs(sp, name)
+        sp.set_defaults(func=func)
 
     certify = sub.add_parser("certify", help="certificate census against the oracle")
     certify.add_argument("--graph", required=True)

@@ -38,6 +38,9 @@ KP_VERIFIED = "verified-to-cap"
 KP_FAILED = "failed-at-cap"
 KP_ASSUMED = "assumed"
 
+# the analysis's constant c5 on the hard-core KP rates, at its one value
+C5 = 1.0
+
 
 def _exact_log2(x: Fraction) -> int | None:
     # integer log2 when x is an exact power of two, else None
@@ -92,13 +95,11 @@ def kp_unweighted(d: int) -> KPFunctions:
     return KPFunctions(math.log(2) * q, 2 * math.log(2) * q, "unweighted")
 
 
-def kp_hardcore(
-    d: int, lam: Fraction, alpha: Fraction, c5: float = 1.0
-) -> KPFunctions:
-    """f = c5 alpha ln2 beta(lambda) |gamma| / 8 and the same rate on
+def kp_hardcore(d: int, lam: Fraction, alpha: Fraction) -> KPFunctions:
+    """f = C5 alpha ln2 beta(lambda) |gamma| / 8 and the same rate on
     |N(gamma)| for g."""
     b = float(beta_weight(lam, d, alpha))
-    rate = c5 * float(alpha) * math.log(2) * b / 8.0
+    rate = C5 * float(alpha) * math.log(2) * b / 8.0
     return KPFunctions(rate, rate, f"hardcore(lambda={lam})")
 
 

@@ -130,9 +130,7 @@ def is_essential_subset(G: BipartiteGraph, F: SideSet, A: SideSet) -> bool:
     return closed & ~neighborhood_bits(G, F.side, F.bits) == 0
 
 
-def small_generator(
-    G: BipartiteGraph, A: SideSet, params: ExpansionParams | None = None
-) -> tuple[SideSet, SideSet]:
+def small_generator(G: BipartiteGraph, A: SideSet) -> tuple[SideSet, SideSet]:
     """Build the generating pair (A', A'') for a 2-linked set A.
 
     A' is small, 2-linked, lives inside [A], and N(A') is an essential
@@ -141,8 +139,8 @@ def small_generator(
     a maximal disjoint-neighborhood core A0 inside [A], a greedy cover A1 of
     the high-degree neighborhood vertices, shortest-path linking A2, and a
     minimal cover A3 (drawn from A itself) of the low-degree remainder.
-    ``params`` is not read.  The pair depends on G and A alone and is kept
-    in the graph's memo, built once per graph object.
+    The pair depends on G and A alone and is kept in the graph's memo,
+    built once per graph object.
     """
     return G.memo(("small_generator", A), lambda: _small_generator(G, A))
 
@@ -240,7 +238,6 @@ def enumerate_essential_candidates(
     G: BipartiteGraph,
     v: int,
     w: int,
-    params: ExpansionParams | None = None,
     side: str = "X",
 ) -> list[SideSet]:
     """All candidate essential subsets for 2-linked sets anchored at v with
@@ -320,7 +317,7 @@ def enumerate_nonexpanding_closed(
     found: set[int] = set()
     budget = max_candidates
 
-    candidates = enumerate_essential_candidates(G, v, w_hi, params, side)
+    candidates = enumerate_essential_candidates(G, v, w_hi, side)
     for f_set in candidates:
         f_bits = f_set.bits
         f_size = f_bits.bit_count()

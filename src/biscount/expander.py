@@ -19,6 +19,7 @@ from fractions import Fraction
 from random import Random
 
 from .cluster_expansion import (
+    C5,
     KP_FAILED,
     KP_VERIFIED,
     beta_weight,
@@ -61,6 +62,11 @@ METHOD_BRUTE = "brute"
 METHOD_EXPANDER = "expander-CE"
 METHOD_GENERAL = "general"
 METHOD_ORACLE = "oracle"
+
+# the analysis's constants on the weighted regime, at their one value: c4
+# scales the hypothesis on beta(lambda), big C2 the fugacity threshold
+C4 = 1.0
+BIG_C2 = 1.0
 
 # getrandbits(1) keeps the top bit of one 32-bit Mersenne Twister word
 FILL_WORD = 32
@@ -342,14 +348,10 @@ class HardCoreParams:
     """Fugacity and expansion constants for the weighted route.
 
     ``alpha`` is the expansion ratio the caller asserts for G (verifiable
-    with check_alpha_expander); c4 and c5 scale the hypothesis the analysis
-    places on beta(lambda); big_c2 scales the fugacity threshold."""
+    with check_alpha_expander)."""
 
     lam: Fraction
     alpha: Fraction = Fraction(1, 2)
-    c4: float = 1.0
-    c5: float = 1.0
-    big_c2: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", Fraction(self.lam))
@@ -367,14 +369,14 @@ class HardCoreParams:
         (d, lambda)."""
         beta = float(self.beta(d))
         q = math.log2(d) ** 2
-        lam_threshold = self.big_c2 * math.log2(d) / d**0.25
+        lam_threshold = BIG_C2 * math.log2(d) / d**0.25
         return {
             "lambda-above-threshold": float(self.lam) > lam_threshold,
             "beta-hypothesis": beta
-            >= self.c4 * max(math.log2(d**5 / float(self.alpha)) / math.sqrt(d),
+            >= C4 * max(math.log2(d**5 / float(self.alpha)) / math.sqrt(d),
                              2.0 * q / (float(self.alpha) * d)),
             "alpha-beta-hypothesis": float(self.alpha) * beta
-            >= (4000.0 / self.c5) * q / d,
+            >= (4000.0 / C5) * q / d,
         }
 
 
@@ -399,7 +401,7 @@ def count_hardcore_expander(
         raise InvalidInputError(f"unknown method {method!r}")
     flags = [f"hypothesis-unmet:{name}" for name, ok in notes["conditions"].items() if not ok]
     return _two_sided(
-        G, WeightModel.hardcore(hp.lam), kp_hardcore(d, hp.lam, hp.alpha, hp.c5), epsilon,
+        G, WeightModel.hardcore(hp.lam), kp_hardcore(d, hp.lam, hp.alpha), epsilon,
         params or ExpansionParams(), _log_exact(1 + hp.lam), flags, notes,
     )
 

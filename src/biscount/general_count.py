@@ -146,6 +146,42 @@ D_DRAW_CHUNK = 1 << 20  # estimate_D's draws held at once (8 MiB of uint64)
 D_DRAW_BUDGET = 1 << 30  # most draws one estimate_D call may make
 
 
+def _linked(square: list[int], bits: int) -> bool:
+    """Whether ``bits`` is nonempty and connected in the square graph whose
+    rows are ``square``: one search from its lowest vertex."""
+    reach = frontier = bits & -bits
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= square[low.bit_length() - 1]
+        frontier = grow & bits & ~reach
+        reach |= frontier
+    return reach == bits != 0
+
+
+def _d_hit_test(G: BipartiteGraph, A: SideSet):
+    """``is_hit(local)``: whether the B subseteq A that ``local`` names, as in
+    ``_count_d_hits``, is 2-linked with N(B) = N(A), from B's rows alone."""
+    verts = A.vertices()
+    rows = G.rows(A.side)
+    square = G.square_rows(A.side)
+    target = neighborhood_bits(G, A.side, A.bits)
+
+    def is_hit(local: int) -> bool:
+        bits = nbhd = 0
+        while local:
+            low = local & -local
+            local ^= low
+            v = verts[low.bit_length() - 1]
+            bits |= 1 << v
+            nbhd |= rows[v]
+        return nbhd == target and _linked(square, bits)
+
+    return is_hit
+
+
 def _count_d_hits(G: BipartiteGraph, A: SideSet, table=None) -> int:
     """The number of B subseteq A counted by D(A), 2-linked with
     N(B) = N(A); with ``table``, table[local] = 1 for each of them, where
@@ -164,18 +200,6 @@ def _count_d_hits(G: BipartiteGraph, A: SideSet, table=None) -> int:
         suffix[j] = suffix[j + 1] | rows[verts[j]]
     target = suffix[0]
 
-    def linked(bits: int) -> bool:
-        reach = frontier = bits & -bits
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grow |= square[low.bit_length() - 1]
-            frontier = grow & bits & ~reach
-            reach |= frontier
-        return reach == bits != 0
-
     # a stacked state can still cover N(A) with its undecided rows; taking
     # the next vertex keeps that, so the descent always takes it and stacks
     # the skip only when the skip can still cover
@@ -191,7 +215,7 @@ def _count_d_hits(G: BipartiteGraph, A: SideSet, table=None) -> int:
             bits |= 1 << v
             nbhd |= rows[v]
             j += 1
-        if linked(bits):
+        if _linked(square, bits):
             count += 1
             if table is not None:
                 table[local] = 1
@@ -258,10 +282,10 @@ def estimate_D(
     sample count m over ``D_DRAW_BUDGET`` raises CapacityError before the
     first draw.  The budget bounds draws, not time: for |A| <= 18 the draws
     index, in numpy chunks, a hit table filled by the walk ``exhaustive_D``
-    counts with, but past 18 each draw is a Python neighbourhood and
-    2-linkedness scan (about 30 us on the whole side of K_{64,64}), so a call
-    within the budget can still run for hours.  numpy is imported only
-    where a D is sampled: here, and for ``count_general``'s child seeds."""
+    counts with, but past 18 each draw is a Python OR of the drawn rows and
+    one square-graph search (about 25 us on the whole side of K_{64,64}), so
+    a call within the budget can still run for hours.  numpy is imported
+    only where a D is sampled: here, and for ``count_general``'s child seeds."""
     p = params or ExpansionParams()
     _check_container_set(G, A, p)
     if epsilon <= 0:
@@ -269,14 +293,13 @@ def estimate_D(
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
     eps_eff = min(epsilon, 1.0)
-    a2_size = small_generator(G, A, p)[1].size
+    a2_size = small_generator(G, A)[1].size
     m = _d_draws(eps_eff, delta, a2_size)
     _check_draws(A, m)
 
     import numpy as np
 
-    verts = A.vertices()
-    na = len(verts)
+    na = A.size
     rng = np.random.default_rng(seed)
     if na <= 18:
         table = np.zeros(1 << na, dtype=np.uint8)
@@ -287,17 +310,7 @@ def estimate_D(
             draws = rng.integers(0, 1 << na, size=min(D_DRAW_CHUNK, m - start), dtype=np.uint64)
             hits += int(table[draws].sum())
     else:
-        target = neighborhood_bits(G, A.side, A.bits)
-
-        def is_hit(local: int) -> bool:
-            bits = 0
-            for j in range(na):
-                if (local >> j) & 1:
-                    bits |= 1 << verts[j]
-            if neighborhood_bits(G, A.side, bits) != target:
-                return False
-            return bits != 0 and is_two_linked(G, SideSet(A.side, bits))
-
+        is_hit = _d_hit_test(G, A)
         # na uniform bits per draw from whole bytes, at any width
         width = (na + 7) // 8
         mask = (1 << na) - 1
@@ -356,7 +369,7 @@ def count_general(
     expansions.
 
     Each distinct container set A is weighed once, at accuracy epsilon/(2n)
-    and failure budget delta split over the nonempty families.  D(A) is
+    and failure budget delta split over the distinct sets.  D(A) is
     exact, by the full subset scan, when its 2^|A| subsets cost no more than
     the m samples ``estimate_D`` would draw and |A| <= EXHAUSTIVE_D_CAP;
     otherwise ``estimate_D`` samples it.  ``notes`` counts both routes and
@@ -382,27 +395,21 @@ def count_general(
 
     pool = distinct_nonexpanding_closed(G, p, side)
     eps_d = min(epsilon, 1.0) / (2.0 * n)
-    a2_sizes = [small_generator(G, s, p)[1].size for s in pool]
-    # each pool set is a nonempty family, so delta' <= delta / |pool|: a set
-    # too large to scan is sampled, and its draws at that bound, a lower
-    # bound on the run's, are held to the budget before any family is listed
-    for s, a2_size in zip(pool, a2_sizes):
-        if s.size > EXHAUSTIVE_D_CAP:
-            _check_draws(s, _d_draws(eps_d, delta / len(pool), a2_size))
-    families = list(_families_over(G, side, pool, max_families))
-    nonempty = sum(1 for f in families if f.sets)
-    delta_prime = delta / max(1, nonempty)
-
-    seeds = None  # child i of SeedSequence(seed) over the pool, built on first use
-    d_values: dict[int, float] = {}
-    d_sampled = d_samples = 0
-    # every D's route is planned, and its draws held to the budget, before
-    # any subset scan or draw runs
-    draws = [_d_draws(eps_d, delta_prime, a2_size) for a2_size in a2_sizes]
+    # each distinct set's D is taken once, so a union bound over the pool
+    # needs delta' = delta / |pool|; every D's route is planned, and its
+    # draws held to the budget, before any family is listed
+    delta_prime = delta / max(1, len(pool))
+    draws = [_d_draws(eps_d, delta_prime, small_generator(G, s)[1].size) for s in pool]
     scan = [s.size <= EXHAUSTIVE_D_CAP and 1 << s.size <= k for s, k in zip(pool, draws)]
     for s, k, exact in zip(pool, draws, scan):
         if not exact:
             _check_draws(s, k)
+    families = list(_families_over(G, side, pool, max_families))
+    nonempty = sum(1 for f in families if f.sets)
+
+    seeds = None  # child i of SeedSequence(seed) over the pool, built on first use
+    d_values: dict[int, float] = {}
+    d_sampled = d_samples = 0
     for i, (s, exact) in enumerate(zip(pool, scan)):
         if exact:
             d_values[s.bits] = float(exhaustive_D(G, s))

@@ -1,10 +1,11 @@
 """End-to-end runs of the command-line interface."""
 
+import argparse
 import json
 import math
 
 import pytest
-from biscount.cli import main
+from biscount.cli import DEFAULTS, MODE_FLAG, READS, build_parser, main
 from biscount.graphs import X_SIDE, load_graph, neighborhood_bits
 
 
@@ -52,8 +53,9 @@ def test_count_oracle(capsys, c8_file):
     cfg = doc["config"]
     assert cfg["subcommand"] == "count"
     assert cfg["mode"] == "oracle"
-    assert cfg["epsilon"] == 0.1 and cfg["delta"] == 0.05
-    assert cfg["lambda"] is None and cfg["alpha"] == "1/2"
+    # oracle mode reads lambda and epsilon alone, and echoes no other input
+    assert cfg["epsilon"] == 0.1 and "delta" not in cfg
+    assert cfg["lambda"] is None and "alpha" not in cfg
     assert cfg["n_x"] == 4 and cfg["n_y"] == 4 and cfg["d"] == 2
     assert isinstance(cfg["fingerprint"], str) and cfg["fingerprint"]
 
@@ -181,7 +183,7 @@ def test_lambda_accepted_by_oracle_mode(capsys, c8_file, subcommand):
 
 def test_sample_oracle_reports_no_sampler(capsys, c8_file):
     doc = run_json(capsys, ["sample", "--graph", c8_file, "--samples", "2"])
-    assert doc["config"]["sampler"] is None
+    assert "sampler" not in doc["config"]
 
 
 @pytest.mark.parametrize("sampler", ["table", "sequential"])
@@ -189,6 +191,90 @@ def test_sample_oracle_rejects_sampler(c8_file, sampler, capsys):
     # the oracle draws from its exact table; neither expander sampler runs
     assert main(["sample", "--graph", c8_file, "--sampler", sampler]) == 2
     assert "--sampler applies to --mode expander and hardcore" in capsys.readouterr().err
+
+
+# a valid value other than the default for every input, and its echo
+GIVEN = {
+    "lambda": ("1/3", "1/3"),
+    "alpha": ("1/4", "1/4"),
+    "epsilon": ("0.2", 0.2),
+    "delta": ("0.1", 0.1),
+    "c1": ("1.0", 1.0),
+    "seed": ("9", 9),
+    "force_method": ("brute", "brute"),
+    "samples": ("2", 2),
+    "sampler": ("sequential", "sequential"),
+    "family": ("small", "small"),
+    "side": ("Y", "Y"),
+    "cap": ("3", 3),
+}
+BASE_KEYS = {"subcommand", "graph", "fingerprint", "n_x", "n_y", "d"}
+TABLE = [(sub, mode) for sub, modes in READS.items() for mode in modes]
+
+
+def table_argv(c8_file, subcommand, mode, *flags):
+    argv = [subcommand, "--graph", c8_file, f"--{MODE_FLAG[subcommand]}", mode, *flags]
+    if mode == "hardcore" and "--lambda" not in flags:
+        argv += ["--lambda", "2"]
+    return argv
+
+
+def flag_of(name):
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTS))
+@pytest.mark.parametrize("subcommand,mode", TABLE)
+def test_table_flag_read_or_rejected(capsys, c8_file, subcommand, mode, name):
+    # a flag the mode reads runs and is echoed; any other given flag exits 2,
+    # by the table's check or by argparse when no mode of the subcommand reads it
+    reads = READS[subcommand][mode]
+    if name == "float_lambda":
+        # --float-lambda is read with --lambda, and shows in lambda's echo
+        if "lambda" in reads:
+            argv = table_argv(c8_file, subcommand, mode, "--float-lambda", "--lambda", "0.25")
+            assert run_json(capsys, argv)["config"]["lambda"] == "1/4"
+            return
+        argv = table_argv(c8_file, subcommand, mode, "--float-lambda")
+    else:
+        argv = table_argv(c8_file, subcommand, mode, flag_of(name), GIVEN[name][0])
+        if name in reads:
+            assert run_json(capsys, argv)["config"][name] == GIVEN[name][1]
+            return
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    flag = flag_of(name)
+    if f"drop {flag}" not in err:
+        assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("subcommand,mode", TABLE)
+def test_table_config_echoes_exactly_what_the_mode_read(capsys, c8_file, subcommand, mode):
+    doc = run_json(capsys, table_argv(c8_file, subcommand, mode))
+    key = MODE_FLAG[subcommand]
+    reads = READS[subcommand][mode]
+    assert set(doc["config"]) == BASE_KEYS | {key} | set(reads)
+    assert doc["config"][key] == mode
+    for name in reads:
+        if name != "lambda":
+            assert doc["config"][name] == DEFAULTS[name]
+    assert doc["seed"] == (DEFAULTS["seed"] if "seed" in reads else None)
+
+
+@pytest.mark.parametrize("subcommand", sorted(READS))
+def test_every_input_flag_is_read_by_some_mode(subcommand):
+    # a flag that no mode reads cannot come back onto a subparser
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        a.dest for a in sub.choices[subcommand]._actions
+        if a.dest not in ("help", "graph", "out", MODE_FLAG[subcommand])
+    }
+    read = set().union(*READS[subcommand].values())
+    assert dests == read | ({"float_lambda"} if "lambda" in read else set())
 
 
 def test_verify_kp_failed_at_cap(capsys, c8_file):

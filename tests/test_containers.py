@@ -157,30 +157,29 @@ def test_small_generator_contract():
                 a = a_closed.bit_count()
                 w = neighborhood_bits(G, side, A.bits).bit_count()
                 anchor = (A.bits & -A.bits).bit_length() - 1
-                for p in (P1, P100):
-                    a1, a2 = small_generator(G, A, p)
-                    assert a1.bits >> anchor & 1
-                    assert a1.bits & ~a2.bits == 0
-                    assert a2.bits & ~a_closed == 0
-                    if A.bits == a_closed:
-                        assert a1.bits & ~A.bits == 0
-                    assert is_two_linked(G, a1) and is_two_linked(G, a2)
-                    assert a1.size <= 2 * (a / d) * math.log(d) + 2 * w / d + 1e-9
-                    assert a2.size <= a1.size + 2 * (w - a) + 1e-9
-                    f = SideSet(opposite(side), neighborhood_bits(G, side, a1.bits))
-                    assert is_essential_subset(G, f, A)
-                    assert neighborhood_bits(G, side, a2.bits) == neighborhood_bits(
-                        G, side, A.bits
-                    )
+                a1, a2 = small_generator(G, A)
+                assert a1.bits >> anchor & 1
+                assert a1.bits & ~a2.bits == 0
+                assert a2.bits & ~a_closed == 0
+                if A.bits == a_closed:
+                    assert a1.bits & ~A.bits == 0
+                assert is_two_linked(G, a1) and is_two_linked(G, a2)
+                assert a1.size <= 2 * (a / d) * math.log(d) + 2 * w / d + 1e-9
+                assert a2.size <= a1.size + 2 * (w - a) + 1e-9
+                f = SideSet(opposite(side), neighborhood_bits(G, side, a1.bits))
+                assert is_essential_subset(G, f, A)
+                assert neighborhood_bits(G, side, a2.bits) == neighborhood_bits(
+                    G, side, A.bits
+                )
 
 
 def test_small_generator_singleton_and_errors(c8):
-    a1, a2 = small_generator(c8, SideSet("X", 0b1), P1)
+    a1, a2 = small_generator(c8, SideSet("X", 0b1))
     assert a1.bits == a2.bits == 0b1
     with pytest.raises(InvalidInputError):
-        small_generator(c8, SideSet("X", 0), P1)
+        small_generator(c8, SideSet("X", 0))
     with pytest.raises(InvalidInputError):
-        small_generator(c8, SideSet("X", 0b101), P1)  # not 2-linked
+        small_generator(c8, SideSet("X", 0b101))  # not 2-linked
 
 
 # -- the container enumerations -----------------------------------------------

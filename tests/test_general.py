@@ -227,6 +227,25 @@ def test_d_hits_match_direct_scan_on_random_shifts(n, d, seed, side, params):
             assert is_two_linked(G, B)
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_d_hit_test_matches_reference_membership(n):
+    # the per-draw hit test estimate_D uses past 18 vertices names the
+    # subsets the direct scan counts, on every subset of every pool set
+    G = random_shift(n, 3, 1)
+    pool = distinct_nonexpanding_closed(G, P1, X_SIDE)
+    assert pool
+    for A in pool:
+        is_hit = general_count._d_hit_test(G, A)
+        verts = A.vertices()
+        hits = 0
+        for local in range(1 << A.size):
+            bits = sum(1 << v for j, v in enumerate(verts) if local >> j & 1)
+            want = bits != 0 and util.reference_d_member(G, A, bits)
+            assert is_hit(local) == want
+            hits += want
+        assert hits == util.reference_exhaustive_D(G, A)
+
+
 def test_d_hits_of_the_empty_set_is_zero(c8):
     # B = {} is not 2-linked, so the empty set covers nothing
     assert general_count._count_d_hits(c8, SideSet(X_SIDE, 0)) == 0
@@ -374,6 +393,15 @@ def test_count_general_refuses_before_listing_families(params, monkeypatch):
     with pytest.raises(CapacityError, match="draws"):
         count_general(even_cycle(50), 0.05, 0.05, seed=1, params=params)
     assert time.perf_counter() - start < 10.0
+
+
+def test_count_general_splits_delta_over_the_pool():
+    # each distinct set's D is taken once, so delta is split over the pool,
+    # not over the families; on C16 at c1 = 100 the two differ
+    result = count_general(even_cycle(16), 0.05, 0.05, seed=1, params=P100)
+    notes = result.notes
+    assert (notes["distinct_sets"], notes["nonempty_families"]) == (49, 247)
+    assert notes["delta_prime"] == 0.05 / 49
 
 
 def test_estimate_d_draws_at_any_width():

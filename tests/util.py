@@ -414,10 +414,17 @@ def reference_sequential_draws(
     return out
 
 
+def reference_d_member(G: BipartiteGraph, A: SideSet, bits: int) -> bool:
+    """Whether the nonempty B = ``bits`` subseteq A is counted by D(A), with
+    its neighbourhood and 2-linkedness recomputed."""
+    if neighborhood_bits(G, A.side, bits) != neighborhood_bits(G, A.side, A.bits):
+        return False
+    return is_two_linked(G, SideSet(A.side, bits))
+
+
 def reference_exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
     """D(A) by the direct scan: every nonempty B subseteq A, by size, built
-    from its vertices, with its neighbourhood and 2-linkedness recomputed."""
-    target = neighborhood_bits(G, A.side, A.bits)
+    from its vertices."""
     verts = A.vertices()
     count = 0
     for r in range(1, len(verts) + 1):
@@ -425,10 +432,7 @@ def reference_exhaustive_D(G: BipartiteGraph, A: SideSet) -> int:
             bits = 0
             for v in combo:
                 bits |= 1 << v
-            if neighborhood_bits(G, A.side, bits) != target:
-                continue
-            if is_two_linked(G, SideSet(A.side, bits)):
-                count += 1
+            count += reference_d_member(G, A, bits)
     return count
 
 
