@@ -21,12 +21,7 @@ from .cluster_expansion import (
     verify_kp,
 )
 from .containers import (
-    Certificate,
-    certificate_region,
-    compute_certificate,
-    count_via_certificates,
     distinct_nonexpanding_closed,
-    enumerate_certificates,
     enumerate_essential_candidates,
     enumerate_expanding,
     enumerate_nonexpanding_closed,
@@ -40,7 +35,6 @@ from .errors import (
     CapacityError,
     GraphFormatError,
     InvalidInputError,
-    MalformedCertificateError,
 )
 from .expander import (
     ApproxCount,

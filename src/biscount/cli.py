@@ -22,7 +22,6 @@ from .cluster_expansion import (
     kp_unweighted,
     verify_kp,
 )
-from .containers import count_below, count_via_certificates, enumerate_certificates
 from .errors import CapacityError, InvalidInputError
 from .expander import (
     ApproxCount,
@@ -43,12 +42,7 @@ from .graphs import (
     load_graph,
 )
 from .instances import InstanceSpec, generate
-from .oracle import (
-    ExactSampler,
-    exact_count_bipartite,
-    exact_count_general,
-    exact_hardcore,
-)
+from .oracle import ExactSampler, exact_count_bipartite, exact_hardcore
 from .polymers import PolymerFamily, WeightModel, enumerate_polymers
 
 SCHEMA = 1
@@ -383,40 +377,6 @@ def _cmd_verify_kp(args: argparse.Namespace) -> int:
     return _report(args, G, cfg, result, elapsed)
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.t_max < 0:
-        raise InvalidInputError("--t-max must be at least 0")
-    G = _read_graph(args.graph).to_general()
-    start = time.perf_counter()
-    exact = exact_count_general(G).value
-    rows = []
-    for t in range(args.t_max + 1):
-        certs = list(enumerate_certificates(G, t))
-        below = count_below(G, t)
-        total = count_via_certificates(G, t)
-        rows.append(
-            {
-                "t": t,
-                "certificates": len(certs),
-                "below": below,
-                "total": total,
-                "matches_oracle": total == exact,
-            }
-        )
-    elapsed = time.perf_counter() - start
-    _emit(
-        {
-            "schema": SCHEMA,
-            "config": {"subcommand": "certify", "graph": args.graph, "t_max": args.t_max},
-            "result": {"exact": exact, "census": rows},
-            "seed": None,
-            "timing_s": elapsed,
-        },
-        args.out,
-    )
-    return 0
-
-
 def _cmd_check_expander(args: argparse.Namespace) -> int:
     G = _read_graph(args.graph)
     alpha = _parse_alpha(args.alpha)
@@ -491,12 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=text)
         _add_inputs(sp, name)
         sp.set_defaults(func=func)
-
-    certify = sub.add_parser("certify", help="certificate census against the oracle")
-    certify.add_argument("--graph", required=True)
-    certify.add_argument("--t-max", type=int, default=2)
-    certify.add_argument("--out", default=None)
-    certify.set_defaults(func=_cmd_certify)
 
     chk = sub.add_parser("check-expander", help="verify the alpha-expansion property")
     chk.add_argument("--graph", required=True)

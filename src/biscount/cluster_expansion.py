@@ -159,7 +159,7 @@ def choose_ell(n: int, d: int, epsilon: float, model: str = "unweighted") -> int
     if not 0 < epsilon:
         raise InvalidInputError("epsilon must be positive")
     q = math.log2(d) ** 2
-    if model in ("unweighted", "tilde"):
+    if model == "unweighted":
         raw = d / (2.0 * q) * math.log2(n / epsilon)
     elif model == "hardcore":
         raw = d / (1000.0 * q) * math.log2(n / epsilon)
@@ -172,7 +172,7 @@ def truncation_bound(n: int, d: int, ell: int, model: str) -> float:
     """Certified tail bound for the truncation at ell (valid under the
     convergence condition)."""
     q = math.log2(d) ** 2
-    if model in ("unweighted", "tilde"):
+    if model == "unweighted":
         return n * 2.0 ** (-2.0 * ell * q / d)
     if model == "hardcore":
         return n * 2.0 ** (-500.0 * q * ell / d)
@@ -199,21 +199,21 @@ def truncated_log_xi(
     """ln Xi(ell) = a_1 + ... + a_ell, the log-series coefficients of the
     size polynomial c_0..c_ell walked over the configurations of total size
     <= ell (within the walk's configuration budget); equal to the sum of the
-    clusters of size <= ell.  Exact models sum in Fractions and round once.
+    clusters of size <= ell.  The sum is taken in Fractions and rounded once.
 
     The ground set's polymers are ``mask`` (default -1: all) of ``universe``,
     which holds every one of size <= ell (larger ones are never walked).
     The tail bound is taken for ``n`` ground vertices, d-regular."""
     if ell < 0:
         raise InvalidInputError("ell must be nonnegative")
-    model = "hardcore" if m.variant == "hardcore" else "unweighted"
+    model = m.variant
     coeffs = xi_size_polynomial(universe, m, upto=ell, mask=mask)
     total = sum(log_series_coefficients(coeffs, ell)[1:])
     bound = truncation_bound(n, d, ell, model) if n else 0.0
     return LogPartitionEstimate(float(total), ell, bound, model, coeffs.configs)
 
 
-def exact_xi(universe: PolymerUniverse, m: WeightModel, mask: int = -1) -> Fraction | float:
+def exact_xi(universe: PolymerUniverse, m: WeightModel, mask: int = -1) -> Fraction:
     """Xi of the polymers ``mask`` (default -1: all) of a complete universe,
     the sum of its size polynomial over every compatible configuration;
     more than polymers.CONFIG_BUDGET of them raise CapacityError."""
@@ -222,9 +222,7 @@ def exact_xi(universe: PolymerUniverse, m: WeightModel, mask: int = -1) -> Fract
 
 def exact_log_xi(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> float:
     xi = exact_xi(enumerate_polymers(G, fam, G.side_size(fam.side)), m)
-    if isinstance(xi, Fraction):
-        return math.log(xi.numerator) - math.log(xi.denominator)
-    return math.log(xi)
+    return math.log(xi.numerator) - math.log(xi.denominator)
 
 
 @dataclass(frozen=True)
@@ -246,8 +244,6 @@ def tail_mass(
 ) -> TailMass:
     if delta < 0:
         raise InvalidInputError("delta must be nonnegative")
-    if not m.exact_available:
-        raise InvalidInputError("tail mass needs an exact weight model")
     n = G.side_size(fam.side)
     universe = enumerate_polymers(G, fam, n)
     coeffs = xi_size_polynomial(universe, m)

@@ -5,25 +5,18 @@ subset" of the neighborhood reconstructs the neighborhood exactly; for
 non-expanding sets, the closure is recovered from an essential subset plus a
 bounded number of extra neighborhood vertices.  Both routes are enumerable,
 which is what makes the container families small enough to sum over.
-
-The certificate machinery at the bottom of this module is the degree-greedy
-peeling argument: every independent set of size >= T maps to a short 0/1
-trace, and the preimages of a trace are exactly the independent sets of the
-surviving region.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .errors import CapacityError, InvalidInputError, MalformedCertificateError
+from .errors import CapacityError, InvalidInputError
 from .graphs import (
     BipartiteGraph,
     ExpansionParams,
-    Graph,
     SideSet,
     bits_of,
     closure_bits,
@@ -384,165 +377,3 @@ def distinct_nonexpanding_closed(
         return tuple(sorted(out, key=lambda s: s.bits))
 
     return list(G.memo(("nonexpanding_closed", params, side), build))
-
-
-# -- degree-greedy certificates ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """0/1 trace of the degree-greedy peeling of an independent set.
-
-    Each step examines the max-degree vertex of the surviving region (ties
-    broken by ``ordering``, ascending index when None); a 1 means the vertex
-    was in the set (its closed neighborhood is removed), a 0 means it was
-    not (the vertex alone is removed).  The trace stops once ``t_target``
-    ones have been recorded.  The ordering is carried so replay is exact.
-    """
-
-    steps: tuple[int, ...]
-    t_target: int
-    ordering: tuple[int, ...] | None = None
-
-    @property
-    def ones(self) -> int:
-        return sum(self.steps)
-
-
-def _peel_pick(rows: Sequence[int], region: int, ordering: Sequence[int]) -> int:
-    best = -1
-    best_deg = -1
-    for v in ordering:
-        if not region >> v & 1:
-            continue
-        deg = (rows[v] & region).bit_count()
-        if deg > best_deg:
-            best_deg = deg
-            best = v
-    return best
-
-
-def compute_certificate(
-    G: Graph, members: int, t_target: int, ordering: Sequence[int] | None = None
-) -> Certificate:
-    """Trace the peeling of an independent set until t_target ones appear."""
-    if not G.is_independent(members):
-        raise InvalidInputError("certificates are defined for independent sets")
-    if members.bit_count() < t_target:
-        raise InvalidInputError(
-            f"need at least {t_target} members, got {members.bit_count()}"
-        )
-    if t_target < 0:
-        raise InvalidInputError("t_target must be nonnegative")
-    order = tuple(ordering) if ordering is not None else tuple(range(G.n))
-    region = (1 << G.n) - 1
-    steps: list[int] = []
-    t = 0
-    while t < t_target:
-        v = _peel_pick(G.rows, region, order)
-        if v < 0:
-            raise InvalidInputError("region exhausted before reaching t_target")
-        if members >> v & 1:
-            steps.append(1)
-            region &= ~(G.rows[v] | 1 << v)
-            t += 1
-        else:
-            steps.append(0)
-            region &= ~(1 << v)
-    return Certificate(tuple(steps), t_target, order if ordering is not None else None)
-
-
-def certificate_region(G: Graph, cert: Certificate) -> tuple[int, int]:
-    """Replay a certificate; returns (surviving region, forced members).
-
-    Raises MalformedCertificateError when the trace is not one the peeling
-    could have produced: a step taken on an empty region, more steps after
-    the one-count is already met, or too few ones overall.
-    """
-    order = cert.ordering if cert.ordering is not None else tuple(range(G.n))
-    region = (1 << G.n) - 1
-    forced = 0
-    t = 0
-    for i, bit in enumerate(cert.steps):
-        if t >= cert.t_target:
-            raise MalformedCertificateError(f"step {i} occurs after {cert.t_target} ones")
-        if region == 0:
-            raise MalformedCertificateError(f"step {i} taken on an empty region")
-        v = _peel_pick(G.rows, region, order)
-        if bit:
-            forced |= 1 << v
-            region &= ~(G.rows[v] | 1 << v)
-            t += 1
-        else:
-            region &= ~(1 << v)
-    if t != cert.t_target:
-        raise MalformedCertificateError(
-            f"trace ends with {t} ones, expected {cert.t_target}"
-        )
-    return region, forced
-
-
-def enumerate_certificates(
-    G: Graph,
-    t_target: int,
-    ordering: Sequence[int] | None = None,
-    max_certificates: int = 1 << 20,
-) -> list[Certificate]:
-    """Every trace the peeling can produce for sets with >= t_target members.
-
-    DFS over the 0/1 decisions; a branch dies when the region empties before
-    the one-count is met.  Regions of distinct certificates are produced by
-    replay, and the preimages of distinct certificates are disjoint.
-    """
-    order = tuple(ordering) if ordering is not None else tuple(range(G.n))
-    stored = order if ordering is not None else None
-    out: list[Certificate] = []
-
-    def walk(region: int, t: int, steps: list[int]) -> None:
-        if t == t_target:
-            out.append(Certificate(tuple(steps), t_target, stored))
-            return
-        if region == 0:
-            return
-        if len(out) >= max_certificates:
-            raise CapacityError(f"more than {max_certificates} certificates")
-        v = _peel_pick(G.rows, region, order)
-        steps.append(0)
-        walk(region & ~(1 << v), t, steps)
-        steps.pop()
-        steps.append(1)
-        walk(region & ~(G.rows[v] | 1 << v), t + 1, steps)
-        steps.pop()
-
-    walk((1 << G.n) - 1, 0, [])
-    return out
-
-
-def count_below(G: Graph, t_target: int) -> int:
-    """Number of independent sets with fewer than t_target members."""
-    total = 0
-    for k in range(t_target):
-        for combo in combinations(range(G.n), k):
-            if G.is_independent(bits_of(combo)):
-                total += 1
-    return total
-
-
-def count_via_certificates(
-    G: Graph,
-    t_target: int,
-    ordering: Sequence[int] | None = None,
-    exact_counter=None,
-) -> int:
-    """i(G) assembled as (sets below the threshold) + (per-certificate region
-    counts).  Matches the direct count exactly; used to validate the
-    certificate decomposition."""
-    if exact_counter is None:
-        from .oracle import count_independent_in
-
-        exact_counter = count_independent_in
-    total = count_below(G, t_target)
-    for cert in enumerate_certificates(G, t_target, ordering):
-        region, _ = certificate_region(G, cert)
-        total += exact_counter(G, region)
-    return total

@@ -18,9 +18,5 @@ class GraphFormatError(InvalidInputError):
         super().__init__(prefix + message)
 
 
-class MalformedCertificateError(InvalidInputError):
-    """A certificate bit string cannot be replayed on the given graph."""
-
-
 class CapacityError(RuntimeError):
     """Work or memory would exceed a configured desk-scale cap."""

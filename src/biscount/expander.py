@@ -692,8 +692,6 @@ def _sample_run(
             return config_bits[i], free_bits[i]
 
     elif mode == "sequential":
-        ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=m.variant)
-
         def peeling(side: str) -> tuple[_Peeling, Fraction | float]:
             # one universe per side for the whole run, a region a mask over
             # it, and one memo that the side choice reads the whole side
@@ -712,6 +710,8 @@ def _sample_run(
 
                 xi_of = u.region_memo(numerator)
                 return _Peeling(G, side, u, m, True, xi_of), Fraction(xi_of(u.all), den)
+            # only this route truncates, so only it needs ell (and d >= 2)
+            ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=m.variant)
             log_xi = u.region_memo(lambda mask: truncated_log_xi(u, m, ell, n, G.d, mask).log_value)
             xi_of = lambda mask: math.exp(log_xi(mask))  # noqa: E731
             return _Peeling(G, side, u, m, False, xi_of), log_xi(u.all)

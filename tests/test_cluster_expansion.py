@@ -229,8 +229,6 @@ def test_tail_mass_frozen_anchors(c8):
     assert gone.probability == 0
     with pytest.raises(InvalidInputError):
         tail_mass(c8, fam, m, delta=-0.1)
-    with pytest.raises(InvalidInputError):
-        tail_mass(c8, fam, WeightModel.tilde(c8.d), delta=0.5)
 
 
 def test_tail_mass_past_24_polymers():
@@ -315,18 +313,6 @@ def test_series_route_equals_cluster_route_on_random_shifts(n, seed):
     assume(checked)
 
 
-def test_series_route_tilde_model_in_floats(c8):
-    # no exact form: the float recurrence must land on the float cluster sum
-    fam = PolymerFamily("expanding", "X", P1)
-    m = WeightModel.tilde(c8.d)
-    uni = enumerate_polymers(c8, fam, 4)
-    for ell in range(1, 7):
-        want = sum(t.value for t in enumerate_clusters(uni, ell, m))
-        got = truncated_log_xi(uni, m, ell, 4, c8.d)
-        assert isinstance(got.log_value, float)
-        assert got.log_value == pytest.approx(want, abs=1e-12)
-
-
 def test_budgeted_walk_config_count_and_cap(c8):
     fam = PolymerFamily("expanding", "X", P1)
     m = WeightModel.unweighted()
@@ -344,25 +330,24 @@ def test_budgeted_walk_config_count_and_cap(c8):
 
 def model_setup(model, d):
     """Weight model, polymer family and convergence functions by name:
-    unweighted and tilde over expanding polymers, hard-core at lambda = 1/2
-    over small ones."""
+    unweighted over expanding polymers, hard-core at lambda = 1/2 over small
+    ones."""
     if model == "hardcore":
         lam = Fraction(1, 2)
         return WeightModel.hardcore(lam), "small", kp_hardcore(d, lam, Fraction(1, 2))
-    m = WeightModel.unweighted() if model == "unweighted" else WeightModel.tilde(d)
-    return m, "expanding", kp_unweighted(d)
+    return WeightModel.unweighted(), "expanding", kp_unweighted(d)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     n=st.sampled_from([8, 10]),
     seed=st.integers(0, 1 << 16),
-    model=st.sampled_from(["unweighted", "hardcore", "tilde"]),
+    model=st.sampled_from(["unweighted", "hardcore"]),
 )
 def test_class_arithmetic_matches_per_polymer_references(n, seed, model):
     """The class-aggregated size polynomial, integer log series and grouped
     convergence check give the per-configuration and pairwise routes'
-    values: equal Fractions for exact models, floats within 1e-12."""
+    values: equal Fractions, and convergence sums within 1e-12."""
     G = random_shift(n, 3, seed)
     m, membership, kp = model_setup(model, G.d)
     ell = 6
@@ -372,15 +357,10 @@ def test_class_arithmetic_matches_per_polymer_references(n, seed, model):
             got = xi_size_polynomial(uni, m, upto=upto)
             want = util.reference_size_polynomial(uni, m, upto=upto)
             assert got.configs == want.configs
-            if m.exact_available:
-                assert all(isinstance(c, Fraction) for c in got)
-                assert got == want
-            else:
-                assert len(got) == len(want)
-                assert all(g == pytest.approx(w, rel=1e-12, abs=0) for g, w in zip(got, want))
-        if m.exact_available:
-            coeffs = xi_size_polynomial(uni, m, upto=ell)
-            assert log_series_coefficients(coeffs, ell) == util.reference_log_series(coeffs, ell)
+            assert all(isinstance(c, Fraction) for c in got)
+            assert got == want
+        coeffs = xi_size_polynomial(uni, m, upto=ell)
+        assert log_series_coefficients(coeffs, ell) == util.reference_log_series(coeffs, ell)
         assert_kp_matches_pairwise(uni, m, kp)
         # the model's own rates fail everywhere at desk scale; g = -f keeps
         # the boosted weights bounded while f grows, so these probes pass
@@ -404,7 +384,7 @@ def assert_kp_matches_pairwise(uni, m, kp):
 
 
 @pytest.mark.parametrize("name", ["C8", "Q4", "Q5"])
-@pytest.mark.parametrize("model", ["unweighted", "hardcore", "tilde"])
+@pytest.mark.parametrize("model", ["unweighted", "hardcore"])
 def test_grouped_kp_matches_pairwise_on_named_graphs(name, model):
     # the universes count_expander checks at epsilon = 0.2 (ell for 0.05)
     G = {"C8": lambda: even_cycle(8), "Q4": lambda: hypercube(4), "Q5": lambda: hypercube(5)}[name]()

@@ -8,10 +8,7 @@ import pytest
 
 from biscount import (
     InvalidInputError,
-    compute_certificate,
-    count_via_certificates,
     distinct_nonexpanding_closed,
-    enumerate_certificates,
     enumerate_essential_candidates,
     enumerate_expanding,
     enumerate_nonexpanding_closed,
@@ -23,8 +20,6 @@ from biscount import (
     small_generator,
     threshold_degree_set,
 )
-from biscount.containers import certificate_region, count_below
-from biscount.errors import MalformedCertificateError
 from biscount.graphs import (
     SideSet,
     closure_bits,
@@ -38,6 +33,12 @@ from biscount.oracle import count_independent_in, exact_count_general
 from util import (
     P1,
     P100,
+    MalformedCertificateError,
+    certificate_region,
+    compute_certificate,
+    count_below,
+    count_via_certificates,
+    enumerate_certificates,
     general_circulant,
     greedy_independent,
     qualifying_buckets,
@@ -368,7 +369,7 @@ def test_certificates_respect_custom_ordering():
 
 
 def test_malformed_certificates_raise():
-    from biscount.containers import Certificate
+    from util import Certificate
 
     G = even_cycle(8).to_general()
     with pytest.raises(MalformedCertificateError):

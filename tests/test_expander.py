@@ -34,7 +34,14 @@ from biscount.expander import (
     sampler_tables,
     sampler_tv_bound,
 )
-from biscount.graphs import X_SIDE, Y_SIDE, iter_bits, neighborhood_bits, opposite
+from biscount.graphs import (
+    X_SIDE,
+    Y_SIDE,
+    BipartiteGraph,
+    iter_bits,
+    neighborhood_bits,
+    opposite,
+)
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.oracle import exact_count_bipartite
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
@@ -644,6 +651,23 @@ def test_sequential_samplers_past_24_polymers():
     draws = sample_hardcore_expander(G, hp, 0.2, P1, seed=1, samples=10, mode="sequential")
     assert len(draws) == 10
     assert_valid_pairs(G, draws)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [BipartiteGraph.from_edges(3, 3, [(0, 0), (1, 1), (2, 2)]), complete_bipartite(1)],
+    ids=["matching3", "k11"],
+)
+def test_exact_sequential_sampler_at_degree_one(G):
+    # the exact route never truncates, so it needs no ell: at d = 1, where
+    # choose_ell is undefined, its draws lie in the support of the exact
+    # two-step measure, as table mode's do; the float route still refuses
+    support = exact_mu_hat(G, P1)
+    for mode in ("sequential", "table"):
+        draws = sample_expander(G, 0.2, P1, seed=4, samples=40, mode=mode)
+        assert len(draws) == 40 and set(draws) <= set(support)
+    with pytest.raises(InvalidInputError, match="choose_ell"):
+        sample_expander(G, 0.2, P1, mode="sequential", use_exact_xi=False)
 
 
 def test_hardcore_sampler_empirical(c8):

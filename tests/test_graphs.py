@@ -1,12 +1,14 @@
 """Bit-mask graph core: closures, 2-linked structure, expansion predicates."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from biscount import (
     BipartiteGraph,
+    CapacityError,
     ExpansionParams,
     InvalidInputError,
     SideSet,
@@ -21,14 +23,16 @@ from biscount import (
 )
 from biscount.errors import GraphFormatError
 from biscount.graphs import (
+    MAX_SIDE,
     bits_of,
     closure_bits,
     iter_bits,
     neighborhood_bits,
     opposite,
+    two_linked_component_bits,
     two_linked_sets,
 )
-from biscount.instances import even_cycle, random_regular
+from biscount.instances import even_cycle, random_regular, random_shift
 
 from util import P1, P100, random_instances
 
@@ -243,6 +247,38 @@ def test_dump_load_roundtrip_and_validation():
 def test_from_edges_rejects_irregular():
     with pytest.raises(InvalidInputError):
         BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"p bis {MAX_SIDE + 1} {MAX_SIDE + 1} 3\n", "c header only\np bis 7 1000000000000 3\n"],
+    ids=["both-sides-over", "one-side-huge"],
+)
+def test_loader_refuses_a_side_over_the_cap_from_the_header(text):
+    # the header alone is refused, before any row is allocated
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="MAX_SIDE"):
+        load_graph(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_from_edges_refuses_a_side_over_the_cap():
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="MAX_SIDE"):
+        BipartiteGraph.from_edges(1, 10**12, [(0, 0)])
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n,seed", [(8, 1), (8, 2), (10, 1), (10, 2)])
+def test_two_linked_search_matches_component_count(n, seed):
+    # is_two_linked's one search from the lowest vertex (the search D's
+    # walks share) against a full component listing, on every subset of
+    # both sides
+    G = random_shift(n, 3, seed)
+    for side in ("X", "Y"):
+        for bits in range(1 << n):
+            want = len(two_linked_component_bits(G, side, bits)) == 1
+            assert is_two_linked(G, SideSet(side, bits)) == want
 
 
 def test_to_general_structure():

@@ -1,8 +1,11 @@
 """Instance generators: validity, sizes, reproducibility, dispatch."""
 
+import time
+
 import pytest
 
-from biscount import InvalidInputError, dump_graph, load_graph
+from biscount import CapacityError, InvalidInputError, dump_graph, load_graph
+from biscount.graphs import MAX_SIDE
 from biscount.instances import (
     InstanceSpec,
     complete_bipartite,
@@ -96,3 +99,30 @@ def test_generate_dispatch_and_label():
         generate(InstanceSpec("moebius", {}))
     with pytest.raises(InvalidInputError):
         generate(InstanceSpec("cycle", {}))
+
+
+OVER_CAP = {
+    "cycle": {"m": 2 * MAX_SIDE + 2},
+    "complete": {"d": MAX_SIDE + 1},
+    "hypercube": {"d": MAX_SIDE.bit_length() + 1},
+    "torus": {"dims": (4, MAX_SIDE)},
+    "random": {"n": MAX_SIDE + 2, "d": 3, "seed": 1},
+    "shift": {"n": MAX_SIDE + 1, "d": 3, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVER_CAP))
+def test_generators_refuse_a_side_over_the_cap_before_listing_vertices(kind):
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="MAX_SIDE"):
+        generate(InstanceSpec(kind, OVER_CAP[kind]))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_side_cap_is_inclusive_and_hypercube_refuses_without_counting_vertices():
+    G = even_cycle(2 * MAX_SIDE)
+    assert G.n_x == G.n_y == MAX_SIDE
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="2\\^39 vertices"):
+        hypercube(40)
+    assert time.perf_counter() - start < 1.0

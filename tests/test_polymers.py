@@ -420,13 +420,8 @@ def test_weight_models():
     assert WeightModel.unweighted().weight(p) == Fraction(1, 8)
     hc = WeightModel.hardcore(Fraction(1, 2))
     assert hc.weight(p) == Fraction(1, 4) / Fraction(27, 8)
-    assert hc.exact_available
-    tilde = WeightModel.tilde(4)
-    assert not tilde.exact_available
-    q = math.log2(4) ** 2 / 4
-    assert tilde.log_weight(p) == pytest.approx((2 * q - 3) * math.log(2))
     with pytest.raises(InvalidInputError):
-        tilde.weight(p)
+        WeightModel("tilde")
     with pytest.raises(InvalidInputError):
         WeightModel.hardcore(Fraction(0))
     with pytest.raises(InvalidInputError):

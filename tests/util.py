@@ -26,8 +26,9 @@ from biscount import (
     is_two_linked,
 )
 from biscount.expander import DRAW_BITS, DRAW_DEN, quantize
-from biscount.graphs import closure_bits, iter_bits, neighborhood_bits, opposite
+from biscount.graphs import bits_of, closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.instances import random_regular, random_shift
+from biscount.oracle import count_independent_in
 from biscount.cluster_expansion import KPPolymerCheck, KPReport, exact_xi
 from biscount.polymers import (
     Polymer,
@@ -452,14 +453,12 @@ def reference_verify_kp(universe, m: WeightModel, kp) -> KPReport:
 
 def reference_size_polynomial(universe, m: WeightModel, upto: int | None = None):
     """The size polynomial weighed one configuration at a time: a product of
-    per-polymer Fractions (floats for the tilde model) added at its size."""
+    per-polymer Fractions added at its size."""
     sizes = [p.size for p in universe]
-    exact = m.exact_available
-    weights = [m.weight(p) if exact else math.exp(m.log_weight(p)) for p in universe]
-    one = Fraction(1) if exact else 1.0
-    coeffs = SizePolynomial([one * 0] * ((sum(sizes) if upto is None else upto) + 1))
+    weights = [m.weight(p) for p in universe]
+    coeffs = SizePolynomial([Fraction(0)] * ((sum(sizes) if upto is None else upto) + 1))
     for config in iter_compatible_configs(universe, max_size=upto):
-        w = one
+        w = Fraction(1)
         for i in config:
             w *= weights[i]
         coeffs[sum(sizes[i] for i in config)] += w
@@ -530,7 +529,7 @@ class ClusterTerm:
 
     indices: tuple[int, ...]
     size: int
-    value: Fraction | float
+    value: Fraction
 
 
 def _multiset_ursell(
@@ -602,8 +601,7 @@ def enumerate_clusters(
     incompat = incompatibility_masks(universe)
     support_adj = [incompat[i] & ~(1 << i) for i in range(k)]
     sizes = [p.size for p in universe]
-    exact = m.exact_available
-    weights = [m.weight(p) if exact else math.exp(m.log_weight(p)) for p in universe]
+    weights = [m.weight(p) for p in universe]
     emitted = 0
     for root in range(k):
         if sizes[root] > ell:
@@ -618,7 +616,7 @@ def enumerate_clusters(
                 if pos == len(support):
                     phi = _multiset_ursell(support, mult, incompat)
                     if phi:
-                        val = Fraction(phi) if exact else float(phi)
+                        val = Fraction(phi)
                         idx_tuple: list[int] = []
                         for idx, mm in zip(support, mult):
                             val *= weights[idx] ** mm
@@ -640,3 +638,167 @@ def enumerate_clusters(
                 mult[pos] = 1
 
             yield from rec(0, 0)
+
+
+# -- degree-greedy peeling certificates: a census against the oracle -----------
+#
+# Every independent set of size >= T maps to a short 0/1 trace, and the
+# preimages of a trace are exactly the independent sets of the surviving
+# region.  No count or sample reads the decomposition; the tests check that
+# it reproduces the oracle and that its regions obey the lemma's bound.
+
+
+class MalformedCertificateError(InvalidInputError):
+    """A certificate bit string cannot be replayed on the given graph."""
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """0/1 trace of the degree-greedy peeling of an independent set.
+
+    Each step examines the max-degree vertex of the surviving region (ties
+    broken by ``ordering``, ascending index when None); a 1 means the vertex
+    was in the set (its closed neighborhood is removed), a 0 means it was
+    not (the vertex alone is removed).  The trace stops once ``t_target``
+    ones have been recorded.  The ordering is carried so replay is exact.
+    """
+
+    steps: tuple[int, ...]
+    t_target: int
+    ordering: tuple[int, ...] | None = None
+
+    @property
+    def ones(self) -> int:
+        return sum(self.steps)
+
+
+def _peel_pick(rows: Sequence[int], region: int, ordering: Sequence[int]) -> int:
+    best = -1
+    best_deg = -1
+    for v in ordering:
+        if not region >> v & 1:
+            continue
+        deg = (rows[v] & region).bit_count()
+        if deg > best_deg:
+            best_deg = deg
+            best = v
+    return best
+
+
+def compute_certificate(
+    G: Graph, members: int, t_target: int, ordering: Sequence[int] | None = None
+) -> Certificate:
+    """Trace the peeling of an independent set until t_target ones appear."""
+    if not G.is_independent(members):
+        raise InvalidInputError("certificates are defined for independent sets")
+    if members.bit_count() < t_target:
+        raise InvalidInputError(
+            f"need at least {t_target} members, got {members.bit_count()}"
+        )
+    if t_target < 0:
+        raise InvalidInputError("t_target must be nonnegative")
+    order = tuple(ordering) if ordering is not None else tuple(range(G.n))
+    region = (1 << G.n) - 1
+    steps: list[int] = []
+    t = 0
+    while t < t_target:
+        v = _peel_pick(G.rows, region, order)
+        if v < 0:
+            raise InvalidInputError("region exhausted before reaching t_target")
+        if members >> v & 1:
+            steps.append(1)
+            region &= ~(G.rows[v] | 1 << v)
+            t += 1
+        else:
+            steps.append(0)
+            region &= ~(1 << v)
+    return Certificate(tuple(steps), t_target, order if ordering is not None else None)
+
+
+def certificate_region(G: Graph, cert: Certificate) -> tuple[int, int]:
+    """Replay a certificate; returns (surviving region, forced members).
+
+    Raises MalformedCertificateError when the trace is not one the peeling
+    could have produced: a step taken on an empty region, more steps after
+    the one-count is already met, or too few ones overall.
+    """
+    order = cert.ordering if cert.ordering is not None else tuple(range(G.n))
+    region = (1 << G.n) - 1
+    forced = 0
+    t = 0
+    for i, bit in enumerate(cert.steps):
+        if t >= cert.t_target:
+            raise MalformedCertificateError(f"step {i} occurs after {cert.t_target} ones")
+        if region == 0:
+            raise MalformedCertificateError(f"step {i} taken on an empty region")
+        v = _peel_pick(G.rows, region, order)
+        if bit:
+            forced |= 1 << v
+            region &= ~(G.rows[v] | 1 << v)
+            t += 1
+        else:
+            region &= ~(1 << v)
+    if t != cert.t_target:
+        raise MalformedCertificateError(
+            f"trace ends with {t} ones, expected {cert.t_target}"
+        )
+    return region, forced
+
+
+def enumerate_certificates(
+    G: Graph,
+    t_target: int,
+    ordering: Sequence[int] | None = None,
+    max_certificates: int = 1 << 20,
+) -> list[Certificate]:
+    """Every trace the peeling can produce for sets with >= t_target members.
+
+    DFS over the 0/1 decisions; a branch dies when the region empties before
+    the one-count is met.  Regions of distinct certificates are produced by
+    replay, and the preimages of distinct certificates are disjoint.
+    """
+    order = tuple(ordering) if ordering is not None else tuple(range(G.n))
+    stored = order if ordering is not None else None
+    out: list[Certificate] = []
+
+    def walk(region: int, t: int, steps: list[int]) -> None:
+        if t == t_target:
+            out.append(Certificate(tuple(steps), t_target, stored))
+            return
+        if region == 0:
+            return
+        if len(out) >= max_certificates:
+            raise CapacityError(f"more than {max_certificates} certificates")
+        v = _peel_pick(G.rows, region, order)
+        steps.append(0)
+        walk(region & ~(1 << v), t, steps)
+        steps.pop()
+        steps.append(1)
+        walk(region & ~(G.rows[v] | 1 << v), t + 1, steps)
+        steps.pop()
+
+    walk((1 << G.n) - 1, 0, [])
+    return out
+
+
+def count_below(G: Graph, t_target: int) -> int:
+    """Number of independent sets with fewer than t_target members."""
+    total = 0
+    for k in range(t_target):
+        for combo in combinations(range(G.n), k):
+            if G.is_independent(bits_of(combo)):
+                total += 1
+    return total
+
+
+def count_via_certificates(
+    G: Graph, t_target: int, ordering: Sequence[int] | None = None
+) -> int:
+    """i(G) assembled as (sets below the threshold) + (per-certificate region
+    counts by the oracle).  Matches the direct count exactly; used to
+    validate the certificate decomposition."""
+    total = count_below(G, t_target)
+    for cert in enumerate_certificates(G, t_target, ordering):
+        region, _ = certificate_region(G, cert)
+        total += count_independent_in(G, region)
+    return total
