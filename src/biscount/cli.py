@@ -40,9 +40,10 @@ from .graphs import (
     dump_graph,
     iter_bits,
     load_graph,
+    read_header,
 )
 from .instances import InstanceSpec, generate
-from .oracle import ExactSampler, exact_count_bipartite, exact_hardcore
+from .oracle import ExactSampler, check_sweep_side, exact_count_bipartite, exact_hardcore
 from .polymers import PolymerFamily, WeightModel, enumerate_polymers
 
 SCHEMA = 1
@@ -174,9 +175,14 @@ def _inputs(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _read_graph(path: str) -> BipartiteGraph:
+def _read_graph(path: str, mode: str | None = None) -> BipartiteGraph:
+    """The graph in ``path``; for ``mode`` oracle, an X side past the sweep's
+    cap is refused from the header, before any edge is read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            if mode == "oracle":
+                check_sweep_side(read_header(fh)[0])
+                fh.seek(0)
             return load_graph(fh.read())
     except OSError as exc:
         raise InvalidInputError(f"cannot read graph file {path!r}: {exc}")
@@ -299,7 +305,7 @@ def _report(
 
 def _cmd_count(args: argparse.Namespace) -> int:
     cfg = _inputs(args)
-    G = _read_graph(args.graph)
+    G = _read_graph(args.graph, args.mode)
     p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":
@@ -328,7 +334,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     cfg = _inputs(args)
     if cfg["samples"] < 1:
         raise InvalidInputError("--samples must be at least 1")
-    G = _read_graph(args.graph)
+    G = _read_graph(args.graph, args.mode)
     p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":

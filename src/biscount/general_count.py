@@ -88,11 +88,14 @@ class NonExpandingFamily:
             raise InvalidInputError("family too large for disjoint neighborhoods")
 
 
+FAMILY_BUDGET = 1 << 20  # families one listing may hold
+
+
 def enumerate_families(
     G: BipartiteGraph,
     params: ExpansionParams | None = None,
     side: str = "X",
-    max_families: int = 1 << 20,
+    max_families: int = FAMILY_BUDGET,
 ) -> Iterator[NonExpandingFamily]:
     """All families over the distinct non-expanding closed sets of a side,
     the empty family first, then in ascending pool order."""
@@ -127,6 +130,28 @@ def _families_over(
 
     yield emit(())
     yield from rec((), 0, 0)
+
+
+def _family_terms(
+    G: BipartiteGraph, p: ExpansionParams, side: str, max_families: int
+) -> tuple[tuple[NonExpandingFamily, int, int], ...]:
+    """Each family of ``enumerate_families`` with |N(union)| and its region.
+    They depend on the graph, params and side alone, so they are listed once
+    per graph object and kept in its memo; a kept list over
+    ``max_families`` raises as a fresh listing does."""
+
+    def build() -> tuple[tuple[NonExpandingFamily, int, int], ...]:
+        terms = []
+        for family in enumerate_families(G, p, side, max_families):
+            union = family.union_bits
+            covered = neighborhood_bits(G, side, union).bit_count()
+            terms.append((family, covered, family_region(G, side, union)))
+        return tuple(terms)
+
+    terms = G.memo(("families", p, side), build)
+    if len(terms) > max_families:
+        raise CapacityError(f"family stream exceeds {max_families} members")
+    return terms
 
 
 def family_region(G: BipartiteGraph, side: str, union_bits: int) -> int:
@@ -326,10 +351,8 @@ def assemble_exact(
     universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), G.side_size(side))
     xi_of = universe.region_memo(lambda mask: exact_xi(universe, m, mask))
     total = Fraction(0)
-    for family in enumerate_families(G, p, side):
-        union = family.union_bits
-        covered = neighborhood_bits(G, side, union).bit_count()
-        xi = xi_of(universe.within(family_region(G, side, union)))
+    for family, covered, region in _family_terms(G, p, side, FAMILY_BUDGET):
+        xi = xi_of(universe.within(region))
         prod = 1
         for s in family.sets:
             prod *= exhaustive_D(G, s)
@@ -349,7 +372,7 @@ def count_general(
     seed: int,
     params: ExpansionParams | None = None,
     side: str = "X",
-    max_families: int = 1 << 20,
+    max_families: int = FAMILY_BUDGET,
 ) -> ApproxCount:
     """Approximate i(G) by the family sum with truncated local cluster
     expansions.
@@ -365,9 +388,12 @@ def count_general(
     graph object take them from there; sampled D values are drawn per call.
     One polymer universe, to the truncation size, serves the convergence
     check and every family's local expansion, taken once per distinct
-    region mask.  When d > sqrt(n) the local partition functions are dropped
-    (replaced by 1), as the defect structure is negligible in that regime,
-    and the convergence condition is reported as assumed."""
+    region mask.  The family list (by params and side), the KP verdict and
+    that per-region ln Xi(ell) (by params, side and ell) are seed-free and
+    kept in the memo too; a kept family list over ``max_families`` raises
+    as a fresh one does.  When d > sqrt(n) the local partition functions
+    are dropped (replaced by 1), as the defect structure is negligible in
+    that regime, and the convergence condition is reported as assumed."""
     _check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
@@ -390,8 +416,8 @@ def count_general(
     for s, k, exact in zip(pool, draws, scan):
         if not exact:
             _check_draws(s, k)
-    families = list(_families_over(G, side, pool, max_families))
-    nonempty = sum(1 for f in families if f.sets)
+    families = _family_terms(G, p, side, max_families)
+    nonempty = sum(1 for family, _, _ in families if family.sets)
 
     seeds = None  # child i of SeedSequence(seed) over the pool, built on first use
     d_values: dict[int, float] = {}
@@ -413,17 +439,25 @@ def count_general(
         kp_status = KP_ASSUMED  # nothing was checked; the factor is dropped
     else:
         universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), min(big_l, n))
-        report = verify_kp(universe, m, kp_unweighted(d))
-        kp_status = KP_VERIFIED if report.all_pass else KP_FAILED
+        # the KP verdict and the per-region ln Xi(ell) depend on the graph,
+        # params, side and ell alone: kept in the graph's memo
+        kp_status = G.memo(
+            ("general_kp", p, side, big_l),
+            lambda: KP_VERIFIED if verify_kp(universe, m, kp_unweighted(d)).all_pass
+            else KP_FAILED,
+        )
         # ln Xi(ell) once per region mask; the side's tail bound covers each
-        log_xi = universe.region_memo(lambda mask: truncated_log_xi(universe, m, big_l, n, d, mask))
+        log_xi = G.memo(
+            ("general_log_xi", p, side, big_l),
+            lambda: universe.region_memo(
+                lambda mask: truncated_log_xi(universe, m, big_l, n, d, mask)
+            ),
+        )
 
     term_logs: list[float] = []
     zero_estimates = 0
     config_total = 0
-    for family in families:
-        union = family.union_bits
-        covered = neighborhood_bits(G, side, union).bit_count()
+    for family, covered, region in families:
         log_term = (n_other - covered) * LN2
         dead = False
         for s in family.sets:
@@ -436,7 +470,7 @@ def count_general(
             zero_estimates += 1
             continue
         if not drop_xi:
-            est_xi = log_xi(universe.within(family_region(G, side, union)))
+            est_xi = log_xi(universe.within(region))
             config_total += est_xi.config_count
             log_term += est_xi.log_value
         term_logs.append(log_term)

@@ -213,11 +213,28 @@ class BipartiteGraph:
         """The value stored under ``key``, from ``build()`` on the first call.
 
         The one per-graph memo: it holds objects that depend on the graph
-        alone (and on the parts of ``key`` besides), such as the square rows,
-        the container pool of ``containers.distinct_nonexpanding_closed`` and
-        exact multiplicities, and it lives exactly as long as this graph
-        object.  Callers never mutate what it hands out.  A ``build`` that
-        raises stores nothing."""
+        alone (and on the parts of ``key`` besides), and it lives exactly as
+        long as this graph object, with no size limit and no switch.  It
+        holds, by key:
+
+        - ``("square", side)``: ``square_rows``;
+        - ``("closure_candidates", side)``: ``closure_candidates``;
+        - ``("nonexpanding_closed", params, side)``: the container pool of
+          ``containers.distinct_nonexpanding_closed``;
+        - ``("small_generator", A)``: ``containers.small_generator``'s pair;
+        - ``("exhaustive_D", A)``: the exact multiplicity D(A);
+        - ``("polymers", family, cap)``: the ``polymers.PolymerUniverse`` of
+          ``enumerate_polymers``, which keeps on it the class counts of each
+          (size budget, polymer mask) ``xi_size_polynomial`` has walked;
+        - ``("families", params, side)``: the container families of
+          ``general_count``, each with |N(union)| and its region;
+        - ``("general_kp", params, side, ell)`` and
+          ``("general_log_xi", params, side, ell)``: ``count_general``'s KP
+          verdict and its per-region ln Xi(ell), taken once per polymer mask.
+
+        Callers never change what it hands out (a universe only gains kept
+        walks), and a kept object meets every budget a fresh build would.
+        A ``build`` that raises stores nothing."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()
@@ -479,6 +496,37 @@ def dump_graph(G: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_header(line: str, line_no: int) -> tuple[int, int, int]:
+    parts = line.split()
+    if len(parts) != 5 or parts[1] != "bis":
+        raise GraphFormatError(line_no, f"bad header {line!r}")
+    try:
+        n_x, n_y, d = int(parts[2]), int(parts[3]), int(parts[4])
+    except ValueError:
+        raise GraphFormatError(line_no, "header fields must be integers")
+    if n_x < 1 or n_y < 1 or d < 1:
+        raise GraphFormatError(line_no, "header fields must be positive")
+    check_side_size(max(n_x, n_y))
+    return n_x, n_y, d
+
+
+def read_header(lines: Iterable[str]) -> tuple[int, int, int]:
+    """(n_x, n_y, d) from the ``p bis`` header, reading no line past it: the
+    lines before it are checked as ``load_graph`` checks them, so a file
+    either fails here as it would there or passes on to it."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        record = line.split()[0]
+        if record == "p":
+            return _parse_header(line, line_no)
+        if record == "e":
+            raise GraphFormatError(line_no, "edge before header")
+        raise GraphFormatError(line_no, f"unknown record {record!r}")
+    raise GraphFormatError(None, "missing header")
+
+
 def load_graph(text: str) -> BipartiteGraph:
     """Parse the ``p bis`` text format, rejecting malformed input with the
     offending line number."""
@@ -494,16 +542,8 @@ def load_graph(text: str) -> BipartiteGraph:
         if parts[0] == "p":
             if header is not None:
                 raise GraphFormatError(line_no, "duplicate header")
-            if len(parts) != 5 or parts[1] != "bis":
-                raise GraphFormatError(line_no, f"bad header {line!r}")
-            try:
-                n_x, n_y, d = int(parts[2]), int(parts[3]), int(parts[4])
-            except ValueError:
-                raise GraphFormatError(line_no, "header fields must be integers")
-            if n_x < 1 or n_y < 1 or d < 1:
-                raise GraphFormatError(line_no, "header fields must be positive")
-            check_side_size(max(n_x, n_y))
-            header = (n_x, n_y, d)
+            header = _parse_header(line, line_no)
+            n_x, n_y, d = header
             row_x = [0] * n_x
             row_y = [0] * n_y
         elif parts[0] == "e":

@@ -9,6 +9,7 @@ check the other.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import time
@@ -68,17 +69,26 @@ def _gray_sweep(G: BipartiteGraph, term):
     return total
 
 
-def exact_count_bipartite(G: BipartiteGraph, size_cap: int = 30) -> ExactCount:
+SWEEP_CAP = 30  # largest X side the subset sweep (and every oracle table) takes
+
+
+def check_sweep_side(n_x: int, size_cap: int = SWEEP_CAP) -> None:
+    """Raise CapacityError when an X side of ``n_x`` vertices is past the
+    sweep's cap."""
+    if n_x > size_cap:
+        raise CapacityError(f"bipartite sweep capped at nX={size_cap}, got {n_x}")
+
+
+def exact_count_bipartite(G: BipartiteGraph, size_cap: int = SWEEP_CAP) -> ExactCount:
     """i(G) = sum over S subseteq X of 2^(nY - |N(S)|), exactly."""
-    if G.n_x > size_cap:
-        raise CapacityError(f"bipartite sweep capped at nX={size_cap}, got {G.n_x}")
+    check_sweep_side(G.n_x, size_cap)
     start = time.perf_counter()
     pow2 = [1 << k for k in range(G.n_y + 1)]
     value = _gray_sweep(G, lambda s, cov: pow2[G.n_y - cov])
     return ExactCount(value, G.fingerprint(), time.perf_counter() - start)
 
 
-def exact_hardcore(G: BipartiteGraph, lam: Fraction, size_cap: int = 30) -> ExactCount:
+def exact_hardcore(G: BipartiteGraph, lam: Fraction, size_cap: int = SWEEP_CAP) -> ExactCount:
     """Z_G(lam) = sum over S subseteq X of lam^|S| (1+lam)^(nY-|N(S)|).
 
     Scaled to a common denominator q^(nX+nY) so the sweep accumulates one big
@@ -87,8 +97,7 @@ def exact_hardcore(G: BipartiteGraph, lam: Fraction, size_cap: int = 30) -> Exac
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("fugacity must be positive")
-    if G.n_x > size_cap:
-        raise CapacityError(f"bipartite sweep capped at nX={size_cap}, got {G.n_x}")
+    check_sweep_side(G.n_x, size_cap)
     start = time.perf_counter()
     p, q = lam.numerator, lam.denominator
     top = G.n_x + G.n_y
@@ -207,25 +216,39 @@ def quantize(fr: Fraction) -> int:
 
 class ExactSampler:
     """Draws from the hard-core measure by inversion on the exact table,
-    each set with its exact probability to within 2^-96."""
+    each set with its exact probability to within 2^-96.
+
+    Set i is drawn when t_{i-1} <= r < t_i for a uniform 96-bit r, with
+    t_i = floor(c_i 2^96 / total) over the cumulative weights c_i.  At
+    lambda = 1 every weight is 1, so c_i = i + 1 and that i is
+    ((r + 1) N - 1) >> 96 for N sets: the draw needs no table, and
+    ``thresholds`` is built only when it is read."""
 
     def __init__(self, G: BipartiteGraph, lam: Fraction = Fraction(1), seed: int = 0,
                  table_cap: int = 1 << 21):
-        lam = _checked_fugacity(G, lam, table_cap)
+        self._lam = _checked_fugacity(G, lam, table_cap)
+        self._top = G.n_x + G.n_y
+        self.keys = list(iter_independent_sets(G))
+        self._uniform = self._lam == 1
+        self.rng = random.Random(seed)
+        self._getrandbits = self.rng.getrandbits
+
+    @functools.cached_property
+    def thresholds(self) -> list[int]:
         # lam^|I| = p^|I| q^(top - |I|) / q^top: integer weights over one
         # common denominator, so cumulative / total is the exact probability
-        p, q = lam.numerator, lam.denominator
-        top = G.n_x + G.n_y
+        p, q = self._lam.numerator, self._lam.denominator
+        top = self._top
         weight = [p**k * q ** (top - k) for k in range(top + 1)]
-        self.keys = list(iter_independent_sets(G))
         # the cumulative weights stream into the thresholds; only the set
         # sizes are held, as shared small ints
         sizes = [s.bit_count() + t.bit_count() for s, t in self.keys]
         total = sum(weight[k] for k in sizes)
-        self.thresholds = [(c << DRAW_BITS) // total for c in accumulate(weight[k] for k in sizes)]
-        self.rng = random.Random(seed)
-        self._getrandbits = self.rng.getrandbits
+        return [(c << DRAW_BITS) // total for c in accumulate(weight[k] for k in sizes)]
 
     def sample(self) -> tuple[int, int]:
         # key i with probability (thresholds[i] - thresholds[i-1]) / 2^96
-        return self.keys[bisect_left(self.thresholds, self._getrandbits(DRAW_BITS) + 1)]
+        r = self._getrandbits(DRAW_BITS)
+        if self._uniform:
+            return self.keys[((r + 1) * len(self.keys) - 1) >> DRAW_BITS]
+        return self.keys[bisect_left(self.thresholds, r + 1)]

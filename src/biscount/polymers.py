@@ -159,7 +159,21 @@ def enumerate_polymers(
     """The polymer universe up to ``size_cap`` vertices, sorted by bit mask.
     A region's polymers are the universe's mask ``within(region)``.
 
-    A filter of ``graphs.two_linked_sets`` over the family's side: every set
+    The universe depends on the graph, the family and the cap alone (a cap
+    past the side's size is the side's size), so it is kept in the graph's
+    memo and built once per graph object; a kept universe over
+    ``max_polymers`` raises as a fresh build does."""
+    cap = min(size_cap, G.side_size(fam.side))
+    universe = G.memo(("polymers", fam, cap), lambda: _build_universe(G, fam, cap, max_polymers))
+    if len(universe) > max_polymers:
+        raise CapacityError(f"polymer universe exceeds {max_polymers} members (partial count)")
+    return universe
+
+
+def _build_universe(
+    G: BipartiteGraph, fam: PolymerFamily, size_cap: int, max_polymers: int
+) -> PolymerUniverse:
+    """A filter of ``graphs.two_linked_sets`` over the family's side: every set
     it yields is 2-linked and comes with |N(S)| and |[S]|, which decide
     membership.  The walk is pruned by ``top``, the largest |N| that
     ``admits_sizes`` accepts beside each |[S]|: both only grow with S and
@@ -222,8 +236,10 @@ class PolymerUniverse(tuple):
     """The polymers of one (graph, family, size cap) with what every reader
     takes from them, built once: ``incompat``, ``sizes``, ``holding[v]``
     (the polymers holding vertex v), the size polynomial's cell ``keys`` and,
-    on first use, the walk's size masks ``fits``.
-    A region is read as the polymer mask ``within``."""
+    on first use, the walk's size masks ``fits``.  ``walks`` keeps, per
+    (size budget, polymer mask), what ``xi_size_polynomial`` counted there:
+    the number of configurations and their class counts, which no weight
+    model enters.  A region is read as the polymer mask ``within``."""
 
     def __new__(cls, polymers: Iterable[Polymer]) -> PolymerUniverse:
         self = super().__new__(cls, polymers)
@@ -240,6 +256,7 @@ class PolymerUniverse(tuple):
         self.stride = reach.bit_count() + 1
         self.keys = [p.size * self.stride + p.nbhd_size for p in self]
         self._fits: list[int] = []
+        self.walks: dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]] = {}
         return self
 
     def within(self, region: int) -> int:
@@ -332,21 +349,35 @@ def xi_size_polynomial(
     so a configuration's weight depends only on its class (s, w), its total
     size and total neighbourhood size: the walk only counts configurations
     per class, and each nonzero class is weighed once, in integers over one
-    common denominator."""
+    common denominator.  The counts are kept in the universe's ``walks``,
+    so a later call on the same (budget, mask), under any weight model,
+    only weighs them; a budget at or past the mask's total size walks every
+    configuration and shares one entry.  Kept counts of more than
+    ``max_configs`` configurations raise as a fresh walk does."""
+    mask &= universe.all
+    total = sum(map(universe.sizes.__getitem__, iter_bits(mask)))
     if upto is None:
-        upto = sum(map(universe.sizes.__getitem__, iter_bits(mask & universe.all)))
-    stride, keys = universe.stride, universe.keys
-    cells = Counter(
-        sum(map(keys.__getitem__, config))
-        for config in iter_compatible_configs(universe, max_configs, upto, mask)
-    )
+        upto = total
+    key = (min(max(upto, 0), total), mask)
+    walk = universe.walks.get(key)
+    if walk is None:
+        keys = universe.keys
+        cells = Counter(
+            sum(map(keys.__getitem__, config))
+            for config in iter_compatible_configs(universe, max_configs, key[0], mask)
+        )
+        walk = universe.walks[key] = (sum(cells.values()), tuple(cells.items()))
+    elif walk[0] > max_configs:
+        raise CapacityError(f"more than {max_configs} polymer configurations")
+    configs, cells = walk
+    stride = universe.stride
     weights = m.class_weights(len(universe.holding), stride - 1)
     nums = [0] * (upto + 1)
-    for cell, count in cells.items():
+    for cell, count in cells:
         s, w = divmod(cell, stride)
         nums[s] += count * weights.numerator(s, w)
     coeffs = SizePolynomial(Fraction(c, weights.denominator) for c in nums)
-    coeffs.configs = sum(cells.values())
+    coeffs.configs = configs
     return coeffs
 
 

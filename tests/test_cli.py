@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from biscount.cli import DEFAULTS, MODE_FLAG, READS, build_parser, main
 from biscount.graphs import X_SIDE, load_graph, neighborhood_bits
+from biscount.oracle import SWEEP_CAP
 
 
 def run_json(capsys, argv):
@@ -398,6 +399,22 @@ def test_exit_code_capacity(tmp_path, capsys):
     assert main(["gen", "--kind", "cycle", "--m", "80", "--out", path]) == 0
     assert main(["count", "--graph", path]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("subcommand", ["count", "sample"])
+def test_oracle_refuses_a_side_past_the_sweep_cap_from_the_header(tmp_path, capsys, subcommand):
+    # a header-only file: read to its end it is malformed (exit 2), so exit
+    # 3 shows the oracle modes refuse it from the header, before any edge
+    path = tmp_path / "header.graph"
+    n = SWEEP_CAP + 1
+    path.write_text(f"c header only\np bis {n} {n} 3\n", encoding="utf-8")
+    assert main([subcommand, "--graph", str(path), "--mode", "oracle"]) == 3
+    assert f"bipartite sweep capped at nX={SWEEP_CAP}, got {n}" in capsys.readouterr().err
+    # other modes, and a side at the cap, read the whole file
+    assert main([subcommand, "--graph", str(path), "--mode", "expander"]) == 2
+    path.write_text(f"p bis {SWEEP_CAP} {SWEEP_CAP} 3\n", encoding="utf-8")
+    assert main([subcommand, "--graph", str(path), "--mode", "oracle"]) == 2
+    assert "expected" in capsys.readouterr().err
 
 
 def test_exit_code_internal_on_broken_peeling_identity(capsys, c8_file, monkeypatch):

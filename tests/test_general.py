@@ -15,10 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biscount
-from biscount import containers, general_count
+from biscount import containers, general_count, polymers
 from biscount.cluster_expansion import KP_ASSUMED
 from biscount.containers import distinct_nonexpanding_closed
 from biscount.errors import CapacityError, InvalidInputError
+from biscount.expander import (
+    HardCoreParams,
+    count_expander,
+    count_hardcore_expander,
+    sample_expander,
+    sample_hardcore_expander,
+)
 from biscount.general_count import (
     NonExpandingFamily,
     assemble_exact,
@@ -252,9 +259,10 @@ def test_d_hits_of_the_empty_set_is_zero(c8):
 
 
 def test_count_general_second_call_reads_the_graph_memo(monkeypatch):
-    # the pool, the generator pairs and the exact D values depend on the
-    # graph alone: a second call on the same graph object walks none of them
-    # and returns an identical result
+    # the pool, the generator pairs, the exact D values, the polymer
+    # universe and its walks, the KP verdict and the family list depend on
+    # the graph alone: a second call on the same graph object walks none of
+    # them and returns an identical result
     G = even_cycle(16)
     first = count_general(G, 0.05, 0.05, seed=1, params=P1)
     assert (first.notes["d_exact"], first.notes["d_sampled"]) == (25, 0)
@@ -272,12 +280,73 @@ def test_count_general_second_call_reads_the_graph_memo(monkeypatch):
     recording(containers, "two_linked_sets")
     recording(containers, "_small_generator")
     recording(general_count, "_count_d_hits")
+    recording(polymers, "two_linked_sets")
+    recording(polymers, "iter_compatible_configs")
+    recording(general_count, "verify_kp")
+    recording(general_count, "_families_over")
     assert count_general(G, 0.05, 0.05, seed=1, params=P1) == first
     assert walked == []
     # the pool is handed out as a copy, so a caller cannot change the memo
     distinct_nonexpanding_closed(G, P1).clear()
     assert len(distinct_nonexpanding_closed(G, P1)) == first.notes["distinct_sets"]
     assert walked == []
+
+
+def test_kept_family_list_keeps_its_budget():
+    # the family list is kept in the graph's memo; a smaller budget still
+    # raises what a fresh listing raises
+    G = even_cycle(16)
+    first = count_general(G, 0.05, 0.05, seed=1, params=P1)
+    n = first.notes["families"]
+    assert count_general(G, 0.05, 0.05, seed=1, params=P1, max_families=n) == first
+    messages = []
+    for graph in (G, even_cycle(16)):
+        with pytest.raises(CapacityError) as info:
+            count_general(graph, 0.05, 0.05, seed=1, params=P1, max_families=n - 1)
+        messages.append(str(info.value))
+    assert messages == [f"family stream exceeds {n - 1} members"] * 2
+
+
+def test_second_count_general_on_c40_reads_the_memo():
+    # C40's per-region walks are taken once per graph object: the first call
+    # takes seconds, the second one reads the memo and returns the first
+    # call's (a fresh object's) result
+    G = even_cycle(40)
+    first = count_general(G, 0.05, 0.05, seed=2, params=P1)
+    start = time.perf_counter()
+    second = count_general(G, 0.05, 0.05, seed=2, params=P1)
+    elapsed = time.perf_counter() - start
+    assert second == first
+    assert elapsed < 0.5
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([8, 10]),
+    d=st.sampled_from([3, 4]),
+    seed=st.integers(0, 1 << 16),
+    params=st.sampled_from([P1, P100]),
+)
+def test_one_graph_object_gives_what_fresh_objects_give(n, d, seed, params):
+    # every seed-free object a count or a sampler builds is kept in the
+    # graph's memo; an interleaved run on one object returns, bit for bit,
+    # what each call returns on a fresh object
+    def run(graph):
+        half, one = HardCoreParams(Fraction(1, 2)), HardCoreParams(Fraction(1))
+        return [
+            count_expander(graph(), 0.2, params, force_method="expander-CE"),
+            count_hardcore_expander(graph(), half, 0.2, params, force_method="expander-CE"),
+            count_hardcore_expander(graph(), one, 0.2, params, force_method="expander-CE"),
+            count_general(graph(), 0.05, 0.05, seed=1, params=params),
+            count_general(graph(), 0.05, 0.05, seed=2, params=params),
+            count_general_exact(graph(), params),
+            sample_expander(graph(), 0.2, params, seed=3, samples=20, mode="table"),
+            sample_hardcore_expander(graph(), half, 0.2, params, seed=3, samples=20),
+            sample_expander(graph(), 0.2, params, seed=3, samples=20, mode="sequential"),
+        ]
+
+    G = random_shift(n, d, seed)
+    assert run(lambda: G) == run(lambda: random_shift(n, d, seed))
 
 
 def test_graph_memo_keys_keep_c1_apart():

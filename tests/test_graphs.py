@@ -29,6 +29,7 @@ from biscount.graphs import (
     iter_bits,
     neighborhood_bits,
     opposite,
+    read_header,
     two_linked_component_bits,
     two_linked_sets,
 )
@@ -260,6 +261,36 @@ def test_loader_refuses_a_side_over_the_cap_from_the_header(text):
     with pytest.raises(CapacityError, match="MAX_SIDE"):
         load_graph(text)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "e 0 0\np bis 1 1 1\n",
+        "c only a comment\n",
+        "q 1\n",
+        "p bis 1 1\n",
+        "p bis 1 one 1\n",
+        "p bis 0 1 1\n",
+        f"p bis {MAX_SIDE + 1} 1 1\n",
+    ],
+)
+def test_read_header_fails_as_the_loader_does(text):
+    errors = []
+    for read in (load_graph, lambda t: read_header(t.splitlines())):
+        with pytest.raises((GraphFormatError, CapacityError)) as info:
+            read(text)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_read_header_reads_no_line_past_the_header():
+    def lines():
+        yield "c a comment"
+        yield "p bis 4 4 2"
+        raise AssertionError("read past the header")
+
+    assert read_header(lines()) == (4, 4, 2)
 
 
 def test_from_edges_refuses_a_side_over_the_cap():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,13 @@ from biscount import (
 )
 from biscount.graphs import SideSet, two_linked_component_bits
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
-from biscount.oracle import DRAW_DEN, count_independent_in, iter_independent_sets, quantize
+from biscount.oracle import (
+    DRAW_BITS,
+    DRAW_DEN,
+    count_independent_in,
+    iter_independent_sets,
+    quantize,
+)
 
 from util import P1, brute_i_general, cycle_transfer, random_instances, tv
 
@@ -158,6 +165,33 @@ def test_exact_sampler_thresholds_equal_the_fraction_route(G, lam):
     s = ExactSampler(G, lam)
     assert s.keys == list(dist)
     assert s.thresholds == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 47, 37_730])
+def test_uniform_draw_index_equals_the_threshold_bisect(n):
+    # at lambda = 1 the thresholds are t_i = floor((i + 1) 2^96 / N) and a
+    # draw r takes the first i with t_i > r; the sampler reads that i as
+    # ((r + 1) N - 1) >> 96, checked here at every boundary r = t_i - 1, t_i
+    thresholds = [(c << DRAW_BITS) // n for c in range(1, n + 1)]
+    rs = [r for t in thresholds for r in (t - 1, t) if r < DRAW_DEN]
+    draws = iter(rs)
+    s = ExactSampler.__new__(ExactSampler)
+    s.keys, s._uniform = list(range(n)), True
+    s._getrandbits = lambda bits: next(draws)
+    assert [s.sample() for _ in rs] == [bisect_left(thresholds, r + 1) for r in rs]
+
+
+def test_uniform_sampler_builds_no_thresholds_until_read(c8):
+    # at lambda = 1 a draw needs no table; read, the table is the one the
+    # threshold bisect above uses, and the draws are the bisect's
+    s = ExactSampler(c8, Fraction(1), seed=5)
+    draws = [s.sample() for _ in range(200)]
+    assert "thresholds" not in vars(s)
+    assert s.thresholds == [(c << DRAW_BITS) // 47 for c in range(1, 48)]
+    rng = random.Random(5)
+    assert draws == [
+        s.keys[bisect_left(s.thresholds, rng.getrandbits(DRAW_BITS) + 1)] for _ in range(200)
+    ]
 
 
 def test_exact_sampler_checks_fugacity_and_table_cap(c8):

@@ -104,6 +104,53 @@ def test_enumerate_polymers_capacity(q5):
         enumerate_polymers(q5, fam, 16, max_polymers=1451)
 
 
+def capacity_message(call):
+    with pytest.raises(CapacityError) as info:
+        call()
+    return str(info.value)
+
+
+def test_kept_universe_keeps_its_polymer_budget():
+    # the universe is kept in the graph's memo by (family, cap), a cap past
+    # the side counting as the side; a smaller budget still raises what a
+    # fresh build raises
+    G = hypercube(4)
+    fam = PolymerFamily("expanding", "X", P1)
+    universe = enumerate_polymers(G, fam, 8)
+    assert len(universe) == 32
+    assert enumerate_polymers(G, fam, 99, max_polymers=32) is universe
+    kept = capacity_message(lambda: enumerate_polymers(G, fam, 8, max_polymers=31))
+    fresh = capacity_message(lambda: enumerate_polymers(hypercube(4), fam, 8, max_polymers=31))
+    assert kept == fresh == "polymer universe exceeds 31 members (partial count)"
+    assert enumerate_polymers(G, fam, 8) is universe
+
+
+def test_kept_walk_keeps_its_configuration_budget():
+    # a walk's class counts are kept on the universe per (budget, mask) and
+    # shared by every weight model; a smaller configuration budget still
+    # raises what a fresh walk raises
+    fam = PolymerFamily("expanding", "X", P1)
+    uni = enumerate_polymers(hypercube(4), fam, 8)
+    full = xi_size_polynomial(uni, WeightModel.unweighted())
+    assert len(uni.walks) == 1
+    hardcore = xi_size_polynomial(uni, WeightModel.hardcore(Fraction(1, 2)))
+    assert len(uni.walks) == 1
+    assert hardcore == xi_size_polynomial(
+        enumerate_polymers(hypercube(4), fam, 8), WeightModel.hardcore(Fraction(1, 2))
+    )
+    budget = full.configs - 1
+    kept = capacity_message(lambda: xi_size_polynomial(uni, WeightModel.unweighted(), budget))
+    fresh_uni = enumerate_polymers(hypercube(4), fam, 8)
+    fresh = capacity_message(
+        lambda: xi_size_polynomial(fresh_uni, WeightModel.unweighted(), budget)
+    )
+    assert kept == fresh == f"more than {budget} polymer configurations"
+    # a budget at or past the total size walks everything: one kept entry
+    wide = xi_size_polynomial(uni, WeightModel.unweighted(), full.configs, upto=99)
+    assert wide[: len(full)] == full
+    assert len(uni.walks) == 1
+
+
 @pytest.mark.parametrize("membership", ["expanding", "small"])
 def test_enumerate_polymers_q5_matches_subset_filter(q5, membership):
     # all 2^16 subsets of Q5's X side; the walk prunes where no superset
