@@ -16,6 +16,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from typing import Callable
 
 from .cluster_expansion import (
     kp_hardcore,
@@ -37,6 +38,7 @@ from .graphs import (
     BipartiteGraph,
     ExpansionParams,
     check_alpha_expander,
+    check_expander_sides,
     dump_graph,
     iter_bits,
     load_graph,
@@ -72,6 +74,8 @@ READS: dict[str, dict[str, tuple[str, ...]]] = {
         "hardcore": ("family", "side", "cap", "c1", "lambda", "alpha"),
     },
 }
+# The side sizes a count or sample mode refuses from a file's header.
+HEADER_CHECKS = {"oracle": lambda n_x, n_y: check_sweep_side(n_x)}
 # The value of an input that is not given.  --lambda has none: oracle mode
 # then counts unweighted, and the hardcore modes require it.
 DEFAULTS = {
@@ -175,13 +179,13 @@ def _inputs(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _read_graph(path: str, mode: str | None = None) -> BipartiteGraph:
-    """The graph in ``path``; for ``mode`` oracle, an X side past the sweep's
-    cap is refused from the header, before any edge is read."""
+def _read_graph(path: str, check: Callable[[int, int], None] | None = None) -> BipartiteGraph:
+    """The graph in ``path``; ``check``, when given, sees the header's side
+    sizes (n_x, n_y) and can refuse the file before any edge is read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            if mode == "oracle":
-                check_sweep_side(read_header(fh)[0])
+            if check is not None:
+                check(*read_header(fh)[:2])
                 fh.seek(0)
             return load_graph(fh.read())
     except OSError as exc:
@@ -305,7 +309,7 @@ def _report(
 
 def _cmd_count(args: argparse.Namespace) -> int:
     cfg = _inputs(args)
-    G = _read_graph(args.graph, args.mode)
+    G = _read_graph(args.graph, HEADER_CHECKS.get(args.mode))
     p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":
@@ -334,7 +338,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     cfg = _inputs(args)
     if cfg["samples"] < 1:
         raise InvalidInputError("--samples must be at least 1")
-    G = _read_graph(args.graph, args.mode)
+    G = _read_graph(args.graph, HEADER_CHECKS.get(args.mode))
     p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":
@@ -384,7 +388,7 @@ def _cmd_verify_kp(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_expander(args: argparse.Namespace) -> int:
-    G = _read_graph(args.graph)
+    G = _read_graph(args.graph, check_expander_sides)
     alpha = _parse_alpha(args.alpha)
     start = time.perf_counter()
     verdict = check_alpha_expander(G, alpha)

@@ -273,13 +273,15 @@ def enumerate_expanding(
     return sorted(out, key=lambda s: s.bits)
 
 
+CANDIDATE_BUDGET = 1 << 22  # (F, extras) candidates the reconstruction route may try
+
+
 def enumerate_nonexpanding_closed(
     G: BipartiteGraph,
     v: int,
     a: int,
     params: ExpansionParams | None = None,
     side: str = "X",
-    max_candidates: int = 1 << 22,
 ) -> list[SideSet]:
     """G'(v, a): closed 2-linked non-expanding sets containing v of size a.
 
@@ -308,7 +310,7 @@ def enumerate_nonexpanding_closed(
     w_hi = max((w for w in range(a, n_other + 1) if not params.expands(d, w, a)), default=a)
     rows_side = G.rows(side)
     found: set[int] = set()
-    budget = max_candidates
+    budget = CANDIDATE_BUDGET
 
     candidates = enumerate_essential_candidates(G, v, w_hi, side)
     for f_set in candidates:
@@ -333,7 +335,7 @@ def enumerate_nonexpanding_closed(
                 if budget < 0:
                     raise CapacityError(
                         "candidate budget exhausted in non-expanding enumeration "
-                        f"({max_candidates} tried, {len(found)} sets found)"
+                        f"({CANDIDATE_BUDGET} tried, {len(found)} sets found)"
                     )
                 w_bits = f_bits | bits_of(extra)
                 w_size = w_bits.bit_count()

@@ -63,6 +63,8 @@ METHOD_EXPANDER = "expander-CE"
 METHOD_GENERAL = "general"
 METHOD_ORACLE = "oracle"
 
+CENSUS_SIDE_CAP = 20  # largest side whose 2^n masks polymer_census tables
+
 # the analysis's constants on the weighted regime, at their one value: c4
 # scales the hypothesis on beta(lambda), big C2 the fugacity threshold
 C4 = 1.0
@@ -191,8 +193,8 @@ def _admitted_mask_table(G: BipartiteGraph, fam: PolymerFamily) -> list[bool]:
     # table over all side masks; component admissions are cached since
     # distinct masks share their 2-linked components
     n = G.side_size(fam.side)
-    if n > 20:
-        raise CapacityError(f"census table needs 2^{n} entries, side cap is 20")
+    if n > CENSUS_SIDE_CAP:
+        raise CapacityError(f"census table needs 2^{n} entries, side cap is {CENSUS_SIDE_CAP}")
     admit: dict[int, bool] = {}
     out = [False] * (1 << n)
     for s in range(1 << n):

@@ -95,16 +95,15 @@ def enumerate_families(
     G: BipartiteGraph,
     params: ExpansionParams | None = None,
     side: str = "X",
-    max_families: int = FAMILY_BUDGET,
 ) -> Iterator[NonExpandingFamily]:
     """All families over the distinct non-expanding closed sets of a side,
     the empty family first, then in ascending pool order."""
     pool = distinct_nonexpanding_closed(G, params or ExpansionParams(), side)
-    yield from _families_over(G, side, pool, max_families)
+    yield from _families_over(G, side, pool)
 
 
 def _families_over(
-    G: BipartiteGraph, side: str, pool: list[SideSet], max_families: int
+    G: BipartiteGraph, side: str, pool: list[SideSet]
 ) -> Iterator[NonExpandingFamily]:
     nbhds = [neighborhood_bits(G, side, s.bits) for s in pool]
     produced = 0
@@ -112,8 +111,8 @@ def _families_over(
     def emit(fam: tuple[SideSet, ...]) -> NonExpandingFamily:
         nonlocal produced
         produced += 1
-        if produced > max_families:
-            raise CapacityError(f"family stream exceeds {max_families} members")
+        if produced > FAMILY_BUDGET:
+            raise CapacityError(f"family stream exceeds {FAMILY_BUDGET} members")
         return NonExpandingFamily(fam)
 
     # depth-first in pool order; each branch extends by a later set whose
@@ -133,25 +132,21 @@ def _families_over(
 
 
 def _family_terms(
-    G: BipartiteGraph, p: ExpansionParams, side: str, max_families: int
+    G: BipartiteGraph, p: ExpansionParams, side: str
 ) -> tuple[tuple[NonExpandingFamily, int, int], ...]:
     """Each family of ``enumerate_families`` with |N(union)| and its region.
     They depend on the graph, params and side alone, so they are listed once
-    per graph object and kept in its memo; a kept list over
-    ``max_families`` raises as a fresh listing does."""
+    per graph object and kept in its memo."""
 
     def build() -> tuple[tuple[NonExpandingFamily, int, int], ...]:
         terms = []
-        for family in enumerate_families(G, p, side, max_families):
+        for family in enumerate_families(G, p, side):
             union = family.union_bits
             covered = neighborhood_bits(G, side, union).bit_count()
             terms.append((family, covered, family_region(G, side, union)))
         return tuple(terms)
 
-    terms = G.memo(("families", p, side), build)
-    if len(terms) > max_families:
-        raise CapacityError(f"family stream exceeds {max_families} members")
-    return terms
+    return G.memo(("families", p, side), build)
 
 
 def family_region(G: BipartiteGraph, side: str, union_bits: int) -> int:
@@ -351,7 +346,7 @@ def assemble_exact(
     universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), G.side_size(side))
     xi_of = universe.region_memo(lambda mask: exact_xi(universe, m, mask))
     total = Fraction(0)
-    for family, covered, region in _family_terms(G, p, side, FAMILY_BUDGET):
+    for family, covered, region in _family_terms(G, p, side):
         xi = xi_of(universe.within(region))
         prod = 1
         for s in family.sets:
@@ -372,7 +367,6 @@ def count_general(
     seed: int,
     params: ExpansionParams | None = None,
     side: str = "X",
-    max_families: int = FAMILY_BUDGET,
 ) -> ApproxCount:
     """Approximate i(G) by the family sum with truncated local cluster
     expansions.
@@ -390,8 +384,7 @@ def count_general(
     check and every family's local expansion, taken once per distinct
     region mask.  The family list (by params and side), the KP verdict and
     that per-region ln Xi(ell) (by params, side and ell) are seed-free and
-    kept in the memo too; a kept family list over ``max_families`` raises
-    as a fresh one does.  When d > sqrt(n) the local partition functions
+    kept in the memo too.  When d > sqrt(n) the local partition functions
     are dropped (replaced by 1), as the defect structure is negligible in
     that regime, and the convergence condition is reported as assumed."""
     _check_epsilon(epsilon)
@@ -416,7 +409,7 @@ def count_general(
     for s, k, exact in zip(pool, draws, scan):
         if not exact:
             _check_draws(s, k)
-    families = _family_terms(G, p, side, max_families)
+    families = _family_terms(G, p, side)
     nonempty = sum(1 for family, _, _ in families if family.sets)
 
     seeds = None  # child i of SeedSequence(seed) over the pool, built on first use

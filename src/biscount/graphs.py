@@ -34,6 +34,7 @@ Y_SIDE = "Y"
 # and its edge lists n * d <= n^2 entries, so the cap bounds both: at it,
 # even the complete graph K_{n,n} builds within 2 GiB
 MAX_SIDE = 1 << 11
+EXPANDER_CHECK_CAP = 20  # largest side check_alpha_expander walks every subset of
 
 
 def check_side_size(n: int) -> None:
@@ -233,8 +234,7 @@ class BipartiteGraph:
           verdict and its per-region ln Xi(ell), taken once per polymer mask.
 
         Callers never change what it hands out (a universe only gains kept
-        walks), and a kept object meets every budget a fresh build would.
-        A ``build`` that raises stores nothing."""
+        walks).  A ``build`` that raises stores nothing."""
         cache = self._cache
         if key not in cache:
             cache[key] = build()
@@ -387,15 +387,20 @@ class ExpanderVerdict:
     witness: SideSet | None = None
 
 
-def check_alpha_expander(
-    G: BipartiteGraph,
-    alpha: float | Fraction,
-    size_limit: int = 20,
-) -> ExpanderVerdict:
+def check_expander_sides(n_x: int, n_y: int) -> None:
+    """Raise CapacityError when a side is past ``EXPANDER_CHECK_CAP``."""
+    for n in (n_x, n_y):
+        if n > EXPANDER_CHECK_CAP:
+            raise CapacityError(
+                f"exhaustive expander check capped at side size {EXPANDER_CHECK_CAP}, got {n}"
+            )
+
+
+def check_alpha_expander(G: BipartiteGraph, alpha: float | Fraction) -> ExpanderVerdict:
     """Decide whether every set of at most half a side expands by (1+alpha),
-    walking all subsets of both sides (guarded by ``size_limit`` on the side
-    size).  The comparison is exact: alpha is coerced to a Fraction, so
-    boundary ties behave deterministically.
+    walking all subsets of both sides (guarded by ``EXPANDER_CHECK_CAP`` on
+    the side size).  The comparison is exact: alpha is coerced to a
+    Fraction, so boundary ties behave deterministically.
     """
     frac_alpha = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
     one_plus = 1 + frac_alpha
@@ -404,12 +409,9 @@ def check_alpha_expander(
         w = neighborhood_bits(G, side, bits).bit_count()
         return Fraction(w) < one_plus * bits.bit_count()
 
+    check_expander_sides(G.n_x, G.n_y)
     for side in (X_SIDE, Y_SIDE):
         n = G.side_size(side)
-        if n > size_limit:
-            raise CapacityError(
-                f"exhaustive expander check capped at side size {size_limit}, got {n}"
-            )
         half = n // 2
         for bits in range(1, 1 << n):
             if bits.bit_count() <= half and violates(side, bits):

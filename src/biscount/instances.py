@@ -88,26 +88,34 @@ def even_torus(dims: list[int]) -> BipartiteGraph:
     return BipartiteGraph.from_edges(len(evens), len(odds), edges, d=2 * len(dims))
 
 
-def random_regular(n: int, d: int, seed: int, max_attempts: int = 20000) -> BipartiteGraph:
+STUB_BUDGET = 1 << 21  # stub positions the configuration model may shuffle in all
+
+
+def random_regular(n: int, d: int, seed: int) -> BipartiteGraph:
     """Configuration model with full-restart rejection until simple.
 
     Requires n*d even and d <= n.  Restart rejection keeps the distribution
-    uniform over simple outcomes but is only viable for small d; the retry cap
-    turns hopeless parameter choices into a capacity error.
+    uniform over simple outcomes but is only viable for small d; the stub
+    budget turns hopeless parameter choices into a capacity error.
     """
     if d < 1 or d > n:
         raise InvalidInputError("need 1 <= d <= n")
     if (n * d) % 2:
         raise InvalidInputError("n*d must be even")
     check_side_size(n)
+    if n * d > STUB_BUDGET:
+        raise CapacityError(
+            f"configuration model needs {n * d} stubs, over instances.STUB_BUDGET = {STUB_BUDGET}"
+        )
+    attempts = STUB_BUDGET // (n * d)
     rng = random.Random(seed)
-    x_stubs = [u for u in range(n) for _ in range(d)]
-    for _ in range(max_attempts):
-        y_stubs = [v for v in range(n) for _ in range(d)]
+    stubs = [u for u in range(n) for _ in range(d)]
+    for _ in range(attempts):
+        y_stubs = stubs[:]
         rng.shuffle(y_stubs)
         seen = set()
         ok = True
-        for u, v in zip(x_stubs, y_stubs):
+        for u, v in zip(stubs, y_stubs):
             if (u, v) in seen:
                 ok = False
                 break
@@ -115,7 +123,7 @@ def random_regular(n: int, d: int, seed: int, max_attempts: int = 20000) -> Bipa
         if ok:
             return BipartiteGraph.from_edges(n, n, sorted(seen), d=d)
     raise CapacityError(
-        f"configuration model failed to produce a simple graph in {max_attempts} attempts"
+        f"configuration model failed to produce a simple graph in {attempts} attempts"
     )
 
 

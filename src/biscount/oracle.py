@@ -70,25 +70,27 @@ def _gray_sweep(G: BipartiteGraph, term):
 
 
 SWEEP_CAP = 30  # largest X side the subset sweep (and every oracle table) takes
+GENERAL_CAP = 40  # most vertices the general branching counter takes
+TABLE_CAP = 1 << 21  # most independent sets a distribution table or ExactSampler holds
 
 
-def check_sweep_side(n_x: int, size_cap: int = SWEEP_CAP) -> None:
+def check_sweep_side(n_x: int) -> None:
     """Raise CapacityError when an X side of ``n_x`` vertices is past the
     sweep's cap."""
-    if n_x > size_cap:
-        raise CapacityError(f"bipartite sweep capped at nX={size_cap}, got {n_x}")
+    if n_x > SWEEP_CAP:
+        raise CapacityError(f"bipartite sweep capped at nX={SWEEP_CAP}, got {n_x}")
 
 
-def exact_count_bipartite(G: BipartiteGraph, size_cap: int = SWEEP_CAP) -> ExactCount:
+def exact_count_bipartite(G: BipartiteGraph) -> ExactCount:
     """i(G) = sum over S subseteq X of 2^(nY - |N(S)|), exactly."""
-    check_sweep_side(G.n_x, size_cap)
+    check_sweep_side(G.n_x)
     start = time.perf_counter()
     pow2 = [1 << k for k in range(G.n_y + 1)]
     value = _gray_sweep(G, lambda s, cov: pow2[G.n_y - cov])
     return ExactCount(value, G.fingerprint(), time.perf_counter() - start)
 
 
-def exact_hardcore(G: BipartiteGraph, lam: Fraction, size_cap: int = SWEEP_CAP) -> ExactCount:
+def exact_hardcore(G: BipartiteGraph, lam: Fraction) -> ExactCount:
     """Z_G(lam) = sum over S subseteq X of lam^|S| (1+lam)^(nY-|N(S)|).
 
     Scaled to a common denominator q^(nX+nY) so the sweep accumulates one big
@@ -97,7 +99,7 @@ def exact_hardcore(G: BipartiteGraph, lam: Fraction, size_cap: int = SWEEP_CAP) 
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("fugacity must be positive")
-    check_sweep_side(G.n_x, size_cap)
+    check_sweep_side(G.n_x)
     start = time.perf_counter()
     p, q = lam.numerator, lam.denominator
     top = G.n_x + G.n_y
@@ -151,10 +153,10 @@ def _count_mask(rows: list[int], mask: int, memo: dict[int, int]) -> int:
     return result
 
 
-def exact_count_general(G: Graph, size_cap: int = 40) -> ExactCount:
+def exact_count_general(G: Graph) -> ExactCount:
     """Branching recursion i(G) = i(G-v) + i(G-N[v]) on a max-degree vertex."""
-    if G.n > size_cap:
-        raise CapacityError(f"general counter capped at {size_cap} vertices, got {G.n}")
+    if G.n > GENERAL_CAP:
+        raise CapacityError(f"general counter capped at {GENERAL_CAP} vertices, got {G.n}")
     start = time.perf_counter()
     value = _count_mask(G.rows, (1 << G.n) - 1, {})
     return ExactCount(value, _general_fingerprint(G), time.perf_counter() - start)
@@ -180,22 +182,22 @@ def iter_independent_sets(G: BipartiteGraph) -> Iterator[tuple[int, int]]:
             t = (t - 1) & free
 
 
-def _checked_fugacity(G: BipartiteGraph, lam: Fraction, table_cap: int) -> Fraction:
-    # a positive fugacity, and a graph with at most table_cap independent sets
+def _checked_fugacity(G: BipartiteGraph, lam: Fraction) -> Fraction:
+    # a positive fugacity, and a graph with at most TABLE_CAP independent sets
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("fugacity must be positive")
     total = exact_count_bipartite(G).value
-    if total > table_cap:
-        raise CapacityError(f"distribution table capped at {table_cap} sets, need {total}")
+    if total > TABLE_CAP:
+        raise CapacityError(f"distribution table capped at {TABLE_CAP} sets, need {total}")
     return lam
 
 
 def exact_distribution(
-    G: BipartiteGraph, lam: Fraction = Fraction(1), table_cap: int = 1 << 21
+    G: BipartiteGraph, lam: Fraction = Fraction(1)
 ) -> dict[tuple[int, int], Fraction]:
     """The measure I -> lam^|I| / Z as an exact table keyed by (X-mask, Y-mask)."""
-    lam = _checked_fugacity(G, lam, table_cap)
+    lam = _checked_fugacity(G, lam)
     z = exact_hardcore(G, lam).value
     table: dict[tuple[int, int], Fraction] = {}
     for s, t in iter_independent_sets(G):
@@ -224,9 +226,8 @@ class ExactSampler:
     ((r + 1) N - 1) >> 96 for N sets: the draw needs no table, and
     ``thresholds`` is built only when it is read."""
 
-    def __init__(self, G: BipartiteGraph, lam: Fraction = Fraction(1), seed: int = 0,
-                 table_cap: int = 1 << 21):
-        self._lam = _checked_fugacity(G, lam, table_cap)
+    def __init__(self, G: BipartiteGraph, lam: Fraction = Fraction(1), seed: int = 0):
+        self._lam = _checked_fugacity(G, lam)
         self._top = G.n_x + G.n_y
         self.keys = list(iter_independent_sets(G))
         self._uniform = self._lam == 1

@@ -150,29 +150,23 @@ def are_compatible(g1: Polymer, g2: Polymer) -> bool:
     return not (g1.bits & g2.bits or g1.nbhd & g2.nbhd)
 
 
-def enumerate_polymers(
-    G: BipartiteGraph,
-    fam: PolymerFamily,
-    size_cap: int,
-    max_polymers: int = 1 << 20,
-) -> PolymerUniverse:
+POLYMER_BUDGET = 1 << 20  # polymers one universe may hold
+CONFIG_BUDGET = 1 << 22  # compatible configurations one walk may visit
+MASK_BUDGET = 256 << 23  # bits (256 MiB) the incompatibility masks of a universe may hold
+
+
+def enumerate_polymers(G: BipartiteGraph, fam: PolymerFamily, size_cap: int) -> PolymerUniverse:
     """The polymer universe up to ``size_cap`` vertices, sorted by bit mask.
     A region's polymers are the universe's mask ``within(region)``.
 
     The universe depends on the graph, the family and the cap alone (a cap
     past the side's size is the side's size), so it is kept in the graph's
-    memo and built once per graph object; a kept universe over
-    ``max_polymers`` raises as a fresh build does."""
+    memo and built once per graph object."""
     cap = min(size_cap, G.side_size(fam.side))
-    universe = G.memo(("polymers", fam, cap), lambda: _build_universe(G, fam, cap, max_polymers))
-    if len(universe) > max_polymers:
-        raise CapacityError(f"polymer universe exceeds {max_polymers} members (partial count)")
-    return universe
+    return G.memo(("polymers", fam, cap), lambda: _build_universe(G, fam, cap))
 
 
-def _build_universe(
-    G: BipartiteGraph, fam: PolymerFamily, size_cap: int, max_polymers: int
-) -> PolymerUniverse:
+def _build_universe(G: BipartiteGraph, fam: PolymerFamily, size_cap: int) -> PolymerUniverse:
     """A filter of ``graphs.two_linked_sets`` over the family's side: every set
     it yields is 2-linked and comes with |N(S)| and |[S]|, which decide
     membership.  The walk is pruned by ``top``, the largest |N| that
@@ -188,17 +182,13 @@ def _build_universe(
     out: list[Polymer] = []
     for bits, nbhd, closed in two_linked_sets(G, side, size_cap, top=top):
         if admitted[closed.bit_count()][nbhd.bit_count()]:
-            if len(out) >= max_polymers:
+            if len(out) >= POLYMER_BUDGET:
                 raise CapacityError(
-                    f"polymer universe exceeds {max_polymers} members (partial count)"
+                    f"polymer universe exceeds {POLYMER_BUDGET} members (partial count)"
                 )
             out.append(Polymer(side, bits, nbhd))
     out.sort(key=lambda p: p.bits)
     return PolymerUniverse(out)
-
-
-CONFIG_BUDGET = 1 << 22  # compatible configurations one walk may visit
-MASK_BUDGET = 256 << 23  # bits (256 MiB) the incompatibility masks of a universe may hold
 
 
 def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
@@ -299,15 +289,15 @@ def _fits_masks(sizes: Sequence[int], budget: int) -> list[int]:
 
 
 def iter_compatible_configs(
-    universe: PolymerUniverse, max_configs: int = CONFIG_BUDGET, max_size: int | None = None,
-    mask: int = -1,
+    universe: PolymerUniverse, max_size: int | None = None, mask: int = -1,
 ) -> Iterator[tuple[int, ...]]:
     """Every collection of pairwise-compatible polymers of ``mask`` (default
     -1: all) as a tuple of ascending universe indices; the empty collection
     comes first.  With ``max_size``, only those of total size at most
     ``max_size``: a polymer too large for the budget left is masked out
-    before it is tried."""
+    before it is tried.  More than ``CONFIG_BUDGET`` of them raise CapacityError."""
     incompat, sizes = universe.incompat, universe.sizes
+    max_configs = CONFIG_BUDGET  # read once, not per configuration
     budget = sum(sizes) if max_size is None else max(max_size, 0)
     fits = universe.fits(budget)
     count = 0
@@ -337,8 +327,7 @@ class SizePolynomial(list):
 
 
 def xi_size_polynomial(
-    universe: PolymerUniverse, m: WeightModel, max_configs: int = CONFIG_BUDGET,
-    upto: int | None = None, mask: int = -1,
+    universe: PolymerUniverse, m: WeightModel, upto: int | None = None, mask: int = -1,
 ) -> SizePolynomial:
     """Coefficients c_k = total weight of the compatible configurations of
     ``mask`` (default -1: all) with combined polymer size k; c_0 = 1 and
@@ -352,8 +341,7 @@ def xi_size_polynomial(
     common denominator.  The counts are kept in the universe's ``walks``,
     so a later call on the same (budget, mask), under any weight model,
     only weighs them; a budget at or past the mask's total size walks every
-    configuration and shares one entry.  Kept counts of more than
-    ``max_configs`` configurations raise as a fresh walk does."""
+    configuration and shares one entry."""
     mask &= universe.all
     total = sum(map(universe.sizes.__getitem__, iter_bits(mask)))
     if upto is None:
@@ -364,11 +352,9 @@ def xi_size_polynomial(
         keys = universe.keys
         cells = Counter(
             sum(map(keys.__getitem__, config))
-            for config in iter_compatible_configs(universe, max_configs, key[0], mask)
+            for config in iter_compatible_configs(universe, key[0], mask)
         )
         walk = universe.walks[key] = (sum(cells.values()), tuple(cells.items()))
-    elif walk[0] > max_configs:
-        raise CapacityError(f"more than {max_configs} polymer configurations")
     configs, cells = walk
     stride = universe.stride
     weights = m.class_weights(len(universe.holding), stride - 1)

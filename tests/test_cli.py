@@ -3,11 +3,12 @@
 import argparse
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 from biscount.cli import DEFAULTS, MODE_FLAG, READS, build_parser, main
-from biscount.graphs import X_SIDE, load_graph, neighborhood_bits
+from biscount.graphs import EXPANDER_CHECK_CAP, X_SIDE, load_graph, neighborhood_bits
 from biscount.oracle import SWEEP_CAP
 
 
@@ -414,6 +415,23 @@ def test_oracle_refuses_a_side_past_the_sweep_cap_from_the_header(tmp_path, caps
     assert main([subcommand, "--graph", str(path), "--mode", "expander"]) == 2
     path.write_text(f"p bis {SWEEP_CAP} {SWEEP_CAP} 3\n", encoding="utf-8")
     assert main([subcommand, "--graph", str(path), "--mode", "oracle"]) == 2
+    assert "expected" in capsys.readouterr().err
+
+
+def test_check_expander_refuses_a_side_past_its_cap_from_the_header(tmp_path, capsys):
+    # header-only files, as above: exit 3 rather than 2 shows that either
+    # side past the cap is refused from the header, before any edge
+    path = tmp_path / "header.graph"
+    n = EXPANDER_CHECK_CAP + 1
+    for n_x, n_y in ((n, 3), (3, n)):
+        path.write_text(f"c header only\np bis {n_x} {n_y} 3\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["check-expander", "--graph", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"expander check capped at side size {EXPANDER_CHECK_CAP}, got {n}" in err
+    path.write_text(f"p bis {EXPANDER_CHECK_CAP} {EXPANDER_CHECK_CAP} 3\n", encoding="utf-8")
+    assert main(["check-expander", "--graph", str(path)]) == 2
     assert "expected" in capsys.readouterr().err
 
 

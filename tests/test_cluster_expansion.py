@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from biscount import (
     CapacityError,
-    cluster_expansion,
     InvalidInputError,
     beta_weight,
     choose_ell,
@@ -22,6 +21,7 @@ from biscount import (
     truncation_bound,
     verify_kp,
 )
+from biscount import polymers
 from biscount.cluster_expansion import KPFunctions
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.polymers import (
@@ -125,17 +125,13 @@ def test_exact_xi_frozen_anchor(c8):
     )
 
 
-def test_exact_xi_capacity(c8, monkeypatch):
+def test_exact_xi_capacity(monkeypatch):
     # the one budget on exact Xi is the configuration walk's: a universe
     # with more compatible configurations than it allows raises
-    real = cluster_expansion.xi_size_polynomial
-    monkeypatch.setattr(
-        cluster_expansion, "xi_size_polynomial",
-        lambda u, m, mask: real(u, m, max_configs=3, mask=mask),
-    )
+    monkeypatch.setattr(polymers, "CONFIG_BUDGET", 3)
     fam = PolymerFamily("expanding", "X", P1)
     with pytest.raises(CapacityError, match="more than 3 polymer configurations"):
-        exact_xi(enumerate_polymers(c8, fam, 4), WeightModel.unweighted())
+        exact_xi(enumerate_polymers(even_cycle(8), fam, 4), WeightModel.unweighted())
 
 
 def test_truncated_log_xi_matches_series_partial_sums(c8):
@@ -313,19 +309,23 @@ def test_series_route_equals_cluster_route_on_random_shifts(n, seed):
     assume(checked)
 
 
-def test_budgeted_walk_config_count_and_cap(c8):
+def test_budgeted_walk_config_count_and_cap(monkeypatch):
     fam = PolymerFamily("expanding", "X", P1)
     m = WeightModel.unweighted()
-    uni = enumerate_polymers(c8, fam, 4)
-    est = truncated_log_xi(uni, m, 8, 4, c8.d)
+    G = even_cycle(8)
+    uni = enumerate_polymers(G, fam, 4)
+    est = truncated_log_xi(uni, m, 8, 4, G.d)
     # every configuration of C8's X side has total size <= 2 (the frozen
     # size polynomial), so ell = 8 walks all of them
     assert est.config_count == len(list(iter_compatible_configs(uni)))
-    coeffs = xi_size_polynomial(uni, m, max_configs=est.config_count, upto=8)
+    # the walk is kept on the universe, so the budget is tried on a fresh one
+    monkeypatch.setattr(polymers, "CONFIG_BUDGET", est.config_count)
+    coeffs = xi_size_polynomial(enumerate_polymers(even_cycle(8), fam, 4), m, upto=8)
     assert coeffs.configs == est.config_count
     assert est.log_value == float(sum(log_series_coefficients(coeffs, 8)[1:]))
-    with pytest.raises(CapacityError):
-        xi_size_polynomial(uni, m, max_configs=est.config_count - 1, upto=8)
+    monkeypatch.setattr(polymers, "CONFIG_BUDGET", est.config_count - 1)
+    with pytest.raises(CapacityError, match=f"^more than {est.config_count - 1} polymer"):
+        xi_size_polynomial(enumerate_polymers(even_cycle(8), fam, 4), m, upto=8)
 
 
 def model_setup(model, d):

@@ -139,9 +139,10 @@ def test_enumerate_families_frozen_c8(c8):
     assert fams == {frozenset(), frozenset({0b1111})}
 
 
-def test_enumerate_families_capacity(c8):
-    with pytest.raises(CapacityError):
-        list(enumerate_families(c8, P100, max_families=2))
+def test_enumerate_families_capacity(monkeypatch):
+    monkeypatch.setattr(general_count, "FAMILY_BUDGET", 2)
+    with pytest.raises(CapacityError, match="^family stream exceeds 2 members$"):
+        list(enumerate_families(even_cycle(8), P100))
 
 
 @pytest.mark.parametrize("params", [P1, P100])
@@ -290,21 +291,6 @@ def test_count_general_second_call_reads_the_graph_memo(monkeypatch):
     distinct_nonexpanding_closed(G, P1).clear()
     assert len(distinct_nonexpanding_closed(G, P1)) == first.notes["distinct_sets"]
     assert walked == []
-
-
-def test_kept_family_list_keeps_its_budget():
-    # the family list is kept in the graph's memo; a smaller budget still
-    # raises what a fresh listing raises
-    G = even_cycle(16)
-    first = count_general(G, 0.05, 0.05, seed=1, params=P1)
-    n = first.notes["families"]
-    assert count_general(G, 0.05, 0.05, seed=1, params=P1, max_families=n) == first
-    messages = []
-    for graph in (G, even_cycle(16)):
-        with pytest.raises(CapacityError) as info:
-            count_general(graph, 0.05, 0.05, seed=1, params=P1, max_families=n - 1)
-        messages.append(str(info.value))
-    assert messages == [f"family stream exceeds {n - 1} members"] * 2
 
 
 def test_second_count_general_on_c40_reads_the_memo():

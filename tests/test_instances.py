@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from biscount import CapacityError, InvalidInputError, dump_graph, load_graph
+from biscount import CapacityError, InvalidInputError, dump_graph, instances, load_graph
 from biscount.graphs import MAX_SIDE
 from biscount.instances import (
     InstanceSpec,
@@ -80,6 +80,18 @@ def test_random_regular_reproducible_and_validated():
     assert dump_graph(c) != dump_graph(a)
     with pytest.raises(InvalidInputError):
         random_regular(5, 3, seed=0)  # n*d odd
+
+
+def test_random_regular_budget_bounds_shuffled_stubs(monkeypatch):
+    # more stubs than the budget are refused before the first shuffle
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="needs 4194304 stubs, over instances.STUB_BUDGET"):
+        random_regular(MAX_SIDE, MAX_SIDE, seed=1)
+    assert time.perf_counter() - start < 0.1
+    # otherwise STUB_BUDGET // (n d) attempts, each shuffling n d stubs
+    monkeypatch.setattr(instances, "STUB_BUDGET", 3 * 128 * 32 + 5)
+    with pytest.raises(CapacityError, match="^configuration model failed .* in 3 attempts$"):
+        random_regular(128, 32, seed=1)
 
 
 def test_random_shift_reproducible():

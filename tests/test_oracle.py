@@ -17,6 +17,7 @@ from biscount import (
     exact_hardcore,
     is_expanding,
 )
+from biscount import oracle
 from biscount.graphs import SideSet, two_linked_component_bits
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.oracle import (
@@ -91,11 +92,13 @@ def test_iter_independent_sets_complete_and_valid():
                 assert G.rows("X")[x] & yb == 0
 
 
-def test_size_caps_raise():
-    with pytest.raises(CapacityError):
-        exact_count_bipartite(even_cycle(12), size_cap=4)
-    with pytest.raises(CapacityError):
-        exact_count_general(even_cycle(12).to_general(), size_cap=8)
+def test_size_caps_raise(monkeypatch):
+    monkeypatch.setattr(oracle, "SWEEP_CAP", 4)
+    with pytest.raises(CapacityError, match="^bipartite sweep capped at nX=4, got 6$"):
+        exact_count_bipartite(even_cycle(12))
+    monkeypatch.setattr(oracle, "GENERAL_CAP", 8)
+    with pytest.raises(CapacityError, match="^general counter capped at 8 vertices, got 12$"):
+        exact_count_general(even_cycle(12).to_general())
 
 
 def test_exact_distribution_normalizes_and_weights():
@@ -194,12 +197,14 @@ def test_uniform_sampler_builds_no_thresholds_until_read(c8):
     ]
 
 
-def test_exact_sampler_checks_fugacity_and_table_cap(c8):
+def test_exact_sampler_checks_fugacity_and_table_cap(c8, monkeypatch):
     with pytest.raises(InvalidInputError):
         ExactSampler(c8, Fraction(0))
-    with pytest.raises(CapacityError):
-        ExactSampler(c8, Fraction(1), table_cap=46)
-    assert len(ExactSampler(c8, Fraction(1), table_cap=47).keys) == 47
+    monkeypatch.setattr(oracle, "TABLE_CAP", 46)
+    with pytest.raises(CapacityError, match="^distribution table capped at 46 sets, need 47$"):
+        ExactSampler(even_cycle(8), Fraction(1))
+    monkeypatch.setattr(oracle, "TABLE_CAP", 47)
+    assert len(ExactSampler(even_cycle(8), Fraction(1)).keys) == 47
 
 
 def test_exact_sampler_empirical_distribution(c8):

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import biscount
+from biscount import polymers
 from biscount import (
     CapacityError,
     ExpansionParams,
@@ -94,41 +95,40 @@ def test_size_cap_restricts_universe(c8):
     assert len(small) == 4
 
 
-def test_enumerate_polymers_capacity(q5):
+def test_enumerate_polymers_capacity(monkeypatch):
+    # fresh graph objects: a universe kept in a graph's memo is not rebuilt
     fam = PolymerFamily("expanding", "X", P1)
-    with pytest.raises(CapacityError):
-        enumerate_polymers(even_cycle(8), fam, 4, max_polymers=3)
+    monkeypatch.setattr(polymers, "POLYMER_BUDGET", 3)
+    with pytest.raises(CapacityError, match="^polymer universe exceeds 3 members"):
+        enumerate_polymers(even_cycle(8), fam, 4)
     # the budget is on the whole universe, however the walk is pruned
-    assert len(enumerate_polymers(q5, fam, 16, max_polymers=1452)) == 1452
-    with pytest.raises(CapacityError):
-        enumerate_polymers(q5, fam, 16, max_polymers=1451)
+    monkeypatch.setattr(polymers, "POLYMER_BUDGET", 1452)
+    assert len(enumerate_polymers(hypercube(5), fam, 16)) == 1452
+    monkeypatch.setattr(polymers, "POLYMER_BUDGET", 1451)
+    with pytest.raises(CapacityError, match="^polymer universe exceeds 1451 members"):
+        enumerate_polymers(hypercube(5), fam, 16)
 
 
-def capacity_message(call):
-    with pytest.raises(CapacityError) as info:
-        call()
-    return str(info.value)
-
-
-def test_kept_universe_keeps_its_polymer_budget():
+def test_kept_universe_keeps_its_polymer_budget(monkeypatch):
     # the universe is kept in the graph's memo by (family, cap), a cap past
-    # the side counting as the side; a smaller budget still raises what a
-    # fresh build raises
+    # the side counting as the side; it was built under the budget in force,
+    # so it is returned as kept while a fresh build under a lower budget raises
     G = hypercube(4)
     fam = PolymerFamily("expanding", "X", P1)
     universe = enumerate_polymers(G, fam, 8)
     assert len(universe) == 32
-    assert enumerate_polymers(G, fam, 99, max_polymers=32) is universe
-    kept = capacity_message(lambda: enumerate_polymers(G, fam, 8, max_polymers=31))
-    fresh = capacity_message(lambda: enumerate_polymers(hypercube(4), fam, 8, max_polymers=31))
-    assert kept == fresh == "polymer universe exceeds 31 members (partial count)"
+    assert enumerate_polymers(G, fam, 99) is universe
+    monkeypatch.setattr(polymers, "POLYMER_BUDGET", 31)
     assert enumerate_polymers(G, fam, 8) is universe
+    with pytest.raises(CapacityError) as info:
+        enumerate_polymers(hypercube(4), fam, 8)
+    assert str(info.value) == "polymer universe exceeds 31 members (partial count)"
 
 
-def test_kept_walk_keeps_its_configuration_budget():
+def test_kept_walk_keeps_its_configuration_budget(monkeypatch):
     # a walk's class counts are kept on the universe per (budget, mask) and
-    # shared by every weight model; a smaller configuration budget still
-    # raises what a fresh walk raises
+    # shared by every weight model; a kept walk is read back under a lower
+    # configuration budget while a fresh walk raises
     fam = PolymerFamily("expanding", "X", P1)
     uni = enumerate_polymers(hypercube(4), fam, 8)
     full = xi_size_polynomial(uni, WeightModel.unweighted())
@@ -139,14 +139,15 @@ def test_kept_walk_keeps_its_configuration_budget():
         enumerate_polymers(hypercube(4), fam, 8), WeightModel.hardcore(Fraction(1, 2))
     )
     budget = full.configs - 1
-    kept = capacity_message(lambda: xi_size_polynomial(uni, WeightModel.unweighted(), budget))
+    monkeypatch.setattr(polymers, "CONFIG_BUDGET", budget)
+    assert xi_size_polynomial(uni, WeightModel.unweighted()) == full
     fresh_uni = enumerate_polymers(hypercube(4), fam, 8)
-    fresh = capacity_message(
-        lambda: xi_size_polynomial(fresh_uni, WeightModel.unweighted(), budget)
-    )
-    assert kept == fresh == f"more than {budget} polymer configurations"
+    with pytest.raises(CapacityError) as info:
+        xi_size_polynomial(fresh_uni, WeightModel.unweighted())
+    assert str(info.value) == f"more than {budget} polymer configurations"
+    monkeypatch.undo()
     # a budget at or past the total size walks everything: one kept entry
-    wide = xi_size_polynomial(uni, WeightModel.unweighted(), full.configs, upto=99)
+    wide = xi_size_polynomial(uni, WeightModel.unweighted(), upto=99)
     assert wide[: len(full)] == full
     assert len(uni.walks) == 1
 
@@ -332,11 +333,12 @@ def test_iter_compatible_configs_matches_brute(c8, q3):
         assert len(configs) == len(want)
 
 
-def test_iter_compatible_configs_capacity(c8):
+def test_iter_compatible_configs_capacity(monkeypatch):
     fam = PolymerFamily("expanding", "X", P1)
-    uni = enumerate_polymers(c8, fam, 4)
-    with pytest.raises(CapacityError):
-        list(iter_compatible_configs(uni, max_configs=5))
+    uni = enumerate_polymers(even_cycle(8), fam, 4)
+    monkeypatch.setattr(polymers, "CONFIG_BUDGET", 5)
+    with pytest.raises(CapacityError, match="^more than 5 polymer configurations$"):
+        list(iter_compatible_configs(uni))
 
 
 def test_size_budgeted_walk_is_the_filtered_full_walk(c8, q3):

@@ -1,6 +1,8 @@
 """Checks over the package's own source files and the test configuration."""
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,45 @@ def test_only_graphs_reaches_into_the_graph_memo():
         if isinstance(node, ast.Attribute) and node.attr == "_cache"
     })
     assert found == ["graphs.py"]
+
+
+# per-call overrides of a capacity limit: each limit is one module constant
+BUDGET_PARAMETERS = {
+    "max_polymers", "max_configs", "max_families", "table_cap", "size_limit",
+    "max_candidates", "max_attempts",
+}
+
+
+def public_callables():
+    """(name, callable) for every public callable the package exports or a
+    package module defines, and every public method of such a class."""
+    modules = [importlib.import_module(f"biscount.{path.stem}") for path in SOURCES]
+    for owner in [biscount, *modules]:
+        for name, obj in vars(owner).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if not getattr(obj, "__module__", "").startswith("biscount."):
+                continue
+            yield name, obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{name}.{attr}", member
+
+
+def test_no_public_signature_takes_a_budget():
+    found = {}
+    for name, obj in public_callables():
+        try:
+            found[name] = set(inspect.signature(obj).parameters)
+        except ValueError:  # a builtin without a signature, such as an exception class
+            continue
+    assert "enumerate_polymers" in found and "ExactSampler" in found
+    assert sorted(name for name, params in found.items() if params & BUDGET_PARAMETERS) == []
+    # size_cap is the size a walk truncates at, an input rather than a budget
+    assert sorted({name for name, params in found.items() if "size_cap" in params}) == [
+        "enumerate_polymers", "two_linked_sets",
+    ]
 
 
 def test_failing_hypothesis_test_reports_as_a_failure(tmp_path):
