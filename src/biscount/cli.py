@@ -45,20 +45,26 @@ from .graphs import (
     read_header,
 )
 from .instances import InstanceSpec, generate
-from .oracle import ExactSampler, check_sweep_side, exact_count_bipartite, exact_hardcore
+from .oracle import (
+    ExactSampler,
+    check_sweep_side,
+    check_table_sides,
+    exact_count_bipartite,
+    exact_hardcore,
+)
 from .polymers import PolymerFamily, WeightModel, enumerate_polymers
 
 SCHEMA = 1
 DECIMAL_DIGIT_CAP = 4000
 
 # The inputs each mode reads, by subcommand; MODE_FLAG names the flag that
-# picks the mode, and the first mode listed is its default.  --float-lambda
-# is read wherever --lambda is.  A given flag the mode does not read is
-# invalid input, and the report's config echoes exactly the inputs it read.
+# picks the mode, and the first mode listed is its default.  A given flag the
+# mode does not read is invalid input, and the report's config echoes exactly
+# the inputs it read.
 MODE_FLAG = {"count": "mode", "sample": "mode", "verify-kp": "model"}
 READS: dict[str, dict[str, tuple[str, ...]]] = {
     "count": {
-        "oracle": ("lambda", "epsilon"),
+        "oracle": ("lambda",),
         "expander": ("epsilon", "c1", "force_method"),
         "hardcore": ("lambda", "alpha", "epsilon", "c1", "force_method"),
         "general": ("epsilon", "delta", "c1", "seed"),
@@ -74,13 +80,23 @@ READS: dict[str, dict[str, tuple[str, ...]]] = {
         "hardcore": ("family", "side", "cap", "c1", "lambda", "alpha"),
     },
 }
-# The side sizes a count or sample mode refuses from a file's header.
-HEADER_CHECKS = {"oracle": lambda n_x, n_y: check_sweep_side(n_x)}
+
+
+def _check_sampler_table(n_x: int, n_y: int) -> None:
+    check_sweep_side(n_x)
+    check_table_sides(n_x, n_y)
+
+
+# The side sizes a count or sample mode refuses from a file's header: the
+# oracle sweeps one side, and its sampler also tables every set.
+HEADER_CHECKS: dict[tuple[str, str], Callable[[int, int], None]] = {
+    ("count", "oracle"): lambda n_x, n_y: check_sweep_side(n_x),
+    ("sample", "oracle"): _check_sampler_table,
+}
 # The value of an input that is not given.  --lambda has none: oracle mode
 # then counts unweighted, and the hardcore modes require it.
 DEFAULTS = {
     "lambda": None,
-    "float_lambda": False,
     "alpha": "1/2",
     "epsilon": 0.1,
     "delta": 0.05,
@@ -96,9 +112,8 @@ DEFAULTS = {
 # argparse settings of the input flags beyond their name; each defaults to
 # None, so a given flag is told from an absent one
 FLAG_ARGS = {
-    "lambda": {"help": "fugacity as p/q, required by hardcore"},
-    "float_lambda": {"action": "store_true", "help": "accept a float --lambda"},
-    "alpha": {"help": "expansion ratio as p/q"},
+    "lambda": {"help": "fugacity as p/q or a decimal, read exactly; required by hardcore"},
+    "alpha": {"help": "expansion ratio as p/q or a decimal, read exactly"},
     "epsilon": {"type": float},
     "delta": {"type": float},
     "c1": {"type": float},
@@ -112,32 +127,23 @@ FLAG_ARGS = {
 }
 
 
-def _parse_lambda(text: str, allow_float: bool) -> Fraction:
-    if "/" in text or text.lstrip("+-").isdigit():
-        try:
-            lam = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"bad rational {text!r}: {exc}")
-    elif allow_float:
-        try:
-            lam = Fraction(str(float(text)))
-        except ValueError as exc:
-            raise InvalidInputError(f"bad float {text!r}: {exc}")
-    else:
-        raise InvalidInputError(
-            f"lambda must be a rational like 1/2 (got {text!r}); "
-            "pass --float-lambda to accept floats"
-        )
+def _parse_fraction(name: str, text: str) -> Fraction:
+    """A rational like 1/2, or a decimal like 0.3 or 1e-3, read exactly."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"bad {name} {text!r}: {exc}")
+
+
+def _parse_lambda(text: str) -> Fraction:
+    lam = _parse_fraction("lambda", text)
     if lam <= 0:
         raise InvalidInputError("lambda must be positive")
     return lam
 
 
 def _parse_alpha(text: str) -> Fraction:
-    try:
-        a = Fraction(text) if "/" in text or text.lstrip("+-").isdigit() else Fraction(str(float(text)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"bad alpha {text!r}: {exc}")
+    a = _parse_fraction("alpha", text)
     if not 0 < a <= 1:
         raise InvalidInputError("alpha must lie in (0, 1]")
     return a
@@ -149,7 +155,6 @@ def _listing(items: list[str]) -> str:
 
 def _readers(subcommand: str, name: str) -> list[str]:
     """The modes of a subcommand that read an input."""
-    name = "lambda" if name == "float_lambda" else name
     return [mode for mode, reads in READS[subcommand].items() if name in reads]
 
 
@@ -171,7 +176,7 @@ def _inputs(args: argparse.Namespace) -> dict:
         value = getattr(args, name)
         cfg[name] = DEFAULTS[name] if value is None else value
     if cfg.get("lambda") is not None:
-        cfg["lambda"] = _parse_lambda(cfg["lambda"], bool(args.float_lambda))
+        cfg["lambda"] = _parse_lambda(cfg["lambda"])
     elif mode == "hardcore":
         raise InvalidInputError(f"--{key} hardcore requires --lambda")
     if "alpha" in cfg:
@@ -309,7 +314,7 @@ def _report(
 
 def _cmd_count(args: argparse.Namespace) -> int:
     cfg = _inputs(args)
-    G = _read_graph(args.graph, HEADER_CHECKS.get(args.mode))
+    G = _read_graph(args.graph, HEADER_CHECKS.get(("count", args.mode)))
     p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":
@@ -317,7 +322,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         exact = exact_count_bipartite(G) if lam is None else exact_hardcore(G, lam)
         result = ApproxCount(
             log_value=_log_exact(exact.value),
-            rel_error_bound=min(cfg["epsilon"], 0.999),
+            rel_error_bound=0.0,
             method="oracle",
             flags=("exact",),
             exact_value=exact.value,
@@ -338,7 +343,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     cfg = _inputs(args)
     if cfg["samples"] < 1:
         raise InvalidInputError("--samples must be at least 1")
-    G = _read_graph(args.graph, HEADER_CHECKS.get(args.mode))
+    G = _read_graph(args.graph, HEADER_CHECKS.get(("sample", args.mode)))
     p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":

@@ -43,7 +43,6 @@ from .graphs import (
 )
 from .oracle import (
     DRAW_BITS,
-    DRAW_DEN,
     exact_count_bipartite,
     exact_hardcore,
     quantize,
@@ -142,8 +141,9 @@ class ApproxCount:
     """An approximate (or exact) count in natural-log space.
 
     ``exact_value`` is set only when the method produced an exact integer
-    or rational; ``rel_error_bound`` is the relative accuracy the run was
-    configured for, certified only when ``flags`` says so.
+    or rational, and then ``rel_error_bound`` is 0; otherwise it is the
+    relative accuracy the run was configured for, certified only when
+    ``flags`` says so.
     """
 
     log_value: float
@@ -269,10 +269,10 @@ def _membership(m: WeightModel) -> str:
     return "small" if m.variant == "hardcore" else "expanding"
 
 
-def _exact_result(value: int | Fraction, epsilon: float, notes: dict) -> ApproxCount:
+def _exact_result(value: int | Fraction, notes: dict) -> ApproxCount:
     return ApproxCount(
         log_value=_log_exact(value),
-        rel_error_bound=epsilon,
+        rel_error_bound=0.0,
         method=METHOD_BRUTE,
         flags=("exact",),
         notes=notes,
@@ -332,7 +332,7 @@ def count_expander(
     notes = {"epsilon_zero": eps0}
 
     if method == METHOD_BRUTE:
-        return _exact_result(exact_count_bipartite(G).value, epsilon, notes)
+        return _exact_result(exact_count_bipartite(G).value, notes)
     if method != METHOD_EXPANDER:
         raise InvalidInputError(f"unknown method {method!r}")
     flags = ["uncertified (small-n regime)"] if eps0 >= 0.25 else []
@@ -398,7 +398,7 @@ def count_hardcore_expander(
 
     method = force_method or METHOD_EXPANDER
     if method == METHOD_BRUTE:
-        return _exact_result(exact_hardcore(G, hp.lam).value, epsilon, notes)
+        return _exact_result(exact_hardcore(G, hp.lam).value, notes)
     if method != METHOD_EXPANDER:
         raise InvalidInputError(f"unknown method {method!r}")
     flags = [f"hypothesis-unmet:{name}" for name, ok in notes["conditions"].items() if not ok]
@@ -472,15 +472,14 @@ def sampler_tables(
     G: BipartiteGraph,
     params: ExpansionParams | None = None,
     lam: Fraction | None = None,
-    membership: str | None = None,
 ) -> SamplerTables:
-    """Precomputed exact inversion tables for the two-step sampler."""
+    """Precomputed exact inversion tables for the two-step sampler: over the
+    expanding family unweighted, or the small-set family at fugacity lam."""
     p = params or ExpansionParams()
-    if membership is None:
-        membership = "expanding" if lam is None else "small"
     m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
-    tx = _build_side_table(G, PolymerFamily(membership, X_SIDE, p), m)
-    ty = _build_side_table(G, PolymerFamily(membership, Y_SIDE, p), m)
+    tx, ty = (
+        _build_side_table(G, PolymerFamily(_membership(m), side, p), m) for side in (X_SIDE, Y_SIDE)
+    )
     fill = Fraction(1, 2) if lam is None else Fraction(lam) / (1 + Fraction(lam))
     return SamplerTables(quantize(tx.xi / (tx.xi + ty.xi)), tx, ty, fill)
 
@@ -489,12 +488,11 @@ def exact_mu_hat(
     G: BipartiteGraph,
     params: ExpansionParams | None = None,
     lam: Fraction | None = None,
-    membership: str | None = None,
 ) -> dict[tuple[int, int], Fraction]:
     """The two-step measure as an exact table keyed by (X-mask, Y-mask):
     side chosen proportional to Xi, defect configuration by its Gibbs
     weight, free side filled vertex-wise."""
-    tables = sampler_tables(G, params, lam, membership)
+    tables = sampler_tables(G, params, lam)
     lam_f = Fraction(1) if lam is None else Fraction(lam)
     xi_total = tables.x.xi + tables.y.xi
     out: dict[tuple[int, int], Fraction] = {}
@@ -524,32 +522,27 @@ class _Peeling:
     is built once per run, on its first visit, where its peeling identity
     is checked.
 
-    Exact runs peel on integers: ``xi_of`` gives a region's Xi as its
+    The peeling runs on integers: ``xi_of`` gives a region's Xi as its
     numerator N(M) over the universe's one denominator, a branch's mass
     w(gamma) Xi(M') is N(M') a^|gamma| b^(|N(gamma)| - |gamma|) /
     (a+b)^|N(gamma)| with lambda = a/b, and each threshold is the floor
     ``quantize`` takes.  The division is exact, as no configuration of M'
     touches N(gamma) and |N(gamma)| >= |gamma| in a regular bipartite
-    graph.  Float runs peel on exp(ln Xi(ell)) and float weights."""
+    graph."""
 
     def __init__(
-        self, G: BipartiteGraph, side: str, universe: PolymerUniverse, m: WeightModel,
-        exact: bool, xi_of,
+        self, G: BipartiteGraph, side: str, universe: PolymerUniverse, m: WeightModel, xi_of,
     ) -> None:
-        self.side, self.universe, self.exact, self.xi_of = side, universe, exact, xi_of
+        self.side, self.universe, self.xi_of = side, universe, xi_of
         self.full = G.full_mask(side)
         self.within = functools.cache(universe.within)
         # N^2(gamma): gamma and every vertex sharing a neighbour with it
         self.square = [neighborhood_bits(G, opposite(side), p.nbhd) for p in universe]
-        if exact:
-            lam = m.lam if m.variant == "hardcore" else Fraction(1)
-            a, b = lam.numerator, lam.denominator
-            self.weights = [
-                (a**p.size * b ** (p.nbhd_size - p.size), (a + b) ** p.nbhd_size)
-                for p in universe
-            ]
-        else:
-            self.weights = [math.exp(m.log_weight(p)) for p in universe]
+        lam = m.lam if m.variant == "hardcore" else Fraction(1)
+        a, b = lam.numerator, lam.denominator
+        self.weights = [
+            (a**p.size * b ** (p.nbhd_size - p.size), (a + b) ** p.nbhd_size) for p in universe
+        ]
         self.steps: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
 
     def step(self, region: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -566,28 +559,20 @@ class _Peeling:
         outcomes = [(0, ~(1 << v))]
         for i in iter_bits(inside & holding):
             blocked = self.square[i] & region
-            xi_rest = xi_of(within(region & ~blocked))
-            if self.exact:
-                num, den = self.weights[i]
-                mass, rest = divmod(xi_rest * num, den)
-                if rest:
-                    raise RuntimeError(
-                        f"branch mass of polymer {i} of side {self.side} is not an integer"
-                    )
-            else:
-                mass = self.weights[i] * xi_rest
-            acc = acc + mass
+            num, den = self.weights[i]
+            mass, rest = divmod(xi_of(within(region & ~blocked)) * num, den)
+            if rest:
+                raise RuntimeError(
+                    f"branch mass of polymer {i} of side {self.side} is not an integer"
+                )
+            acc += mass
             cumulative.append(acc)
             outcomes.append((universe[i].bits, ~blocked))
-        if self.exact:
-            if acc != xi_r:
-                # the one-vertex peeling identity; exact arithmetic makes it a
-                # hard invariant rather than a tolerance check
-                raise RuntimeError(f"peeling identity broken at vertex {v} of side {self.side}")
-            thresholds = [(c << DRAW_BITS) // xi_r for c in cumulative]
-        else:
-            thresholds = [int(c / xi_r * DRAW_DEN) for c in cumulative]
-        step = self.steps[region] = (thresholds, outcomes)
+        if acc != xi_r:
+            # the one-vertex peeling identity; exact arithmetic makes it a
+            # hard invariant rather than a tolerance check
+            raise RuntimeError(f"peeling identity broken at vertex {v} of side {self.side}")
+        step = self.steps[region] = ([(c << DRAW_BITS) // xi_r for c in cumulative], outcomes)
         return step
 
 
@@ -668,21 +653,20 @@ def _sample_run(
     seed: int,
     samples: int,
     mode: str,
-    use_exact_xi: bool,
 ) -> list[tuple[int, int]]:
     """Draws from the two-step measure of weight model ``m``: a side with
     probability proportional to its Xi, a defect configuration on it (from
     the exact tables, or by sequential peeling), then the opposite side's
-    free vertices filled independently."""
+    free vertices filled independently.  Both modes are exact, so
+    ``epsilon`` is checked and spends nothing."""
     _check_epsilon(epsilon)
     if samples < 1:
         raise InvalidInputError("samples must be positive")
     rng = Random(seed)
     getrandbits = rng.getrandbits
-    membership = _membership(m)
     lam = m.lam if m.variant == "hardcore" else None
     if mode == "table":
-        tables = sampler_tables(G, p, lam=lam, membership=membership)
+        tables = sampler_tables(G, p, lam=lam)
         side_threshold = tables.side_threshold
         rows = {
             t.side: (t.thresholds, t.config_bits, t.free_bits) for t in (tables.x, tables.y)
@@ -694,36 +678,26 @@ def _sample_run(
             return config_bits[i], free_bits[i]
 
     elif mode == "sequential":
-        def peeling(side: str) -> tuple[_Peeling, Fraction | float]:
+        def peeling(side: str) -> tuple[_Peeling, Fraction]:
             # one universe per side for the whole run, a region a mask over
             # it, and one memo that the side choice reads the whole side
-            # from too: Xi exactly, as its integer numerator over the
-            # universe's one denominator, or ln Xi(ell)
-            n = G.side_size(side)
-            u = enumerate_polymers(G, PolymerFamily(membership, side, p), n)
-            if use_exact_xi:
-                den = m.class_weights(len(u.holding), u.stride - 1).denominator
+            # from too: Xi as its integer numerator over the universe's one
+            # denominator
+            u = enumerate_polymers(G, PolymerFamily(_membership(m), side, p), G.side_size(side))
+            den = m.class_weights(len(u.holding), u.stride - 1).denominator
 
-                def numerator(mask: int) -> int:
-                    scaled = exact_xi(u, m, mask) * den
-                    if scaled.denominator != 1:
-                        raise RuntimeError(f"Xi of side {side} is not over its common denominator")
-                    return scaled.numerator
+            @functools.cache
+            def xi_of(mask: int) -> int:
+                scaled = exact_xi(u, m, mask) * den
+                if scaled.denominator != 1:
+                    raise RuntimeError(f"Xi of side {side} is not over its common denominator")
+                return scaled.numerator
 
-                xi_of = u.region_memo(numerator)
-                return _Peeling(G, side, u, m, True, xi_of), Fraction(xi_of(u.all), den)
-            # only this route truncates, so only it needs ell (and d >= 2)
-            ell = choose_ell(G.n_x, G.d, epsilon / 8.0, model=m.variant)
-            log_xi = u.region_memo(lambda mask: truncated_log_xi(u, m, ell, n, G.d, mask).log_value)
-            xi_of = lambda mask: math.exp(log_xi(mask))  # noqa: E731
-            return _Peeling(G, side, u, m, False, xi_of), log_xi(u.all)
+            return _Peeling(G, side, u, m, xi_of), Fraction(xi_of(u.all), den)
 
         (peel_x, vx), (peel_y, vy) = (peeling(side) for side in (X_SIDE, Y_SIDE))
         peelings = {X_SIDE: peel_x, Y_SIDE: peel_y}
-        if use_exact_xi:
-            side_threshold = quantize(vx / (vx + vy))
-        else:
-            side_threshold = int(DRAW_DEN / (1.0 + math.exp(vy - vx)))
+        side_threshold = quantize(vx / (vx + vy))
 
         def defect(side: str) -> tuple[int, int]:
             bits = _sequential_defect(peelings[side], rng)
@@ -765,15 +739,13 @@ def sample_expander(
     seed: int = 0,
     samples: int = 1,
     mode: str = "table",
-    use_exact_xi: bool = True,
 ) -> list[tuple[int, int]]:
     """Draw independent sets from the two-step measure over the expanding
     polymer family.  Table mode inverts exact configuration tables; the
-    sequential mode peels one vertex at a time through partition-function
-    ratios (exact ratios by default)."""
+    sequential mode peels one vertex at a time through exact
+    partition-function ratios."""
     return _sample_run(
-        G, WeightModel.unweighted(), epsilon, params or ExpansionParams(),
-        seed, samples, mode, use_exact_xi,
+        G, WeightModel.unweighted(), epsilon, params or ExpansionParams(), seed, samples, mode
     )
 
 
@@ -785,11 +757,9 @@ def sample_hardcore_expander(
     seed: int = 0,
     samples: int = 1,
     mode: str = "table",
-    use_exact_xi: bool = True,
 ) -> list[tuple[int, int]]:
     """Hard-core analogue of sample_expander: small-set polymers, weighted
     defect configurations, free side filled at rate lambda/(1+lambda)."""
     return _sample_run(
-        G, WeightModel.hardcore(hp.lam), epsilon, params or ExpansionParams(),
-        seed, samples, mode, use_exact_xi,
+        G, WeightModel.hardcore(hp.lam), epsilon, params or ExpansionParams(), seed, samples, mode
     )

@@ -13,6 +13,7 @@ A costs no more than the Monte-Carlo sample budget, by sampling otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,7 +345,7 @@ def assemble_exact(
     n_other = G.side_size(other)
     m = WeightModel.unweighted()
     universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), G.side_size(side))
-    xi_of = universe.region_memo(lambda mask: exact_xi(universe, m, mask))
+    xi_of = functools.cache(lambda mask: exact_xi(universe, m, mask))
     total = Fraction(0)
     for family, covered, region in _family_terms(G, p, side):
         xi = xi_of(universe.within(region))
@@ -442,9 +443,7 @@ def count_general(
         # ln Xi(ell) once per region mask; the side's tail bound covers each
         log_xi = G.memo(
             ("general_log_xi", p, side, big_l),
-            lambda: universe.region_memo(
-                lambda mask: truncated_log_xi(universe, m, big_l, n, d, mask)
-            ),
+            lambda: functools.cache(lambda mask: truncated_log_xi(universe, m, big_l, n, d, mask)),
         )
 
     term_logs: list[float] = []
@@ -515,7 +514,7 @@ def count_general_exact(
     value = assemble_exact(G, params, side)
     return ApproxCount(
         log_value=_log_int(value),
-        rel_error_bound=0.5,
+        rel_error_bound=0.0,
         method=METHOD_GENERAL,
         flags=("exact",),
         exact_value=value,

@@ -10,9 +10,7 @@ check the other.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,13 +24,6 @@ from .graphs import BipartiteGraph, Graph, iter_bits, neighborhood_bits
 @dataclass(frozen=True)
 class ExactCount:
     value: int | Fraction
-    fingerprint: str
-    elapsed: float
-
-
-def _general_fingerprint(G: Graph) -> str:
-    payload = ",".join(f"{v}:{G.rows[v]}" for v in range(G.n))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # -- bipartite sweep ----------------------------------------------------------
@@ -84,10 +75,8 @@ def check_sweep_side(n_x: int) -> None:
 def exact_count_bipartite(G: BipartiteGraph) -> ExactCount:
     """i(G) = sum over S subseteq X of 2^(nY - |N(S)|), exactly."""
     check_sweep_side(G.n_x)
-    start = time.perf_counter()
     pow2 = [1 << k for k in range(G.n_y + 1)]
-    value = _gray_sweep(G, lambda s, cov: pow2[G.n_y - cov])
-    return ExactCount(value, G.fingerprint(), time.perf_counter() - start)
+    return ExactCount(_gray_sweep(G, lambda s, cov: pow2[G.n_y - cov]))
 
 
 def exact_hardcore(G: BipartiteGraph, lam: Fraction) -> ExactCount:
@@ -100,7 +89,6 @@ def exact_hardcore(G: BipartiteGraph, lam: Fraction) -> ExactCount:
     if lam <= 0:
         raise InvalidInputError("fugacity must be positive")
     check_sweep_side(G.n_x)
-    start = time.perf_counter()
     p, q = lam.numerator, lam.denominator
     top = G.n_x + G.n_y
     pow_p = [p**k for k in range(G.n_x + 1)]
@@ -112,7 +100,7 @@ def exact_hardcore(G: BipartiteGraph, lam: Fraction) -> ExactCount:
         return pow_p[s] * pow_pq[m] * pow_q[top - s - m]
 
     scaled = _gray_sweep(G, term)
-    return ExactCount(Fraction(scaled, pow_q[top]), G.fingerprint(), time.perf_counter() - start)
+    return ExactCount(Fraction(scaled, pow_q[top]))
 
 
 # -- general branching counter ------------------------------------------------
@@ -157,9 +145,7 @@ def exact_count_general(G: Graph) -> ExactCount:
     """Branching recursion i(G) = i(G-v) + i(G-N[v]) on a max-degree vertex."""
     if G.n > GENERAL_CAP:
         raise CapacityError(f"general counter capped at {GENERAL_CAP} vertices, got {G.n}")
-    start = time.perf_counter()
-    value = _count_mask(G.rows, (1 << G.n) - 1, {})
-    return ExactCount(value, _general_fingerprint(G), time.perf_counter() - start)
+    return ExactCount(_count_mask(G.rows, (1 << G.n) - 1, {}))
 
 
 def count_independent_in(G: Graph, mask: int) -> int:
@@ -182,11 +168,22 @@ def iter_independent_sets(G: BipartiteGraph) -> Iterator[tuple[int, int]]:
             t = (t - 1) & free
 
 
+def check_table_sides(n_x: int, n_y: int) -> None:
+    """Raise CapacityError when sides of ``n_x`` and ``n_y`` vertices already
+    give more independent sets than a table holds: every subset of one side
+    is independent, so i(G) >= 2^n_x + 2^n_y - 1."""
+    least = (1 << n_x) + (1 << n_y) - 1
+    if least > TABLE_CAP:
+        raise CapacityError(f"distribution table capped at {TABLE_CAP} sets, need at least {least}")
+
+
 def _checked_fugacity(G: BipartiteGraph, lam: Fraction) -> Fraction:
-    # a positive fugacity, and a graph with at most TABLE_CAP independent sets
+    # a positive fugacity, and a graph with at most TABLE_CAP independent
+    # sets: refused from its side sizes when they suffice, else after the sweep
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("fugacity must be positive")
+    check_table_sides(G.n_x, G.n_y)
     total = exact_count_bipartite(G).value
     if total > TABLE_CAP:
         raise CapacityError(f"distribution table capped at {TABLE_CAP} sets, need {total}")

@@ -17,12 +17,11 @@ exact arithmetic against a cluster enumerator of its own.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InvalidInputError
 from .graphs import (
@@ -269,12 +268,6 @@ class PolymerUniverse(tuple):
         if len(fits) <= budget:
             fits.extend([self.all] * (budget + 1 - len(fits)))
         return fits
-
-    def region_memo(self, evaluate: Callable[[int], object]) -> Callable[[int], object]:
-        """``evaluate`` of a polymer mask, taken once per distinct mask.  A
-        region's Xi depends on it only through the polymers inside, so a
-        region is looked up as its mask ``within(region)``."""
-        return functools.cache(evaluate)
 
 
 def _fits_masks(sizes: Sequence[int], budget: int) -> list[int]:

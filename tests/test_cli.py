@@ -3,13 +3,14 @@
 import argparse
 import json
 import math
+import re
 import time
 from pathlib import Path
 
 import pytest
 from biscount.cli import DEFAULTS, MODE_FLAG, READS, build_parser, main
 from biscount.graphs import EXPANDER_CHECK_CAP, X_SIDE, load_graph, neighborhood_bits
-from biscount.oracle import SWEEP_CAP
+from biscount.oracle import SWEEP_CAP, TABLE_CAP
 
 
 def run_json(capsys, argv):
@@ -56,8 +57,8 @@ def test_count_oracle(capsys, c8_file):
     cfg = doc["config"]
     assert cfg["subcommand"] == "count"
     assert cfg["mode"] == "oracle"
-    # oracle mode reads lambda and epsilon alone, and echoes no other input
-    assert cfg["epsilon"] == 0.1 and "delta" not in cfg
+    # oracle mode reads lambda alone, and echoes no other input
+    assert "epsilon" not in cfg and "delta" not in cfg
     assert cfg["lambda"] is None and "alpha" not in cfg
     assert cfg["n_x"] == 4 and cfg["n_y"] == 4 and cfg["d"] == 2
     assert isinstance(cfg["fingerprint"], str) and cfg["fingerprint"]
@@ -212,6 +213,8 @@ GIVEN = {
     "cap": ("3", 3),
 }
 BASE_KEYS = {"subcommand", "graph", "fingerprint", "n_x", "n_y", "d"}
+# flags the command line no longer has, which every mode refuses
+RETIRED = ["float_lambda"]
 TABLE = [(sub, mode) for sub, modes in READS.items() for mode in modes]
 
 
@@ -226,24 +229,17 @@ def flag_of(name):
     return "--" + name.replace("_", "-")
 
 
-@pytest.mark.parametrize("name", sorted(DEFAULTS))
+@pytest.mark.parametrize("name", sorted(DEFAULTS) + RETIRED)
 @pytest.mark.parametrize("subcommand,mode", TABLE)
 def test_table_flag_read_or_rejected(capsys, c8_file, subcommand, mode, name):
     # a flag the mode reads runs and is echoed; any other given flag exits 2,
     # by the table's check or by argparse when no mode of the subcommand reads it
     reads = READS[subcommand][mode]
-    if name == "float_lambda":
-        # --float-lambda is read with --lambda, and shows in lambda's echo
-        if "lambda" in reads:
-            argv = table_argv(c8_file, subcommand, mode, "--float-lambda", "--lambda", "0.25")
-            assert run_json(capsys, argv)["config"]["lambda"] == "1/4"
-            return
-        argv = table_argv(c8_file, subcommand, mode, "--float-lambda")
-    else:
-        argv = table_argv(c8_file, subcommand, mode, flag_of(name), GIVEN[name][0])
-        if name in reads:
-            assert run_json(capsys, argv)["config"][name] == GIVEN[name][1]
-            return
+    value = GIVEN[name][:1] if name in GIVEN else ()
+    argv = table_argv(c8_file, subcommand, mode, flag_of(name), *value)
+    if name in reads:
+        assert run_json(capsys, argv)["config"][name] == GIVEN[name][1]
+        return
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -277,7 +273,7 @@ def test_every_input_flag_is_read_by_some_mode(subcommand):
         if a.dest not in ("help", "graph", "out", MODE_FLAG[subcommand])
     }
     read = set().union(*READS[subcommand].values())
-    assert dests == read | ({"float_lambda"} if "lambda" in read else set())
+    assert dests == read
 
 
 def test_verify_kp_failed_at_cap(capsys, c8_file):
@@ -339,6 +335,24 @@ def test_readme_command_block_lists_every_subcommand():
     assert shown == set(sub.choices)
 
 
+def test_readme_inputs_table_lists_exactly_what_each_mode_reads():
+    # the README's table of the inputs each mode reads is cli.READS, row for
+    # row and flag for flag
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| subcommand | mode or model | inputs it reads |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[1:]
+    listed = {}
+    for row in rows:
+        subcommand, mode, inputs = (cell.strip() for cell in row.strip("|").split("|"))
+        flags = re.findall(r"`--([a-z0-9-]+)`", inputs)
+        listed[subcommand.strip("`"), mode.strip("`")] = set(flags)
+    assert listed == {
+        (subcommand, mode): {name.replace("_", "-") for name in reads}
+        for subcommand, modes in READS.items()
+        for mode, reads in modes.items()
+    }
+
+
 def test_check_expander_verified(capsys, c8_file):
     doc = run_json(capsys, ["check-expander", "--graph", c8_file])
     assert doc["result"]["status"] == "verified"
@@ -359,8 +373,6 @@ def test_exit_code_invalid_input(tmp_path, c8_file):
     assert main(["count", "--graph", str(tmp_path / "missing.graph")]) == 2
     assert main(["count", "--graph", c8_file, "--mode", "hardcore",
                  "--lambda", "abc"]) == 2
-    assert main(["count", "--graph", c8_file, "--mode", "hardcore",
-                 "--lambda", "0.3"]) == 2
     assert main(["count", "--graph", c8_file, "--mode", "hardcore",
                  "--lambda=-1/2", "--force-method", "brute"]) == 2
 
@@ -386,13 +398,24 @@ def test_sample_sequential_on_degree_one(tmp_path, capsys):
         assert not (draw["x"] and draw["y"])
 
 
-def test_float_lambda_gate_opens(capsys, c8_file):
+def test_decimal_lambda_is_read_exactly_without_a_flag(capsys, c8_file):
+    # one Fraction parser reads p/q and decimals alike, with no float between
     doc = run_json(capsys, [
         "count", "--graph", c8_file, "--mode", "hardcore", "--lambda", "0.3",
-        "--float-lambda", "--force-method", "brute",
+        "--force-method", "brute",
     ])
     assert doc["config"]["lambda"] == "3/10"
     assert doc["result"]["exact"] is True
+    for text, want in (("1e-3", "1/1000"), (".5", "1/2")):
+        doc = run_json(capsys, ["count", "--graph", c8_file, "--lambda", text])
+        assert doc["config"]["lambda"] == want
+    for text in ("inf", "nan", "0x10"):
+        assert main(["count", "--graph", c8_file, "--lambda", text]) == 2
+        assert f"bad lambda {text!r}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--graph", c8_file, "--lambda", "0.3", "--float-lambda"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --float-lambda" in capsys.readouterr().err
 
 
 def test_exit_code_capacity(tmp_path, capsys):
@@ -411,10 +434,33 @@ def test_oracle_refuses_a_side_past_the_sweep_cap_from_the_header(tmp_path, caps
     path.write_text(f"c header only\np bis {n} {n} 3\n", encoding="utf-8")
     assert main([subcommand, "--graph", str(path), "--mode", "oracle"]) == 3
     assert f"bipartite sweep capped at nX={SWEEP_CAP}, got {n}" in capsys.readouterr().err
-    # other modes, and a side at the cap, read the whole file
+    # other modes, and a side at the cap, read the whole file; the oracle
+    # sampler's table refuses such a side from the header as well
     assert main([subcommand, "--graph", str(path), "--mode", "expander"]) == 2
     path.write_text(f"p bis {SWEEP_CAP} {SWEEP_CAP} 3\n", encoding="utf-8")
-    assert main([subcommand, "--graph", str(path), "--mode", "oracle"]) == 2
+    code = main([subcommand, "--graph", str(path), "--mode", "oracle"])
+    err = capsys.readouterr().err
+    if subcommand == "count":
+        assert code == 2 and "expected" in err
+    else:
+        assert code == 3 and f"distribution table capped at {TABLE_CAP} sets" in err
+
+
+def test_sample_oracle_refuses_a_table_past_its_cap_from_the_header(tmp_path, capsys):
+    # every subset of one side is independent, so sides of n vertices give at
+    # least 2^(n+1) - 1 sets: past TABLE_CAP at n = 21, not at n = 20
+    assert (1 << 21) - 1 <= TABLE_CAP < (1 << 22) - 1
+    path = tmp_path / "header.graph"
+    path.write_text("p bis 21 21 3\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["sample", "--graph", str(path), "--mode", "oracle"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"capped at {TABLE_CAP} sets, need at least {(1 << 22) - 1}" in capsys.readouterr().err
+    # the oracle count tables nothing, and sides of 20 pass to the edges
+    assert main(["count", "--graph", str(path), "--mode", "oracle"]) == 2
+    assert "expected" in capsys.readouterr().err
+    path.write_text("p bis 20 20 3\n", encoding="utf-8")
+    assert main(["sample", "--graph", str(path), "--mode", "oracle"]) == 2
     assert "expected" in capsys.readouterr().err
 
 

@@ -18,7 +18,6 @@ import util
 from biscount.cluster_expansion import exact_xi
 from biscount.errors import CapacityError, InvalidInputError
 from biscount.expander import (
-    DRAW_DEN,
     ApproxCount,
     HardCoreParams,
     _fair_fill,
@@ -43,7 +42,7 @@ from biscount.graphs import (
     opposite,
 )
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
-from biscount.oracle import exact_count_bipartite
+from biscount.oracle import DRAW_DEN, exact_count_bipartite
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
 from util import P1, P100
 
@@ -354,7 +353,7 @@ def test_integer_tables_match_fraction_reference(n, seed, lam):
     G = random_shift(n, 3, seed)
     membership = "expanding" if lam is None else "small"
     m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
-    tables = sampler_tables(G, P1, lam=lam, membership=membership)
+    tables = sampler_tables(G, P1, lam=lam)
     side_threshold, ref = util.reference_tables(G, P1, lam, membership)
     assert tables.side_threshold == side_threshold
     for table in (tables.x, tables.y):
@@ -431,25 +430,28 @@ def test_table_sampler_law_matches_mu_hat(c8):
     assert util.tv(induced, mu_hat) <= Fraction(1, 10**9)
 
 
+# each fugacity with the polymer family its sampler expands over
 @pytest.mark.parametrize("lam,membership", [
     (None, "expanding"),
-    (None, "small"),
     (Fraction(1, 2), "small"),
-    (Fraction(2), "expanding"),
-])
+], ids=["None-expanding", "lam2-small"])
 def test_mu_hat_matches_first_principles(lam, membership, request):
     for name in ("c8", "q3"):
         G = request.getfixturevalue(name)
-        mine = exact_mu_hat(G, P1, lam=lam, membership=membership)
+        mine = exact_mu_hat(G, P1, lam=lam)
         ref = util.nu_formula(G, P1, lam, membership)
         assert util.tv(mine, ref) == 0
 
 
 def test_hardcore_lambda_one_table_law_equals_unweighted(c8):
-    """At lambda = 1 the weighted sampler over a family induces exactly the
-    unweighted sampler's law over the same family."""
-    weighted = sampler_tables(c8, P1, lam=Fraction(1), membership="small")
-    plain = sampler_tables(c8, P1, membership="small")
+    """At lambda = 1 the weighted sampler induces exactly the unweighted
+    sampler's law on C8, where its small-set family is the expanding one."""
+    for side in (X_SIDE, Y_SIDE):
+        small = full_universe(c8, "small", side, P1)
+        assert len(small) > 0
+        assert small == full_universe(c8, "expanding", side, P1)
+    weighted = sampler_tables(c8, P1, lam=Fraction(1))
+    plain = sampler_tables(c8, P1)
     d_w = util.induced_table_distribution(c8, weighted)
     d_p = util.induced_table_distribution(c8, plain)
     assert util.tv(d_w, d_p) == 0
@@ -484,68 +486,45 @@ def test_sequential_sampler_matches_table_law(c8):
 
 
 # 20 sequential draws at seed 3 (epsilon 0.2, c1 = 1), pinned so that how
-# the region partition functions are obtained cannot move a draw; the float
-# route (use_exact_xi=False) peels through truncated expansions instead
+# the region partition functions are obtained cannot move a draw
 SEQUENTIAL_DRAWS = {
-    ("c8", None, True): [
+    ("c8", None): [
         (8, 3), (14, 0), (1, 2), (9, 2), (12, 1), (0, 10), (9, 0), (13, 0), (2, 12),
         (2, 0), (0, 11), (5, 0), (12, 0), (1, 6), (3, 4), (0, 4), (0, 11), (6, 0), (8, 2),
         (8, 2),
     ],
-    ("c8", None, False): [
-        (8, 3), (14, 0), (1, 2), (9, 2), (12, 1), (0, 10), (9, 0), (13, 0), (2, 12),
-        (2, 0), (0, 11), (5, 0), (12, 0), (1, 6), (3, 4), (0, 4), (0, 11), (6, 0), (8, 2),
-        (8, 2),
-    ],
-    ("c8", Fraction(1, 2), True): [
+    ("c8", Fraction(1, 2)): [
         (0, 1), (0, 9), (1, 0), (0, 0), (8, 2), (0, 4), (3, 4), (0, 12), (0, 2), (0, 13),
         (1, 0), (0, 0), (0, 4), (0, 5), (5, 0), (6, 8), (0, 8), (1, 2), (10, 0), (0, 1),
     ],
-    ("c8", Fraction(1, 2), False): [
-        (0, 3), (0, 1), (1, 0), (0, 0), (8, 2), (0, 4), (3, 4), (0, 12), (0, 2), (0, 13),
-        (1, 0), (0, 0), (0, 4), (0, 5), (5, 0), (0, 1), (6, 0), (0, 10), (1, 2), (10, 0),
-    ],
-    ("c12", None, True): [
+    ("c12", None): [
         (16, 7), (29, 0), (0, 20), (2, 52), (8, 17), (11, 16), (12, 33), (0, 36), (1, 22),
         (8, 48), (8, 19), (24, 3), (0, 45), (14, 32), (32, 5), (16, 36), (53, 0), (18, 4),
         (35, 0), (8, 50),
     ],
-    ("c12", None, False): [
-        (48, 3), (24, 35), (25, 2), (24, 32), (24, 33), (17, 4), (35, 8), (6, 32), (4, 24),
-        (41, 0), (4, 49), (35, 0), (32, 5), (16, 36), (53, 0), (18, 4), (35, 0), (8, 50),
-        (12, 33), (0, 52),
-    ],
-    ("c12", Fraction(1, 2), True): [
+    ("c12", Fraction(1, 2)): [
         (0, 3), (0, 18), (24, 32), (33, 0), (0, 11), (34, 4), (50, 0), (3, 24), (6, 8),
         (24, 32), (0, 60), (1, 10), (2, 12), (16, 4), (8, 18), (1, 22), (32, 2), (0, 32),
-        (41, 2), (0, 33),
-    ],
-    ("c12", Fraction(1, 2), False): [
-        (0, 3), (0, 18), (24, 32), (33, 0), (0, 11), (34, 4), (50, 0), (3, 24), (6, 8),
-        (24, 32), (0, 60), (0, 22), (34, 0), (5, 8), (16, 32), (16, 36), (32, 2), (0, 32),
         (41, 2), (0, 33),
     ],
 }
 
 
 @pytest.mark.parametrize(
-    "name,lam,exact",
+    "name,lam",
     list(SEQUENTIAL_DRAWS),
-    ids=[f"{name}-{'unweighted' if lam is None else 'hardcore'}-{'exact' if exact else 'float'}"
-         for name, lam, exact in SEQUENTIAL_DRAWS],
+    ids=[f"{name}-{'unweighted' if lam is None else 'hardcore'}-exact"
+         for name, lam in SEQUENTIAL_DRAWS],
 )
-def test_sequential_draws_pinned(name, lam, exact):
+def test_sequential_draws_pinned(name, lam):
     G = even_cycle(int(name[1:]))
     if lam is None:
-        draws = sample_expander(
-            G, 0.2, P1, seed=3, samples=20, mode="sequential", use_exact_xi=exact
-        )
+        draws = sample_expander(G, 0.2, P1, seed=3, samples=20, mode="sequential")
     else:
         draws = sample_hardcore_expander(
-            G, HardCoreParams(lam), 0.2, P1, seed=3, samples=20, mode="sequential",
-            use_exact_xi=exact,
+            G, HardCoreParams(lam), 0.2, P1, seed=3, samples=20, mode="sequential"
         )
-    assert draws == SEQUENTIAL_DRAWS[name, lam, exact]
+    assert draws == SEQUENTIAL_DRAWS[name, lam]
 
 
 # 30 table-mode draws at seed 3 (epsilon 0.2, c1 = 1) on C8, pinned so that
@@ -620,25 +599,6 @@ def test_sequential_xi_taken_once_per_sub_universe(monkeypatch):
     assert len(seen) == len(set(seen))
 
 
-def test_float_sequential_log_xi_taken_once_per_sub_universe(monkeypatch):
-    # the float route keeps ln Xi(ell) in the per-side memo, and the side
-    # choice reads each whole side from it rather than taking it again
-    real = biscount.expander.truncated_log_xi
-    seen = []
-
-    def recording(universe, m, ell, n, d, mask):
-        if mask:
-            seen.append(tuple((universe[i].side, universe[i].bits) for i in iter_bits(mask)))
-        return real(universe, m, ell, n, d, mask)
-
-    monkeypatch.setattr(biscount.expander, "truncated_log_xi", recording)
-    draws = sample_expander(
-        even_cycle(12), 0.2, P1, seed=3, samples=50, mode="sequential", use_exact_xi=False
-    )
-    assert len(draws) == 50
-    assert len(seen) == len(set(seen))
-
-
 def test_sequential_samplers_past_24_polymers():
     # Q4 has 32 expanding polymers a side; exact Xi is bounded by the
     # configurations walked, not by the polymer count
@@ -659,15 +619,13 @@ def test_sequential_samplers_past_24_polymers():
     ids=["matching3", "k11"],
 )
 def test_exact_sequential_sampler_at_degree_one(G):
-    # the exact route never truncates, so it needs no ell: at d = 1, where
-    # choose_ell is undefined, its draws lie in the support of the exact
-    # two-step measure, as table mode's do; the float route still refuses
+    # the samplers never truncate, so they need no ell: at d = 1, where
+    # choose_ell is undefined, sequential draws lie in the support of the
+    # exact two-step measure, as table mode's do
     support = exact_mu_hat(G, P1)
     for mode in ("sequential", "table"):
         draws = sample_expander(G, 0.2, P1, seed=4, samples=40, mode=mode)
         assert len(draws) == 40 and set(draws) <= set(support)
-    with pytest.raises(InvalidInputError, match="choose_ell"):
-        sample_expander(G, 0.2, P1, mode="sequential", use_exact_xi=False)
 
 
 def test_hardcore_sampler_empirical(c8):
@@ -678,7 +636,7 @@ def test_hardcore_sampler_empirical(c8):
     for pair in draws:
         freq[pair] = freq.get(pair, 0) + 1
     emp = {k: Fraction(v, len(draws)) for k, v in freq.items()}
-    ref = exact_mu_hat(c8, P1, lam=Fraction(1, 2), membership="small")
+    ref = exact_mu_hat(c8, P1, lam=Fraction(1, 2))
     assert util.tv(emp, ref) <= Fraction(1, 20)
 
 

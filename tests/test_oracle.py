@@ -207,6 +207,20 @@ def test_exact_sampler_checks_fugacity_and_table_cap(c8, monkeypatch):
     assert len(ExactSampler(even_cycle(8), Fraction(1)).keys) == 47
 
 
+def test_table_cap_refused_from_side_sizes_before_the_sweep(monkeypatch):
+    # every subset of one side is independent, so C8 has at least
+    # 2^4 + 2^4 - 1 = 31 sets: past a cap of 30 without counting them
+    def no_sweep(G):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(oracle, "exact_count_bipartite", no_sweep)
+    monkeypatch.setattr(oracle, "TABLE_CAP", 30)
+    want = "^distribution table capped at 30 sets, need at least 31$"
+    for make in (ExactSampler, exact_distribution):
+        with pytest.raises(CapacityError, match=want):
+            make(even_cycle(8))
+
+
 def test_exact_sampler_empirical_distribution(c8):
     s = ExactSampler(c8, Fraction(1), seed=7)
     m = 20000

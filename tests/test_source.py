@@ -62,19 +62,35 @@ def public_callables():
                         yield f"{name}.{attr}", member
 
 
-def test_no_public_signature_takes_a_budget():
+def public_parameters() -> dict[str, set[str]]:
+    """The parameter names of each public callable that has a signature."""
     found = {}
     for name, obj in public_callables():
         try:
             found[name] = set(inspect.signature(obj).parameters)
         except ValueError:  # a builtin without a signature, such as an exception class
             continue
+    return found
+
+
+def test_no_public_signature_takes_a_budget():
+    found = public_parameters()
     assert "enumerate_polymers" in found and "ExactSampler" in found
     assert sorted(name for name, params in found.items() if params & BUDGET_PARAMETERS) == []
     # size_cap is the size a walk truncates at, an input rather than a budget
     assert sorted({name for name, params in found.items() if "size_cap" in params}) == [
         "enumerate_polymers", "two_linked_sets",
     ]
+
+
+def test_samplers_take_no_float_route_or_family_override():
+    # the samplers draw through exact partition-function ratios alone, and
+    # the polymer family follows from the fugacity
+    found = public_parameters()
+    samplers = {"sample_expander", "sample_hardcore_expander", "sampler_tables", "exact_mu_hat"}
+    assert samplers <= set(found)
+    assert sorted(name for name, params in found.items() if "use_exact_xi" in params) == []
+    assert "membership" not in found["sampler_tables"] | found["exact_mu_hat"]
 
 
 def test_failing_hypothesis_test_reports_as_a_failure(tmp_path):

@@ -25,10 +25,10 @@ from biscount import (
     is_small,
     is_two_linked,
 )
-from biscount.expander import DRAW_BITS, DRAW_DEN, quantize
+from biscount.expander import DRAW_BITS, quantize
 from biscount.graphs import bits_of, closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.instances import random_regular, random_shift
-from biscount.oracle import count_independent_in
+from biscount.oracle import DRAW_DEN, count_independent_in
 from biscount.cluster_expansion import KPPolymerCheck, KPReport, exact_xi
 from biscount.polymers import (
     Polymer,
