@@ -22,12 +22,7 @@ from .cluster_expansion import (
 )
 from .containers import (
     distinct_nonexpanding_closed,
-    enumerate_essential_candidates,
-    enumerate_expanding,
-    enumerate_nonexpanding_closed,
-    essential_size_cap,
     greedy_cover,
-    is_essential_subset,
     small_generator,
     threshold_degree_set,
 )

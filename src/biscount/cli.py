@@ -25,9 +25,10 @@ from .cluster_expansion import (
 )
 from .errors import CapacityError, InvalidInputError
 from .expander import (
+    METHOD_ORACLE,
     ApproxCount,
     HardCoreParams,
-    _log_exact,
+    _exact_result,
     count_expander,
     count_hardcore_expander,
     sample_expander,
@@ -315,27 +316,24 @@ def _report(
 def _cmd_count(args: argparse.Namespace) -> int:
     cfg = _inputs(args)
     G = _read_graph(args.graph, HEADER_CHECKS.get(("count", args.mode)))
-    p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":
         lam = cfg["lambda"]
         exact = exact_count_bipartite(G) if lam is None else exact_hardcore(G, lam)
-        result = ApproxCount(
-            log_value=_log_exact(exact.value),
-            rel_error_bound=0.0,
-            method="oracle",
-            flags=("exact",),
-            exact_value=exact.value,
-        )
-    elif args.mode == "expander":
-        result = count_expander(G, cfg["epsilon"], p, force_method=cfg["force_method"])
-    elif args.mode == "hardcore":
-        hp = HardCoreParams(cfg["lambda"], cfg["alpha"])
-        result = count_hardcore_expander(G, hp, cfg["epsilon"], p, force_method=cfg["force_method"])
-    elif args.mode == "general":
-        result = count_general(G, cfg["epsilon"], cfg["delta"], cfg["seed"], p)
+        result = _exact_result(exact.value, METHOD_ORACLE)
     else:
-        result = count_general_exact(G, p)
+        p = ExpansionParams(c1=cfg["c1"])
+        if args.mode == "expander":
+            result = count_expander(G, cfg["epsilon"], p, force_method=cfg["force_method"])
+        elif args.mode == "hardcore":
+            hp = HardCoreParams(cfg["lambda"], cfg["alpha"])
+            result = count_hardcore_expander(
+                G, hp, cfg["epsilon"], p, force_method=cfg["force_method"]
+            )
+        elif args.mode == "general":
+            result = count_general(G, cfg["epsilon"], cfg["delta"], cfg["seed"], p)
+        else:
+            result = count_general_exact(G, p)
     return _report(args, G, cfg, _count_payload(result), time.perf_counter() - start)
 
 
@@ -344,18 +342,18 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if cfg["samples"] < 1:
         raise InvalidInputError("--samples must be at least 1")
     G = _read_graph(args.graph, HEADER_CHECKS.get(("sample", args.mode)))
-    p = ExpansionParams(c1=cfg["c1"]) if "c1" in cfg else None
     start = time.perf_counter()
     if args.mode == "oracle":
         oracle = ExactSampler(G, cfg["lambda"] or Fraction(1), seed=cfg["seed"])
         draws = [oracle.sample() for _ in range(cfg["samples"])]
     elif args.mode == "expander":
         draws = sample_expander(
-            G, cfg["epsilon"], p, seed=cfg["seed"], samples=cfg["samples"], mode=cfg["sampler"]
+            G, cfg["epsilon"], ExpansionParams(c1=cfg["c1"]),
+            seed=cfg["seed"], samples=cfg["samples"], mode=cfg["sampler"],
         )
     else:
         draws = sample_hardcore_expander(
-            G, HardCoreParams(cfg["lambda"]), cfg["epsilon"], p,
+            G, HardCoreParams(cfg["lambda"]), cfg["epsilon"], ExpansionParams(c1=cfg["c1"]),
             seed=cfg["seed"], samples=cfg["samples"], mode=cfg["sampler"],
         )
     elapsed = time.perf_counter() - start

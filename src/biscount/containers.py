@@ -1,20 +1,23 @@
-"""Container generation for 2-linked vertex sets in regular bipartite graphs.
+"""Containers for the family sum over X: the pool of closed 2-linked
+non-expanding sets, and a small generating pair for each pool set.
 
-Two generation routes are provided.  For expanding sets, a small "essential
-subset" of the neighborhood reconstructs the neighborhood exactly; for
-non-expanding sets, the closure is recovered from an essential subset plus a
-bounded number of extra neighborhood vertices.  Both routes are enumerable,
-which is what makes the container families small enough to sum over.
+``count_general`` sums container families over the X side.  Its pool is
+every closed 2-linked set of X that does not expand, filtered from the one
+2-linked walk.  For each pool set A, ``small_generator`` builds a pair
+(A', A''): A' is small and 2-linked, and N(A') is essential for A (it holds
+the high-degree core of N(A) and reaches every vertex of [A]); A'' extends
+A' with N(A'') = N(A), which sizes the Monte-Carlo draws for D(A).  A sum
+over Y is the sum over X of the mirrored graph.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from typing import Sequence
 
-from .errors import CapacityError, InvalidInputError
+from .errors import InvalidInputError
 from .graphs import (
+    X_SIDE,
     BipartiteGraph,
     ExpansionParams,
     SideSet,
@@ -106,21 +109,6 @@ def threshold_degree_set(G: BipartiteGraph, A: SideSet, s: int) -> SideSet:
         if (rows[u] & closed).bit_count() >= s:
             out |= 1 << u
     return SideSet(opposite(side), out)
-
-
-def is_essential_subset(G: BipartiteGraph, F: SideSet, A: SideSet) -> bool:
-    """F is essential for A when it holds the high-degree core of N(A) and
-    its own neighborhood reaches every vertex of [A]."""
-    if F.side != opposite(A.side):
-        raise InvalidInputError("essential subset lives on the side opposite A")
-    w_bits = neighborhood_bits(G, A.side, A.bits)
-    if F.bits & ~w_bits:
-        return False
-    core = threshold_degree_set(G, A, (G.d + 1) // 2).bits
-    if core & ~F.bits:
-        return False
-    closed = closure_bits(G, A.side, A.bits)
-    return closed & ~neighborhood_bits(G, F.side, F.bits) == 0
 
 
 def small_generator(G: BipartiteGraph, A: SideSet) -> tuple[SideSet, SideSet]:
@@ -215,167 +203,22 @@ def _small_generator(G: BipartiteGraph, A: SideSet) -> tuple[SideSet, SideSet]:
     return SideSet(side, a_prime), SideSet(side, a_dd)
 
 
-def essential_size_cap(d: int, w: int) -> int:
-    """Size budget for essential subsets of a weight-w neighborhood.
-
-    (w/d) * 4 ln d for d >= 8; below that the union-of-covers argument needs
-    the additive slack kept explicit, giving (w/d) * (4 + 2 ln d).
-    """
-    if d < 2:
-        return w
-    per = max(4.0 * math.log(d), 4.0 + 2.0 * math.log(d))
-    return math.ceil((w / d) * per)
-
-
-def enumerate_essential_candidates(
-    G: BipartiteGraph,
-    v: int,
-    w: int,
-    side: str = "X",
-) -> list[SideSet]:
-    """All candidate essential subsets for 2-linked sets anchored at v with
-    neighborhood weight w.
-
-    Candidates are neighborhoods N(B) of 2-linked sets B containing v of size
-    at most the essential cap, returned deduplicated on the side opposite
-    ``side``.
-    """
-    n = G.side_size(side)
-    if not 0 <= v < n:
-        raise InvalidInputError(f"anchor vertex {v} out of range")
-    cap = essential_size_cap(G.d, w)
-    seen = {nbhd for _, nbhd, _ in two_linked_sets(G, side, cap, root=v)}
-    other = opposite(side)
-    return [SideSet(other, bits) for bits in sorted(seen)]
-
-
-def enumerate_expanding(
-    G: BipartiteGraph,
-    v: int,
-    a: int,
-    w: int,
-    params: ExpansionParams | None = None,
-    side: str = "X",
-) -> list[SideSet]:
-    """G(v, a, w): expanding 2-linked sets containing v with closure size a
-    and neighborhood size w.  Enumerated directly; used as ground truth for
-    the container counting bounds."""
-    params = params or ExpansionParams()
-    if not params.expands(G.d, w, a):
-        return []
-    # |N| and |[S]| only grow with S: prune past w, and past a altogether
-    top = [w if size <= a else -1 for size in range(G.side_size(side) + 1)]
-    out = [
-        SideSet(side, bits)
-        for bits, nbhd, closed in two_linked_sets(G, side, a, root=v, top=top)
-        if closed.bit_count() == a and nbhd.bit_count() == w
-    ]
-    return sorted(out, key=lambda s: s.bits)
-
-
-CANDIDATE_BUDGET = 1 << 22  # (F, extras) candidates the reconstruction route may try
-
-
-def enumerate_nonexpanding_closed(
-    G: BipartiteGraph,
-    v: int,
-    a: int,
-    params: ExpansionParams | None = None,
-    side: str = "X",
-) -> list[SideSet]:
-    """G'(v, a): closed 2-linked non-expanding sets containing v of size a.
-
-    Reconstruction route: the neighborhood weight w of such a set lies in
-    [a, w_hi], w_hi the largest size up to the other side that the
-    expansion rule rejects beside a; an essential subset F of the
-    neighborhood determines the set up to at most 2(w - a) extra
-    neighborhood vertices drawn from N^2(F); the set itself is then the
-    collection of side vertices whose neighborhoods fall inside the
-    reconstructed W.  Every survivor of the final checks is genuine.
-    Completeness rests on the asymptotic essential-subset argument and the
-    caps on F and the extras, so it is checked, not proven: the tests hold
-    the output to ``distinct_nonexpanding_closed`` on small graphs and Q5.
-    """
-    params = params or ExpansionParams()
-    n = G.side_size(side)
-    if not 0 <= v < n:
-        raise InvalidInputError(f"anchor vertex {v} out of range")
-    if a <= 0 or a > n:
-        return []
-    d = G.d
-    q = (math.log2(d) ** 2 / d) if d >= 2 else 0.0
-    w_lo = a
-    # |N| >= a in a regular bipartite graph; the rule rejects |N| < a / (1 - c1 q / 2)
-    n_other = G.side_size(opposite(side))
-    w_hi = max((w for w in range(a, n_other + 1) if not params.expands(d, w, a)), default=a)
-    rows_side = G.rows(side)
-    found: set[int] = set()
-    budget = CANDIDATE_BUDGET
-
-    candidates = enumerate_essential_candidates(G, v, w_hi, side)
-    for f_set in candidates:
-        f_bits = f_set.bits
-        f_size = f_bits.bit_count()
-        if f_size > w_hi:
-            continue
-        # Extra vertices live in N^2(F) minus F; their count is bounded both
-        # by the window and by the high-degree-core constraint on F.
-        n2f = neighborhood_bits(G, side, neighborhood_bits(G, opposite(side), f_bits))
-        pool = list(iter_bits(n2f & ~f_bits))
-        if params.c1 * q < 1.0:
-            k_cap = math.floor(params.c1 * q * f_size / (1.0 - params.c1 * q))
-        else:
-            k_cap = n
-        k_cap = min(k_cap, w_hi - f_size, len(pool))
-        if d >= 2:
-            k_cap = min(k_cap, max(0, 2 * (w_hi - a)), math.floor(params.c1 * q * w_hi))
-        for k in range(0, k_cap + 1):
-            for extra in combinations(pool, k):
-                budget -= 1
-                if budget < 0:
-                    raise CapacityError(
-                        "candidate budget exhausted in non-expanding enumeration "
-                        f"({CANDIDATE_BUDGET} tried, {len(found)} sets found)"
-                    )
-                w_bits = f_bits | bits_of(extra)
-                w_size = w_bits.bit_count()
-                if not w_lo <= w_size <= w_hi:
-                    continue
-                u_bits = 0
-                for u in range(n):
-                    if rows_side[u] & ~w_bits == 0:
-                        u_bits |= 1 << u
-                if u_bits.bit_count() != a or not u_bits >> v & 1:
-                    continue
-                if neighborhood_bits(G, side, u_bits) != w_bits:
-                    continue
-                candidate = SideSet(side, u_bits)
-                if not is_two_linked(G, candidate):
-                    continue
-                # u_bits is closed with N(u_bits) = W, so the sizes decide
-                if params.expands(d, w_size, a):
-                    continue
-                found.add(u_bits)
-    return [SideSet(side, bits) for bits in sorted(found)]
-
-
 def distinct_nonexpanding_closed(
-    G: BipartiteGraph, params: ExpansionParams | None = None, side: str = "X"
+    G: BipartiteGraph, params: ExpansionParams = ExpansionParams()
 ) -> list[SideSet]:
-    """Every closed 2-linked non-expanding set on a side: the sets of the
-    side's 2-linked walk with [S] = S that do not expand.  Ground truth for
-    the anchored enumeration and the pool behind family assembly.  The walk
-    runs once per (graph object, params, side): the pool is kept in the
-    graph's memo and every call gets its own copy of the list."""
-    params = params or ExpansionParams()
+    """Every closed 2-linked non-expanding set of X: the sets of the X
+    side's 2-linked walk with [S] = S that do not expand, the pool behind
+    family assembly.  The walk runs once per (graph object, params): the
+    pool is kept in the graph's memo and every call gets its own copy of
+    the list."""
 
     def build() -> tuple[SideSet, ...]:
         out = [
-            SideSet(side, bits)
-            for bits, nbhd, closed in two_linked_sets(G, side, G.side_size(side))
+            SideSet(X_SIDE, bits)
+            for bits, nbhd, closed in two_linked_sets(G, X_SIDE, G.n_x)
             if closed == bits
             and not params.expands(G.d, nbhd.bit_count(), closed.bit_count())
         ]
         return tuple(sorted(out, key=lambda s: s.bits))
 
-    return list(G.memo(("nonexpanding_closed", params, side), build))
+    return list(G.memo(("nonexpanding_closed", params), build))

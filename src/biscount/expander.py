@@ -213,14 +213,13 @@ def _admitted_mask_table(G: BipartiteGraph, fam: PolymerFamily) -> list[bool]:
 
 def polymer_census(
     G: BipartiteGraph,
-    params: ExpansionParams | None = None,
+    params: ExpansionParams = ExpansionParams(),
     membership: str = "expanding",
 ) -> PolymerCensus:
     """Exact counts behind the identity |I_X| = 2^n Xi^X and the
     inclusion-exclusion check |I_X| + |I_Y| - |I_X cap I_Y| <= i(G)."""
-    p = params or ExpansionParams()
-    ok_x = _admitted_mask_table(G, PolymerFamily(membership, X_SIDE, p))
-    ok_y = _admitted_mask_table(G, PolymerFamily(membership, Y_SIDE, p))
+    ok_x = _admitted_mask_table(G, PolymerFamily(membership, X_SIDE, params))
+    ok_y = _admitted_mask_table(G, PolymerFamily(membership, Y_SIDE, params))
     n_x, n_y = G.n_x, G.n_y
     full_x, full_y = G.full_mask(X_SIDE), G.full_mask(Y_SIDE)
 
@@ -269,13 +268,15 @@ def _membership(m: WeightModel) -> str:
     return "small" if m.variant == "hardcore" else "expanding"
 
 
-def _exact_result(value: int | Fraction, notes: dict) -> ApproxCount:
+def _exact_result(value: int | Fraction, method: str, notes: dict | None = None) -> ApproxCount:
+    """An exact count in the common result type: the one place an exact
+    ``ApproxCount`` is built, for every method that counts exactly."""
     return ApproxCount(
         log_value=_log_exact(value),
         rel_error_bound=0.0,
-        method=METHOD_BRUTE,
+        method=method,
         flags=("exact",),
-        notes=notes,
+        notes={} if notes is None else notes,
         exact_value=value,
     )
 
@@ -315,7 +316,7 @@ def _two_sided(
 def count_expander(
     G: BipartiteGraph,
     epsilon: float,
-    params: ExpansionParams | None = None,
+    params: ExpansionParams = ExpansionParams(),
     force_method: str | None = None,
 ) -> ApproxCount:
     """i(G) ~ 2^n (Xi^X(ell) + Xi^Y(ell)) over the expanding polymer family.
@@ -332,13 +333,13 @@ def count_expander(
     notes = {"epsilon_zero": eps0}
 
     if method == METHOD_BRUTE:
-        return _exact_result(exact_count_bipartite(G).value, notes)
+        return _exact_result(exact_count_bipartite(G).value, METHOD_BRUTE, notes)
     if method != METHOD_EXPANDER:
         raise InvalidInputError(f"unknown method {method!r}")
     flags = ["uncertified (small-n regime)"] if eps0 >= 0.25 else []
     return _two_sided(
         G, WeightModel.unweighted(), kp_unweighted(d), epsilon,
-        params or ExpansionParams(), LN2, flags, notes,
+        params, LN2, flags, notes,
     )
 
 
@@ -386,7 +387,7 @@ def count_hardcore_expander(
     G: BipartiteGraph,
     hp: HardCoreParams,
     epsilon: float,
-    params: ExpansionParams | None = None,
+    params: ExpansionParams = ExpansionParams(),
     force_method: str | None = None,
 ) -> ApproxCount:
     """Z_G(lambda) ~ (1+lambda)^n (Xi^X(lambda,ell) + Xi^Y(lambda,ell)) over
@@ -398,13 +399,13 @@ def count_hardcore_expander(
 
     method = force_method or METHOD_EXPANDER
     if method == METHOD_BRUTE:
-        return _exact_result(exact_hardcore(G, hp.lam).value, notes)
+        return _exact_result(exact_hardcore(G, hp.lam).value, METHOD_BRUTE, notes)
     if method != METHOD_EXPANDER:
         raise InvalidInputError(f"unknown method {method!r}")
     flags = [f"hypothesis-unmet:{name}" for name, ok in notes["conditions"].items() if not ok]
     return _two_sided(
         G, WeightModel.hardcore(hp.lam), kp_hardcore(d, hp.lam, hp.alpha), epsilon,
-        params or ExpansionParams(), _log_exact(1 + hp.lam), flags, notes,
+        params, _log_exact(1 + hp.lam), flags, notes,
     )
 
 
@@ -470,15 +471,15 @@ def _build_side_table(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> 
 
 def sampler_tables(
     G: BipartiteGraph,
-    params: ExpansionParams | None = None,
+    params: ExpansionParams = ExpansionParams(),
     lam: Fraction | None = None,
 ) -> SamplerTables:
     """Precomputed exact inversion tables for the two-step sampler: over the
     expanding family unweighted, or the small-set family at fugacity lam."""
-    p = params or ExpansionParams()
     m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
     tx, ty = (
-        _build_side_table(G, PolymerFamily(_membership(m), side, p), m) for side in (X_SIDE, Y_SIDE)
+        _build_side_table(G, PolymerFamily(_membership(m), side, params), m)
+        for side in (X_SIDE, Y_SIDE)
     )
     fill = Fraction(1, 2) if lam is None else Fraction(lam) / (1 + Fraction(lam))
     return SamplerTables(quantize(tx.xi / (tx.xi + ty.xi)), tx, ty, fill)
@@ -486,7 +487,7 @@ def sampler_tables(
 
 def exact_mu_hat(
     G: BipartiteGraph,
-    params: ExpansionParams | None = None,
+    params: ExpansionParams = ExpansionParams(),
     lam: Fraction | None = None,
 ) -> dict[tuple[int, int], Fraction]:
     """The two-step measure as an exact table keyed by (X-mask, Y-mask):
@@ -735,7 +736,7 @@ def _sample_run(
 def sample_expander(
     G: BipartiteGraph,
     epsilon: float,
-    params: ExpansionParams | None = None,
+    params: ExpansionParams = ExpansionParams(),
     seed: int = 0,
     samples: int = 1,
     mode: str = "table",
@@ -744,22 +745,18 @@ def sample_expander(
     polymer family.  Table mode inverts exact configuration tables; the
     sequential mode peels one vertex at a time through exact
     partition-function ratios."""
-    return _sample_run(
-        G, WeightModel.unweighted(), epsilon, params or ExpansionParams(), seed, samples, mode
-    )
+    return _sample_run(G, WeightModel.unweighted(), epsilon, params, seed, samples, mode)
 
 
 def sample_hardcore_expander(
     G: BipartiteGraph,
     hp: HardCoreParams,
     epsilon: float,
-    params: ExpansionParams | None = None,
+    params: ExpansionParams = ExpansionParams(),
     seed: int = 0,
     samples: int = 1,
     mode: str = "table",
 ) -> list[tuple[int, int]]:
     """Hard-core analogue of sample_expander: small-set polymers, weighted
     defect configurations, free side filled at rate lambda/(1+lambda)."""
-    return _sample_run(
-        G, WeightModel.hardcore(hp.lam), epsilon, params or ExpansionParams(), seed, samples, mode
-    )
+    return _sample_run(G, WeightModel.hardcore(hp.lam), epsilon, params, seed, samples, mode)

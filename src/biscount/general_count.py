@@ -37,10 +37,12 @@ from .expander import (
     ApproxCount,
     SideTerm,
     _check_epsilon,
-    _log_int,
+    _exact_result,
     _logaddexp,
 )
 from .graphs import (
+    X_SIDE,
+    Y_SIDE,
     BipartiteGraph,
     ExpansionParams,
     SideSet,
@@ -49,7 +51,6 @@ from .graphs import (
     is_two_linked,
     linked_in,
     neighborhood_bits,
-    opposite,
 )
 from .polymers import PolymerFamily, WeightModel, enumerate_polymers
 
@@ -93,20 +94,15 @@ FAMILY_BUDGET = 1 << 20  # families one listing may hold
 
 
 def enumerate_families(
-    G: BipartiteGraph,
-    params: ExpansionParams | None = None,
-    side: str = "X",
+    G: BipartiteGraph, params: ExpansionParams = ExpansionParams()
 ) -> Iterator[NonExpandingFamily]:
-    """All families over the distinct non-expanding closed sets of a side,
-    the empty family first, then in ascending pool order."""
-    pool = distinct_nonexpanding_closed(G, params or ExpansionParams(), side)
-    yield from _families_over(G, side, pool)
+    """All families over the distinct non-expanding closed sets of X, the
+    empty family first, then in ascending pool order."""
+    yield from _families_over(G, distinct_nonexpanding_closed(G, params))
 
 
-def _families_over(
-    G: BipartiteGraph, side: str, pool: list[SideSet]
-) -> Iterator[NonExpandingFamily]:
-    nbhds = [neighborhood_bits(G, side, s.bits) for s in pool]
+def _families_over(G: BipartiteGraph, pool: list[SideSet]) -> Iterator[NonExpandingFamily]:
+    nbhds = [neighborhood_bits(G, X_SIDE, s.bits) for s in pool]
     produced = 0
 
     def emit(fam: tuple[SideSet, ...]) -> NonExpandingFamily:
@@ -133,31 +129,31 @@ def _families_over(
 
 
 def _family_terms(
-    G: BipartiteGraph, p: ExpansionParams, side: str
+    G: BipartiteGraph, p: ExpansionParams
 ) -> tuple[tuple[NonExpandingFamily, int, int], ...]:
     """Each family of ``enumerate_families`` with |N(union)| and its region.
-    They depend on the graph, params and side alone, so they are listed once
-    per graph object and kept in its memo."""
+    They depend on the graph and params alone, so they are listed once per
+    graph object and kept in its memo."""
 
     def build() -> tuple[tuple[NonExpandingFamily, int, int], ...]:
         terms = []
-        for family in enumerate_families(G, p, side):
+        for family in enumerate_families(G, p):
             union = family.union_bits
-            covered = neighborhood_bits(G, side, union).bit_count()
-            terms.append((family, covered, family_region(G, side, union)))
+            covered = neighborhood_bits(G, X_SIDE, union).bit_count()
+            terms.append((family, covered, family_region(G, union)))
         return tuple(terms)
 
-    return G.memo(("families", p, side), build)
+    return G.memo(("families", p), build)
 
 
-def family_region(G: BipartiteGraph, side: str, union_bits: int) -> int:
-    """The polymer ground set left to a family: the side minus the second
+def family_region(G: BipartiteGraph, union_bits: int) -> int:
+    """The polymer ground set left to a family: X minus the second
     neighborhood of the family union."""
-    full = G.full_mask(side)
+    full = G.full_mask(X_SIDE)
     if not union_bits:
         return full
-    nb = neighborhood_bits(G, side, union_bits)
-    return full & ~neighborhood_bits(G, opposite(side), nb)
+    nb = neighborhood_bits(G, X_SIDE, union_bits)
+    return full & ~neighborhood_bits(G, Y_SIDE, nb)
 
 
 # -- the container-set multiplicity D ------------------------------------------
@@ -283,7 +279,7 @@ def estimate_D(
     epsilon: float,
     delta: float,
     seed: int,
-    params: ExpansionParams | None = None,
+    params: ExpansionParams = ExpansionParams(),
 ) -> DEstimate:
     """Relative-error Monte-Carlo estimate of the multiplicity D(A).  A
     sample count m over ``D_DRAW_BUDGET`` raises CapacityError before the
@@ -293,8 +289,7 @@ def estimate_D(
     one square-graph search (about 25 us on the whole side of K_{64,64}), so
     a call within the budget can still run for hours.  numpy is imported
     only where a D is sampled: here, and for ``count_general``'s child seeds."""
-    p = params or ExpansionParams()
-    _check_container_set(G, A, p)
+    _check_container_set(G, A, params)
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     if not 0 < delta < 1:
@@ -332,27 +327,20 @@ def estimate_D(
 # -- exact assembly --------------------------------------------------------------
 
 
-def assemble_exact(
-    G: BipartiteGraph,
-    params: ExpansionParams | None = None,
-    side: str = "X",
-) -> int:
-    """i(G) as the exact family sum: for each family, the product of exact
-    multiplicities, a free factor for the untouched part of the other side,
-    and the exact polymer partition function on the leftover region."""
-    p = params or ExpansionParams()
-    other = opposite(side)
-    n_other = G.side_size(other)
+def assemble_exact(G: BipartiteGraph, params: ExpansionParams = ExpansionParams()) -> int:
+    """i(G) as the exact family sum over X: for each family, the product of
+    exact multiplicities, a free factor for the untouched part of Y, and the
+    exact polymer partition function on the leftover region."""
     m = WeightModel.unweighted()
-    universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), G.side_size(side))
+    universe = enumerate_polymers(G, PolymerFamily("expanding", X_SIDE, params), G.n_x)
     xi_of = functools.cache(lambda mask: exact_xi(universe, m, mask))
     total = Fraction(0)
-    for family, covered, region in _family_terms(G, p, side):
+    for family, covered, region in _family_terms(G, params):
         xi = xi_of(universe.within(region))
         prod = 1
         for s in family.sets:
             prod *= exhaustive_D(G, s)
-        total += prod * Fraction(2) ** (n_other - covered) * Fraction(xi)
+        total += prod * Fraction(2) ** (G.n_y - covered) * Fraction(xi)
     if total.denominator != 1:
         raise InvalidInputError("family sum did not reduce to an integer")
     return int(total)
@@ -366,11 +354,10 @@ def count_general(
     epsilon: float,
     delta: float,
     seed: int,
-    params: ExpansionParams | None = None,
-    side: str = "X",
+    params: ExpansionParams = ExpansionParams(),
 ) -> ApproxCount:
-    """Approximate i(G) by the family sum with truncated local cluster
-    expansions.
+    """Approximate i(G) by the family sum over X with truncated local
+    cluster expansions.
 
     Each distinct container set A is weighed once, at accuracy epsilon/(2n)
     and failure budget delta split over the distinct sets.  D(A) is
@@ -383,23 +370,20 @@ def count_general(
     graph object take them from there; sampled D values are drawn per call.
     One polymer universe, to the truncation size, serves the convergence
     check and every family's local expansion, taken once per distinct
-    region mask.  The family list (by params and side), the KP verdict and
-    that per-region ln Xi(ell) (by params, side and ell) are seed-free and
-    kept in the memo too.  When d > sqrt(n) the local partition functions
+    region mask.  The family list (by params), the KP verdict and that
+    per-region ln Xi(ell) (by params and ell) are seed-free and kept in the
+    memo too.  When d > sqrt(n) the local partition functions
     are dropped (replaced by 1), as the defect structure is negligible in
     that regime, and the convergence condition is reported as assumed."""
     _check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
-    p = params or ExpansionParams()
-    n, d = G.side_size(side), G.d
-    other = opposite(side)
-    n_other = G.side_size(other)
+    n, d = G.n_x, G.d
     big_l = choose_ell(n, d, epsilon / 2.0)
     drop_xi = d * d > n
     m = WeightModel.unweighted()
 
-    pool = distinct_nonexpanding_closed(G, p, side)
+    pool = distinct_nonexpanding_closed(G, params)
     eps_d = min(epsilon, 1.0) / (2.0 * n)
     # each distinct set's D is taken once, so a union bound over the pool
     # needs delta' = delta / |pool|; every D's route is planned, and its
@@ -410,7 +394,7 @@ def count_general(
     for s, k, exact in zip(pool, draws, scan):
         if not exact:
             _check_draws(s, k)
-    families = _family_terms(G, p, side)
+    families = _family_terms(G, params)
     nonempty = sum(1 for family, _, _ in families if family.sets)
 
     seeds = None  # child i of SeedSequence(seed) over the pool, built on first use
@@ -424,7 +408,7 @@ def count_general(
                 import numpy as np
 
                 seeds = np.random.SeedSequence(seed).generate_state(len(pool))
-            est = estimate_D(G, s, eps_d, delta_prime, int(seeds[i]), p)
+            est = estimate_D(G, s, eps_d, delta_prime, int(seeds[i]), params)
             d_values[s.bits] = est.value
             d_sampled += 1
             d_samples += est.samples_used
@@ -432,17 +416,19 @@ def count_general(
     if drop_xi:
         kp_status = KP_ASSUMED  # nothing was checked; the factor is dropped
     else:
-        universe = enumerate_polymers(G, PolymerFamily("expanding", side, p), min(big_l, n))
+        universe = enumerate_polymers(
+            G, PolymerFamily("expanding", X_SIDE, params), min(big_l, n)
+        )
         # the KP verdict and the per-region ln Xi(ell) depend on the graph,
-        # params, side and ell alone: kept in the graph's memo
+        # params and ell alone: kept in the graph's memo
         kp_status = G.memo(
-            ("general_kp", p, side, big_l),
+            ("general_kp", params, big_l),
             lambda: KP_VERIFIED if verify_kp(universe, m, kp_unweighted(d)).all_pass
             else KP_FAILED,
         )
         # ln Xi(ell) once per region mask; the side's tail bound covers each
         log_xi = G.memo(
-            ("general_log_xi", p, side, big_l),
+            ("general_log_xi", params, big_l),
             lambda: functools.cache(lambda mask: truncated_log_xi(universe, m, big_l, n, d, mask)),
         )
 
@@ -450,7 +436,7 @@ def count_general(
     zero_estimates = 0
     config_total = 0
     for family, covered, region in families:
-        log_term = (n_other - covered) * LN2
+        log_term = (G.n_y - covered) * LN2
         dead = False
         for s in family.sets:
             value = d_values[s.bits]
@@ -482,7 +468,7 @@ def count_general(
         flags.append("d-sampled (holds w.p. >= 1 - delta)")
     if not flags:
         flags.append("certified")
-    breakdown = (SideTerm(side, 0.0, big_l, kp_status, config_total),)
+    breakdown = (SideTerm(X_SIDE, 0.0, big_l, kp_status, config_total),)
     notes = {
         "families": len(families),
         "nonempty_families": nonempty,
@@ -506,16 +492,7 @@ def count_general(
 
 
 def count_general_exact(
-    G: BipartiteGraph,
-    params: ExpansionParams | None = None,
-    side: str = "X",
+    G: BipartiteGraph, params: ExpansionParams = ExpansionParams()
 ) -> ApproxCount:
     """The exact family assembly wrapped in the common result type."""
-    value = assemble_exact(G, params, side)
-    return ApproxCount(
-        log_value=_log_int(value),
-        rel_error_bound=0.0,
-        method=METHOD_GENERAL,
-        flags=("exact",),
-        exact_value=value,
-    )
+    return _exact_result(assemble_exact(G, params), METHOD_GENERAL)

@@ -220,18 +220,21 @@ class BipartiteGraph:
 
         - ``("square", side)``: ``square_rows``;
         - ``("closure_candidates", side)``: ``closure_candidates``;
-        - ``("nonexpanding_closed", params, side)``: the container pool of
+        - ``("nonexpanding_closed", params)``: the container pool of
           ``containers.distinct_nonexpanding_closed``;
         - ``("small_generator", A)``: ``containers.small_generator``'s pair;
         - ``("exhaustive_D", A)``: the exact multiplicity D(A);
         - ``("polymers", family, cap)``: the ``polymers.PolymerUniverse`` of
           ``enumerate_polymers``, which keeps on it the class counts of each
           (size budget, polymer mask) ``xi_size_polynomial`` has walked;
-        - ``("families", params, side)``: the container families of
+        - ``("families", params)``: the container families of
           ``general_count``, each with |N(union)| and its region;
-        - ``("general_kp", params, side, ell)`` and
-          ``("general_log_xi", params, side, ell)``: ``count_general``'s KP
+        - ``("general_kp", params, ell)`` and
+          ``("general_log_xi", params, ell)``: ``count_general``'s KP
           verdict and its per-region ln Xi(ell), taken once per polymer mask.
+
+        The container keys hold the X side alone, the one side the family
+        sum runs over.
 
         Callers never change what it hands out (a universe only gains kept
         walks).  A ``build`` that raises stores nothing."""
@@ -426,21 +429,18 @@ def two_linked_sets(
     G: BipartiteGraph,
     side: str,
     size_cap: int,
-    root: int | None = None,
     top: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, int, int]]:
     """Every 2-linked set S of ``side`` with |S| <= ``size_cap``, each exactly
     once, as the masks (S, N(S), [S]).
 
-    A forbidden-set walk over the connected sets of the square graph: with
-    ``root`` None it is min-rooted over every root (S grows only above its
-    lowest vertex), otherwise it yields the sets containing ``root``.  N(S)
+    A forbidden-set walk over the connected sets of the square graph,
+    min-rooted over every root: S grows only above its lowest vertex.  N(S)
     and [S] are carried, grown by the rows of each added vertex.  With
     ``top``, a set with |N(S)| > top[|[S]|] is neither yielded nor grown.
     Both sizes only grow with S, so when ``top`` never increases every
     superset of such a set fails too, and the walk yields exactly the sets
-    within the bound.  A cap below 1, or a root off the side, yields
-    nothing."""
+    within the bound.  A cap below 1 yields nothing."""
     n = G.side_size(side)
     cap = min(size_cap, n)
     if cap < 1:
@@ -448,11 +448,8 @@ def two_linked_sets(
     rows = G.rows(side)
     square = G.square_rows(side)
     gains = G.closure_candidates(side)
-    if root is None:
-        starts = [(r, (2 << r) - 1) for r in range(n)]
-    else:
-        starts = [(root, 1 << root)] if 0 <= root < n else []
-    for r, forbidden in starts:
+    for r in range(n):
+        forbidden = (2 << r) - 1
         nbhd = rows[r]
         closed = 0
         for bit, row in gains[r]:

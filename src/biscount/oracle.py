@@ -179,14 +179,27 @@ def check_table_sides(n_x: int, n_y: int) -> None:
 
 def _checked_fugacity(G: BipartiteGraph, lam: Fraction) -> Fraction:
     # a positive fugacity, and a graph with at most TABLE_CAP independent
-    # sets: refused from its side sizes when they suffice, else after the sweep
+    # sets: refused from its side sizes when they suffice, else by the
+    # counting sweep, which stops once its running total passes the cap
+    # (every term is positive), so the sets it names are then a lower bound
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("fugacity must be positive")
     check_table_sides(G.n_x, G.n_y)
-    total = exact_count_bipartite(G).value
-    if total > TABLE_CAP:
-        raise CapacityError(f"distribution table capped at {TABLE_CAP} sets, need {total}")
+    pow2 = [1 << k for k in range(G.n_y + 1)]
+    running = 0
+    left = 1 << G.n_x  # terms of the sweep still to come
+
+    def term(s_size: int, covered: int) -> int:
+        nonlocal running, left
+        running += pow2[G.n_y - covered]
+        left -= 1
+        if running > TABLE_CAP:
+            need = running if not left else f"at least {running}"
+            raise CapacityError(f"distribution table capped at {TABLE_CAP} sets, need {need}")
+        return 0
+
+    _gray_sweep(G, term)
     return lam
 
 

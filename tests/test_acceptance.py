@@ -20,11 +20,6 @@ from biscount.cluster_expansion import (
     truncated_log_xi,
     verify_kp,
 )
-from biscount.containers import (
-    enumerate_essential_candidates,
-    enumerate_nonexpanding_closed,
-    is_essential_subset,
-)
 from biscount.expander import (
     exact_mu_hat,
     polymer_census,
@@ -53,7 +48,14 @@ from biscount.oracle import (
     exact_hardcore,
 )
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
-from util import P1, P100, count_via_certificates
+from util import (
+    P1,
+    P100,
+    count_via_certificates,
+    enumerate_essential_candidates,
+    enumerate_nonexpanding_closed,
+    is_essential_subset,
+)
 
 
 def announce(capsys, line):

@@ -9,12 +9,7 @@ import pytest
 from biscount import (
     InvalidInputError,
     distinct_nonexpanding_closed,
-    enumerate_essential_candidates,
-    enumerate_expanding,
-    enumerate_nonexpanding_closed,
-    essential_size_cap,
     greedy_cover,
-    is_essential_subset,
     is_expanding,
     is_two_linked,
     small_generator,
@@ -39,8 +34,13 @@ from util import (
     count_below,
     count_via_certificates,
     enumerate_certificates,
+    enumerate_essential_candidates,
+    enumerate_expanding,
+    enumerate_nonexpanding_closed,
+    essential_size_cap,
     general_circulant,
     greedy_independent,
+    is_essential_subset,
     qualifying_buckets,
     random_instances,
     two_linked_sets,

@@ -125,13 +125,15 @@ def test_enumerate_families_matches_brute(params, request):
     cases += [G for G in util.random_instances(5, seed=404, max_side=5)]
     for G in cases:
         for side in (X_SIDE, Y_SIDE):
-            fams = list(enumerate_families(G, params, side))
+            # the families of Y are the families of X in the mirrored graph
+            H = G if side == X_SIDE else util.mirrored(G)
+            fams = list(enumerate_families(H, params))
             assert fams[0].sets == ()
             seen = {frozenset(s.bits for s in f.sets) for f in fams}
             assert len(seen) == len(fams)  # no duplicates
             assert seen == brute_families(G, side, params)
             for f in fams:
-                f.validate(G, params)
+                f.validate(H, params)
 
 
 def test_enumerate_families_frozen_c8(c8):
@@ -151,7 +153,7 @@ def test_family_region_is_second_neighborhood_complement(params, request):
         G = request.getfixturevalue(name)
         for fam in enumerate_families(G, params):
             union = fam.union_bits
-            region = family_region(G, X_SIDE, union)
+            region = family_region(G, union)
             if not union:
                 assert region == G.full_mask(X_SIDE)
                 continue
@@ -199,7 +201,7 @@ def test_exhaustive_d_walk_matches_direct_scan(build):
     # the covering walk counts what the direct scan over all subsets counts,
     # on every container set count_general meets
     G = build()
-    pool = distinct_nonexpanding_closed(G, P1, X_SIDE)
+    pool = distinct_nonexpanding_closed(G, P1)
     assert pool
     for A in pool:
         assert exhaustive_D(G, A) == util.reference_exhaustive_D(G, A)
@@ -218,20 +220,23 @@ def test_d_hits_match_direct_scan_on_random_shifts(n, d, seed, side, params):
     # counts what the direct scan counts on every pool set, and its hit
     # table marks exactly that many subsets, each 2-linked with N(B) = N(A)
     G = random_shift(n, d, seed)
-    pool = distinct_nonexpanding_closed(G, params, side)
+    # the pool of Y is the pool of X in the mirrored graph
+    if side == Y_SIDE:
+        G = util.mirrored(G)
+    pool = distinct_nonexpanding_closed(G, params)
     assert pool
     for A in pool:
         table = bytearray(1 << A.size)
         assert general_count._count_d_hits(G, A, table) == util.reference_exhaustive_D(G, A)
         verts = A.vertices()
         marked = [
-            SideSet(side, sum(1 << v for j, v in enumerate(verts) if local >> j & 1))
+            SideSet(X_SIDE, sum(1 << v for j, v in enumerate(verts) if local >> j & 1))
             for local, hit in enumerate(table) if hit
         ]
         assert len(marked) == sum(table)
-        target = neighborhood_bits(G, side, A.bits)
+        target = neighborhood_bits(G, X_SIDE, A.bits)
         for B in marked:
-            assert neighborhood_bits(G, side, B.bits) == target
+            assert neighborhood_bits(G, X_SIDE, B.bits) == target
             assert is_two_linked(G, B)
 
 
@@ -240,7 +245,7 @@ def test_d_hit_test_matches_reference_membership(n):
     # the per-draw hit test estimate_D uses past 18 vertices names the
     # subsets the direct scan counts, on every subset of every pool set
     G = random_shift(n, 3, 1)
-    pool = distinct_nonexpanding_closed(G, P1, X_SIDE)
+    pool = distinct_nonexpanding_closed(G, P1)
     assert pool
     for A in pool:
         is_hit = general_count._d_hit_test(G, A)
@@ -435,7 +440,7 @@ def test_estimate_d_draw_budget_refuses_before_drawing():
     assert time.perf_counter() - start < 10.0
 
 
-@pytest.mark.parametrize("params", [None, P1], ids=["c1=100", "c1=1"])
+@pytest.mark.parametrize("params", [P100, P1], ids=["c1=100", "c1=1"])
 def test_count_general_refuses_before_listing_families(params, monkeypatch):
     # every pool set is a nonempty family, so delta' <= delta / |pool|; C50's
     # whole side (|A| = 25, past the scan cap) needs about 5e14 draws even
@@ -482,7 +487,7 @@ def test_assemble_exact_matches_oracle(params, request):
     for G in cases:
         truth = exact_count_bipartite(G).value
         assert assemble_exact(G, params) == truth
-        assert assemble_exact(G, params, side=Y_SIDE) == truth
+        assert assemble_exact(util.mirrored(G), params) == truth
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -496,14 +501,15 @@ def test_assemble_exact_matches_oracle(params, request):
 def test_assemble_exact_matches_oracle_on_random_shifts(n, d, seed, side, params):
     # the exact family sum reads each family's Xi through the region-mask memo
     G = random_shift(n, d, seed)
-    assert assemble_exact(G, params, side) == exact_count_bipartite(G).value
+    H = G if side == X_SIDE else util.mirrored(G)
+    assert assemble_exact(H, params) == exact_count_bipartite(G).value
 
 
 def test_count_general_takes_each_region_log_xi_once(monkeypatch):
     # C16 at c1 = 1: 26 families over 18 distinct regions, so 18 truncated
     # walks, one per region mask, while config_count still sums per family
     G = even_cycle(16)
-    regions = [family_region(G, X_SIDE, f.union_bits) for f in enumerate_families(G, P1)]
+    regions = [family_region(G, f.union_bits) for f in enumerate_families(G, P1)]
     assert (len(regions), len(set(regions))) == (26, 18)
     real = general_count.truncated_log_xi
     masks = []
@@ -577,7 +583,7 @@ def test_count_general_drops_xi_at_high_degree(k22):
 
 
 def test_count_general_y_side(c8):
-    out = count_general(c8, 0.05, 0.05, seed=5, params=P1, side=Y_SIDE)
+    out = count_general(util.mirrored(c8), 0.05, 0.05, seed=5, params=P1)
     assert math.exp(out.log_value) == pytest.approx(47, rel=0.05)
 
 

@@ -207,8 +207,8 @@ def test_closure_candidates_are_each_vertex_and_its_square_neighbours():
 
 def test_two_linked_sets_matches_brute():
     # the walk yields each 2-linked set within the cap once, with its N(S)
-    # and [S], min-rooted and rooted, and under a non-increasing top table
-    # exactly the sets with |N(S)| <= top[|[S]|]
+    # and [S], and under a non-increasing top table exactly the sets with
+    # |N(S)| <= top[|[S]|]
     rng = random.Random(7)
     for G in [even_cycle(10)] + random_instances(6, seed=13, max_side=9):
         for side in ("X", "Y"):
@@ -220,19 +220,14 @@ def test_two_linked_sets_matches_brute():
             ]
             top = sorted((rng.randint(-1, G.d * n) for _ in range(n + 1)), reverse=True)
             for cap in (0, 1, 2, 4, n):
-                small = [t for t in brute if t[0].bit_count() <= cap]
-                roots = [(None, small)] + [
-                    (r, [t for t in small if t[0] >> r & 1]) for r in range(n)
-                ]
-                for root, want in roots:
-                    got = list(two_linked_sets(G, side, cap, root=root))
-                    assert sorted(got) == sorted(want)
-                    pruned = list(two_linked_sets(G, side, cap, root=root, top=top))
-                    assert sorted(pruned) == sorted(
-                        t for t in want
-                        if t[1].bit_count() <= top[t[2].bit_count()]
-                    )
-            assert list(two_linked_sets(G, side, n, root=n)) == []
+                want = [t for t in brute if t[0].bit_count() <= cap]
+                got = list(two_linked_sets(G, side, cap))
+                assert sorted(got) == sorted(want)
+                pruned = list(two_linked_sets(G, side, cap, top=top))
+                assert sorted(pruned) == sorted(
+                    t for t in want
+                    if t[1].bit_count() <= top[t[2].bit_count()]
+                )
 
 
 def test_dump_load_roundtrip_and_validation():

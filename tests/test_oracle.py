@@ -210,15 +210,40 @@ def test_exact_sampler_checks_fugacity_and_table_cap(c8, monkeypatch):
 def test_table_cap_refused_from_side_sizes_before_the_sweep(monkeypatch):
     # every subset of one side is independent, so C8 has at least
     # 2^4 + 2^4 - 1 = 31 sets: past a cap of 30 without counting them
-    def no_sweep(G):
+    def no_sweep(G, term):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(oracle, "exact_count_bipartite", no_sweep)
+    monkeypatch.setattr(oracle, "_gray_sweep", no_sweep)
     monkeypatch.setattr(oracle, "TABLE_CAP", 30)
     want = "^distribution table capped at 30 sets, need at least 31$"
     for make in (ExactSampler, exact_distribution):
         with pytest.raises(CapacityError, match=want):
             make(even_cycle(8))
+
+
+def test_table_cap_sweep_stops_once_past_the_cap(monkeypatch):
+    # shift(20,3)'s sides pass the side-size check, but it has 38,526,849
+    # sets; every sweep term is positive, so the sweep stops at the 56th of
+    # its 2^20 terms, where the running total first passes the cap, and
+    # names that total as a lower bound
+    terms = 0
+    real = oracle._gray_sweep
+
+    def counted(G, term):
+        def counted_term(*args):
+            nonlocal terms
+            terms += 1
+            return term(*args)
+
+        return real(G, counted_term)
+
+    monkeypatch.setattr(oracle, "_gray_sweep", counted)
+    want = f"^distribution table capped at {oracle.TABLE_CAP} sets, need at least 2100480$"
+    for make in (ExactSampler, exact_distribution):
+        terms = 0
+        with pytest.raises(CapacityError, match=want):
+            make(random_shift(20, 3, 1))
+        assert terms == 56
 
 
 def test_exact_sampler_empirical_distribution(c8):

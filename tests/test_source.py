@@ -93,6 +93,31 @@ def test_samplers_take_no_float_route_or_family_override():
     assert "membership" not in found["sampler_tables"] | found["exact_mu_hat"]
 
 
+# the anchored reconstruction route, kept in tests/util.py as a witness
+WITNESSES = {
+    "is_essential_subset", "essential_size_cap", "enumerate_essential_candidates",
+    "enumerate_expanding", "enumerate_nonexpanding_closed", "CANDIDATE_BUDGET",
+}
+
+
+def test_one_container_route_in_the_package():
+    # the container layer is the X-side route count_general runs: a Y-side
+    # sum is the X-side sum of the mirrored graph, and the 2-linked walk is
+    # min-rooted only
+    found = public_parameters()
+    route = {
+        name: found[name]
+        for name, obj in public_callables()
+        if obj.__module__ in ("biscount.containers", "biscount.general_count")
+        and name in found
+    }
+    assert {"count_general", "assemble_exact", "distinct_nonexpanding_closed"} <= set(route)
+    assert sorted(name for name, params in route.items() if "side" in params) == []
+    assert "root" not in found["two_linked_sets"]
+    containers = importlib.import_module("biscount.containers")
+    assert sorted(WITNESSES & (set(vars(biscount)) | set(vars(containers)))) == []
+
+
 def test_failing_hypothesis_test_reports_as_a_failure(tmp_path):
     # the configured warning filters make warnings errors; a failing @given
     # test must still end as an ordinary failure (exit code 1) that shows its

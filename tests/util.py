@@ -7,6 +7,7 @@ against an independently written route.
 
 import math
 import random
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +25,11 @@ from biscount import (
     is_expanding,
     is_small,
     is_two_linked,
+    threshold_degree_set,
 )
 from biscount.expander import DRAW_BITS, quantize
 from biscount.graphs import bits_of, closure_bits, iter_bits, neighborhood_bits, opposite
+from biscount.graphs import two_linked_sets as graph_two_linked_sets
 from biscount.instances import random_regular, random_shift
 from biscount.oracle import DRAW_DEN, count_independent_in
 from biscount.cluster_expansion import KPPolymerCheck, KPReport, exact_xi
@@ -802,3 +805,193 @@ def count_via_certificates(
         region, _ = certificate_region(G, cert)
         total += count_independent_in(G, region)
     return total
+
+
+# -- the mirrored graph: a Y-side route as the X-side route of the mirror -------
+
+
+def mirrored(G: BipartiteGraph) -> BipartiteGraph:
+    """G with its sides swapped: the X side of the mirror is G's Y side, so
+    the package's X-side container route run on it is G's Y-side route."""
+    return BipartiteGraph(G.n_y, G.n_x, G.d, G.row_y, G.row_x)
+
+
+# -- reconstruction witnesses: the anchored container route ---------------------
+#
+# An essential subset F of N(A) reconstructs a closed non-expanding set A from
+# F and a few extra neighbourhood vertices.  No count or sample reads this
+# route: the pool `containers.distinct_nonexpanding_closed` walks the side
+# instead, and is far faster at desk-scale degrees.  The tests hold the two
+# routes, and brute force, to the same sets.
+
+CANDIDATE_BUDGET = 1 << 22  # (F, extras) candidates the reconstruction route may try
+
+_KEPT_WALKS: "weakref.WeakKeyDictionary[BipartiteGraph, dict]" = weakref.WeakKeyDictionary()
+
+
+def _sets_through(G: BipartiteGraph, side: str, cap: int) -> list[list[tuple[int, int, int]]]:
+    """Per vertex v of ``side``, the masks (S, N(S), [S]) of every 2-linked S
+    with |S| <= cap that contains v, in walk order.  One min-rooted
+    ``graphs.two_linked_sets`` walk per (graph object, side, cap), split by
+    member and kept as long as the graph object lives."""
+    n = G.side_size(side)
+    key = (side, min(cap, n))
+    kept = _KEPT_WALKS.setdefault(G, {})
+    if key not in kept:
+        through: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for found in graph_two_linked_sets(G, side, cap):
+            for v in iter_bits(found[0]):
+                through[v].append(found)
+        kept[key] = through
+    return kept[key]
+
+
+def is_essential_subset(G: BipartiteGraph, F: SideSet, A: SideSet) -> bool:
+    """F is essential for A when it holds the high-degree core of N(A) and
+    its own neighborhood reaches every vertex of [A]."""
+    if F.side != opposite(A.side):
+        raise InvalidInputError("essential subset lives on the side opposite A")
+    w_bits = neighborhood_bits(G, A.side, A.bits)
+    if F.bits & ~w_bits:
+        return False
+    core = threshold_degree_set(G, A, (G.d + 1) // 2).bits
+    if core & ~F.bits:
+        return False
+    closed = closure_bits(G, A.side, A.bits)
+    return closed & ~neighborhood_bits(G, F.side, F.bits) == 0
+
+
+def essential_size_cap(d: int, w: int) -> int:
+    """Size budget for essential subsets of a weight-w neighborhood.
+
+    (w/d) * 4 ln d for d >= 8; below that the union-of-covers argument needs
+    the additive slack kept explicit, giving (w/d) * (4 + 2 ln d).
+    """
+    if d < 2:
+        return w
+    per = max(4.0 * math.log(d), 4.0 + 2.0 * math.log(d))
+    return math.ceil((w / d) * per)
+
+
+def enumerate_essential_candidates(
+    G: BipartiteGraph,
+    v: int,
+    w: int,
+    side: str = "X",
+) -> list[SideSet]:
+    """All candidate essential subsets for 2-linked sets anchored at v with
+    neighborhood weight w.
+
+    Candidates are neighborhoods N(B) of 2-linked sets B containing v of size
+    at most the essential cap, returned deduplicated on the side opposite
+    ``side``.
+    """
+    n = G.side_size(side)
+    if not 0 <= v < n:
+        raise InvalidInputError(f"anchor vertex {v} out of range")
+    through = _sets_through(G, side, essential_size_cap(G.d, w))[v]
+    other = opposite(side)
+    return [SideSet(other, bits) for bits in sorted({nbhd for _, nbhd, _ in through})]
+
+
+def enumerate_expanding(
+    G: BipartiteGraph,
+    v: int,
+    a: int,
+    w: int,
+    params: ExpansionParams = ExpansionParams(),
+    side: str = "X",
+) -> list[SideSet]:
+    """G(v, a, w): expanding 2-linked sets containing v with closure size a
+    and neighborhood size w.  Enumerated directly; used as ground truth for
+    the container counting bounds."""
+    if not params.expands(G.d, w, a):
+        return []
+    # |S| <= |[S]|, so every set with |[S]| = a lies within the cap a
+    return [
+        SideSet(side, bits)
+        for bits, nbhd, closed in sorted(_sets_through(G, side, a)[v])
+        if closed.bit_count() == a and nbhd.bit_count() == w
+    ]
+
+
+def enumerate_nonexpanding_closed(
+    G: BipartiteGraph,
+    v: int,
+    a: int,
+    params: ExpansionParams = ExpansionParams(),
+    side: str = "X",
+) -> list[SideSet]:
+    """G'(v, a): closed 2-linked non-expanding sets containing v of size a.
+
+    Reconstruction route: the neighborhood weight w of such a set lies in
+    [a, w_hi], w_hi the largest size up to the other side that the
+    expansion rule rejects beside a; an essential subset F of the
+    neighborhood determines the set up to at most 2(w - a) extra
+    neighborhood vertices drawn from N^2(F); the set itself is then the
+    collection of side vertices whose neighborhoods fall inside the
+    reconstructed W.  Every survivor of the final checks is genuine.
+    Completeness rests on the asymptotic essential-subset argument and the
+    caps on F and the extras, so it is checked, not proven: the tests hold
+    the output to ``distinct_nonexpanding_closed`` on small graphs and Q5.
+    """
+    n = G.side_size(side)
+    if not 0 <= v < n:
+        raise InvalidInputError(f"anchor vertex {v} out of range")
+    if a <= 0 or a > n:
+        return []
+    d = G.d
+    q = (math.log2(d) ** 2 / d) if d >= 2 else 0.0
+    w_lo = a
+    # |N| >= a in a regular bipartite graph; the rule rejects |N| < a / (1 - c1 q / 2)
+    n_other = G.side_size(opposite(side))
+    w_hi = max((w for w in range(a, n_other + 1) if not params.expands(d, w, a)), default=a)
+    rows_side = G.rows(side)
+    found: set[int] = set()
+    budget = CANDIDATE_BUDGET
+
+    candidates = enumerate_essential_candidates(G, v, w_hi, side)
+    for f_set in candidates:
+        f_bits = f_set.bits
+        f_size = f_bits.bit_count()
+        if f_size > w_hi:
+            continue
+        # Extra vertices live in N^2(F) minus F; their count is bounded both
+        # by the window and by the high-degree-core constraint on F.
+        n2f = neighborhood_bits(G, side, neighborhood_bits(G, opposite(side), f_bits))
+        pool = list(iter_bits(n2f & ~f_bits))
+        if params.c1 * q < 1.0:
+            k_cap = math.floor(params.c1 * q * f_size / (1.0 - params.c1 * q))
+        else:
+            k_cap = n
+        k_cap = min(k_cap, w_hi - f_size, len(pool))
+        if d >= 2:
+            k_cap = min(k_cap, max(0, 2 * (w_hi - a)), math.floor(params.c1 * q * w_hi))
+        for k in range(0, k_cap + 1):
+            for extra in combinations(pool, k):
+                budget -= 1
+                if budget < 0:
+                    raise CapacityError(
+                        "candidate budget exhausted in non-expanding enumeration "
+                        f"({CANDIDATE_BUDGET} tried, {len(found)} sets found)"
+                    )
+                w_bits = f_bits | bits_of(extra)
+                w_size = w_bits.bit_count()
+                if not w_lo <= w_size <= w_hi:
+                    continue
+                u_bits = 0
+                for u in range(n):
+                    if rows_side[u] & ~w_bits == 0:
+                        u_bits |= 1 << u
+                if u_bits.bit_count() != a or not u_bits >> v & 1:
+                    continue
+                if neighborhood_bits(G, side, u_bits) != w_bits:
+                    continue
+                candidate = SideSet(side, u_bits)
+                if not is_two_linked(G, candidate):
+                    continue
+                # u_bits is closed with N(u_bits) = W, so the sizes decide
+                if params.expands(d, w_size, a):
+                    continue
+                found.add(u_bits)
+    return [SideSet(side, bits) for bits in sorted(found)]
