@@ -23,6 +23,7 @@ from .cluster_expansion import (
 from .containers import (
     distinct_nonexpanding_closed,
     greedy_cover,
+    pool_multiplicities,
     small_generator,
     threshold_degree_set,
 )

@@ -68,7 +68,7 @@ READS: dict[str, dict[str, tuple[str, ...]]] = {
         "oracle": ("lambda",),
         "expander": ("epsilon", "c1", "force_method"),
         "hardcore": ("lambda", "alpha", "epsilon", "c1", "force_method"),
-        "general": ("epsilon", "delta", "c1", "seed"),
+        "general": ("epsilon", "c1"),
         "general-exact": ("c1",),
     },
     "sample": {
@@ -100,7 +100,6 @@ DEFAULTS = {
     "lambda": None,
     "alpha": "1/2",
     "epsilon": 0.1,
-    "delta": 0.05,
     "c1": 100.0,
     "seed": 0,
     "force_method": None,
@@ -116,7 +115,6 @@ FLAG_ARGS = {
     "lambda": {"help": "fugacity as p/q or a decimal, read exactly; required by hardcore"},
     "alpha": {"help": "expansion ratio as p/q or a decimal, read exactly"},
     "epsilon": {"type": float},
-    "delta": {"type": float},
     "c1": {"type": float},
     "seed": {"type": int},
     "force_method": {"choices": ["brute", "expander-CE"]},
@@ -331,7 +329,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 G, hp, cfg["epsilon"], p, force_method=cfg["force_method"]
             )
         elif args.mode == "general":
-            result = count_general(G, cfg["epsilon"], cfg["delta"], cfg["seed"], p)
+            result = count_general(G, cfg["epsilon"], params=p)
         else:
             result = count_general_exact(G, p)
     return _report(args, G, cfg, _count_payload(result), time.perf_counter() - start)

@@ -1,19 +1,25 @@
 """Containers for the family sum over X: the pool of closed 2-linked
-non-expanding sets, and a small generating pair for each pool set.
+non-expanding sets with their multiplicities, and a small generating pair
+for a pool set.
 
 ``count_general`` sums container families over the X side.  Its pool is
-every closed 2-linked set of X that does not expand, filtered from the one
-2-linked walk.  For each pool set A, ``small_generator`` builds a pair
-(A', A''): A' is small and 2-linked, and N(A') is essential for A (it holds
-the high-degree core of N(A) and reaches every vertex of [A]); A'' extends
-A' with N(A'') = N(A), which sizes the Monte-Carlo draws for D(A).  A sum
-over Y is the sum over X of the mirrored graph.
+every closed 2-linked set A of X that does not expand, and each family is
+weighted by D(A), the number of 2-linked B with N(B) = N(A) inside A.  One
+walk over the 2-linked sets of X gives both: B inside the closed set A has
+N(B) = N(A) exactly when [B] = A, so counting each non-expanding visited
+set under its closure yields every pool set with its D.
+``small_generator`` builds, for a direct call, a pair (A', A''): A' is
+small and 2-linked, and N(A') is essential for A (it holds the high-degree
+core of N(A) and reaches every vertex of [A]); A'' extends A' with
+N(A'') = N(A), which sizes ``general_count.estimate_D``'s Monte-Carlo draws
+for D(A).  A sum over Y is the sum over X of the mirrored graph.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import InvalidInputError
 from .graphs import (
@@ -203,22 +209,45 @@ def _small_generator(G: BipartiteGraph, A: SideSet) -> tuple[SideSet, SideSet]:
     return SideSet(side, a_prime), SideSet(side, a_dd)
 
 
+def pool_multiplicities(
+    G: BipartiteGraph, params: ExpansionParams = ExpansionParams()
+) -> Mapping[SideSet, int]:
+    """Every closed 2-linked non-expanding set A of X, in ascending order of
+    its mask, with its multiplicity D(A): the number of 2-linked B with
+    [B] = A, which for B inside the closed set A is N(B) = N(A).
+
+    One walk over the X side's 2-linked sets counts them: each visited S
+    that does not expand is a hit for [S], which is closed, 2-linked and,
+    as N(S) = N([S]), non-expanding too.  So the keys are exactly the pool
+    and the values its D's.  Whether (|N(S)|, |[S]|) expands is read from a
+    table built once per walk, and only for an S whose closure has no hit
+    yet: both sizes depend on [S] alone, so a closure already counted does
+    not expand.  The walk runs once per (graph object, params): the counts
+    are kept in the graph's memo and handed out as a read-only view."""
+
+    def build() -> Mapping[SideSet, int]:
+        width = G.n_x + 1
+        expands = [
+            params.expands(G.d, nbhd, closed)
+            for nbhd in range(G.n_y + 1)
+            for closed in range(width)
+        ]
+        hits: dict[int, int] = {}
+        for _, nbhd, closed in two_linked_sets(G, X_SIDE, G.n_x):
+            k = hits.get(closed)
+            if k is not None:
+                hits[closed] = k + 1
+            elif not expands[nbhd.bit_count() * width + closed.bit_count()]:
+                hits[closed] = 1
+        return MappingProxyType({SideSet(X_SIDE, bits): hits[bits] for bits in sorted(hits)})
+
+    return G.memo(("nonexpanding_closed", params), build)
+
+
 def distinct_nonexpanding_closed(
     G: BipartiteGraph, params: ExpansionParams = ExpansionParams()
 ) -> list[SideSet]:
-    """Every closed 2-linked non-expanding set of X: the sets of the X
-    side's 2-linked walk with [S] = S that do not expand, the pool behind
-    family assembly.  The walk runs once per (graph object, params): the
-    pool is kept in the graph's memo and every call gets its own copy of
-    the list."""
-
-    def build() -> tuple[SideSet, ...]:
-        out = [
-            SideSet(X_SIDE, bits)
-            for bits, nbhd, closed in two_linked_sets(G, X_SIDE, G.n_x)
-            if closed == bits
-            and not params.expands(G.d, nbhd.bit_count(), closed.bit_count())
-        ]
-        return tuple(sorted(out, key=lambda s: s.bits))
-
-    return list(G.memo(("nonexpanding_closed", params), build))
+    """Every closed 2-linked non-expanding set of X, the pool behind family
+    assembly, in ascending order of its mask: the keys of
+    ``pool_multiplicities``, as a fresh list."""
+    return list(pool_multiplicities(G, params))

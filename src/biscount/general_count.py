@@ -7,8 +7,10 @@ pairwise far-apart container sets), the expanding ones through a polymer
 partition function on the part of X the family does not dominate.  Summing
 over families with exact multiplicities D(A) recovers i(G) exactly; the
 approximate route replaces the local partition functions by truncated
-cluster expansions and takes each D(A) exactly when the full subset scan of
-A costs no more than the Monte-Carlo sample budget, by sampling otherwise.
+cluster expansions.  Both read every D(A) from the pool walk of
+``containers.pool_multiplicities``.  The subset scan ``exhaustive_D`` and
+the Monte-Carlo estimator ``estimate_D`` compute the same D(A) by other
+routes, for direct calls and for the tests that hold the walk to them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .cluster_expansion import (
     truncated_log_xi,
     verify_kp,
 )
-from .containers import distinct_nonexpanding_closed, small_generator
+from .containers import distinct_nonexpanding_closed, pool_multiplicities, small_generator
 from .errors import CapacityError, InvalidInputError
 from .expander import (
     LN2,
@@ -49,6 +51,7 @@ from .graphs import (
     closure_bits,
     is_expanding,
     is_two_linked,
+    iter_bits,
     linked_in,
     neighborhood_bits,
 )
@@ -98,50 +101,82 @@ def enumerate_families(
 ) -> Iterator[NonExpandingFamily]:
     """All families over the distinct non-expanding closed sets of X, the
     empty family first, then in ascending pool order."""
-    yield from _families_over(G, distinct_nonexpanding_closed(G, params))
+    pool = distinct_nonexpanding_closed(G, params)
+    for members, _, _ in _families_over(G, pool):
+        yield NonExpandingFamily(tuple(pool[i] for i in members))
 
 
-def _families_over(G: BipartiteGraph, pool: list[SideSet]) -> Iterator[NonExpandingFamily]:
+def _families_over(
+    G: BipartiteGraph, pool: list[SideSet]
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each family over ``pool`` as (its pool indices, N(union),
+    N(N(union))), depth first in pool order: the empty family, then each
+    family followed by its extensions by a later set whose neighbourhood
+    avoids the family's.
+
+    The walk runs on an explicit stack.  A frame holds a family, the mask of
+    pool indices still open to it and its two neighbourhoods, so each family
+    costs a few mask operations.  A child's open indices are the parent's
+    later open indices that avoid the new set's neighbourhood, read from
+    ``compatible[i]``: the indices whose neighbourhood avoids N(pool[i]),
+    built from per-Y-vertex masks of the indices holding that vertex.  A
+    family is a tuple of ints, which the garbage collector stops tracking,
+    so a long listing is not rescanned as it grows."""
     nbhds = [neighborhood_bits(G, X_SIDE, s.bits) for s in pool]
-    produced = 0
+    seconds = [neighborhood_bits(G, Y_SIDE, nb) for nb in nbhds]
+    holders = [0] * G.n_y
+    for i, nb in enumerate(nbhds):
+        for y in iter_bits(nb):
+            holders[y] |= 1 << i
+    everyone = (1 << len(pool)) - 1
+    compatible = []
+    for nb in nbhds:
+        clash = 0
+        for y in iter_bits(nb):
+            clash |= holders[y]
+        compatible.append(everyone & ~clash)
 
-    def emit(fam: tuple[SideSet, ...]) -> NonExpandingFamily:
-        nonlocal produced
+    budget = FAMILY_BUDGET
+    produced = 1
+    yield (), 0, 0
+    stack = [((), everyone, 0, 0)]
+    while stack:
+        members, avail, used, blocked = stack[-1]
+        if not avail:
+            stack.pop()
+            continue
+        low = avail & -avail
+        avail ^= low
+        stack[-1] = (members, avail, used, blocked)
         produced += 1
-        if produced > FAMILY_BUDGET:
-            raise CapacityError(f"family stream exceeds {FAMILY_BUDGET} members")
-        return NonExpandingFamily(fam)
-
-    # depth-first in pool order; each branch extends by a later set whose
-    # neighborhood avoids everything already used
-    def rec(
-        fam: tuple[SideSet, ...], start: int, used: int
-    ) -> Iterator[NonExpandingFamily]:
-        for i in range(start, len(pool)):
-            if nbhds[i] & used:
-                continue
-            new_fam = fam + (pool[i],)
-            yield emit(new_fam)
-            yield from rec(new_fam, i + 1, used | nbhds[i])
-
-    yield emit(())
-    yield from rec((), 0, 0)
+        if produced > budget:
+            raise CapacityError(f"family stream exceeds {budget} members")
+        i = low.bit_length() - 1
+        members += (i,)
+        used |= nbhds[i]
+        blocked |= seconds[i]
+        yield members, used, blocked
+        avail &= compatible[i]
+        if avail:
+            stack.append((members, avail, used, blocked))
 
 
 def _family_terms(
     G: BipartiteGraph, p: ExpansionParams
-) -> tuple[tuple[NonExpandingFamily, int, int], ...]:
-    """Each family of ``enumerate_families`` with |N(union)| and its region.
-    They depend on the graph and params alone, so they are listed once per
-    graph object and kept in its memo."""
+) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Each family of ``enumerate_families``, in the same order, as its
+    indices into the pool of ``pool_multiplicities``, with |N(union)| and
+    its region (``family_region``: X minus N(N(union))).  They depend on the
+    graph and params alone, so they are listed once per graph object and
+    kept in its memo."""
 
-    def build() -> tuple[tuple[NonExpandingFamily, int, int], ...]:
-        terms = []
-        for family in enumerate_families(G, p):
-            union = family.union_bits
-            covered = neighborhood_bits(G, X_SIDE, union).bit_count()
-            terms.append((family, covered, family_region(G, union)))
-        return tuple(terms)
+    def build() -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        full = G.full_mask(X_SIDE)
+        pool = distinct_nonexpanding_closed(G, p)
+        return tuple(
+            (members, used.bit_count(), full & ~blocked)
+            for members, used, blocked in _families_over(G, pool)
+        )
 
     return G.memo(("families", p), build)
 
@@ -329,17 +364,20 @@ def estimate_D(
 
 def assemble_exact(G: BipartiteGraph, params: ExpansionParams = ExpansionParams()) -> int:
     """i(G) as the exact family sum over X: for each family, the product of
-    exact multiplicities, a free factor for the untouched part of Y, and the
-    exact polymer partition function on the leftover region."""
+    the multiplicities D(A) the pool walk counted, a free factor for the
+    untouched part of Y, and the exact polymer partition function on the
+    leftover region."""
     m = WeightModel.unweighted()
     universe = enumerate_polymers(G, PolymerFamily("expanding", X_SIDE, params), G.n_x)
     xi_of = functools.cache(lambda mask: exact_xi(universe, m, mask))
     total = Fraction(0)
-    for family, covered, region in _family_terms(G, params):
+    families = _family_terms(G, params)
+    multiplicity = list(pool_multiplicities(G, params).values())
+    for members, covered, region in families:
         xi = xi_of(universe.within(region))
         prod = 1
-        for s in family.sets:
-            prod *= exhaustive_D(G, s)
+        for i in members:
+            prod *= multiplicity[i]
         total += prod * Fraction(2) ** (G.n_y - covered) * Fraction(xi)
     if total.denominator != 1:
         raise InvalidInputError("family sum did not reduce to an integer")
@@ -352,29 +390,25 @@ def assemble_exact(G: BipartiteGraph, params: ExpansionParams = ExpansionParams(
 def count_general(
     G: BipartiteGraph,
     epsilon: float,
-    delta: float,
-    seed: int,
+    delta: float = 0.05,
+    seed: int = 0,
     params: ExpansionParams = ExpansionParams(),
 ) -> ApproxCount:
     """Approximate i(G) by the family sum over X with truncated local
     cluster expansions.
 
-    Each distinct container set A is weighed once, at accuracy epsilon/(2n)
-    and failure budget delta split over the distinct sets.  D(A) is
-    exact, by the full subset scan, when its 2^|A| subsets cost no more than
-    the m samples ``estimate_D`` would draw and |A| <= EXHAUSTIVE_D_CAP;
-    otherwise ``estimate_D`` samples it.  ``notes`` counts both routes and
-    the draws, and the "certified" flag needs every D exact.  The pool, the
-    generator pairs and the exact D values depend on the graph alone and are
-    kept in its memo (``BipartiteGraph.memo``), so later calls on the same
-    graph object take them from there; sampled D values are drawn per call.
-    One polymer universe, to the truncation size, serves the convergence
-    check and every family's local expansion, taken once per distinct
-    region mask.  The family list (by params), the KP verdict and that
-    per-region ln Xi(ell) (by params and ell) are seed-free and kept in the
-    memo too.  When d > sqrt(n) the local partition functions
-    are dropped (replaced by 1), as the defect structure is negligible in
-    that regime, and the convergence condition is reported as assumed."""
+    Every multiplicity D(A) is exact: the pool walk of
+    ``pool_multiplicities`` counts it, so no D is sampled; ``delta`` is only
+    checked to lie in (0, 1), and ``seed`` is unused.  The pool with its
+    D's, the family list (by params), the polymer universe, the KP verdict
+    and the per-region ln Xi(ell) (by params and ell) depend on the graph
+    alone and are kept in its memo (``BipartiteGraph.memo``), so later calls
+    on the same graph object take them from there.  One polymer universe, to
+    the truncation size, serves the convergence check and every family's
+    local expansion, taken once per distinct region mask.  When
+    d > sqrt(n) the local partition functions are dropped (replaced by 1),
+    as the defect structure is negligible in that regime, and the
+    convergence condition is reported as assumed."""
     _check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
@@ -383,35 +417,9 @@ def count_general(
     drop_xi = d * d > n
     m = WeightModel.unweighted()
 
-    pool = distinct_nonexpanding_closed(G, params)
-    eps_d = min(epsilon, 1.0) / (2.0 * n)
-    # each distinct set's D is taken once, so a union bound over the pool
-    # needs delta' = delta / |pool|; every D's route is planned, and its
-    # draws held to the budget, before any family is listed
-    delta_prime = delta / max(1, len(pool))
-    draws = [_d_draws(eps_d, delta_prime, small_generator(G, s)[1].size) for s in pool]
-    scan = [s.size <= EXHAUSTIVE_D_CAP and 1 << s.size <= k for s, k in zip(pool, draws)]
-    for s, k, exact in zip(pool, draws, scan):
-        if not exact:
-            _check_draws(s, k)
     families = _family_terms(G, params)
-    nonempty = sum(1 for family, _, _ in families if family.sets)
-
-    seeds = None  # child i of SeedSequence(seed) over the pool, built on first use
-    d_values: dict[int, float] = {}
-    d_sampled = d_samples = 0
-    for i, (s, exact) in enumerate(zip(pool, scan)):
-        if exact:
-            d_values[s.bits] = float(exhaustive_D(G, s))
-        else:
-            if seeds is None:
-                import numpy as np
-
-                seeds = np.random.SeedSequence(seed).generate_state(len(pool))
-            est = estimate_D(G, s, eps_d, delta_prime, int(seeds[i]), params)
-            d_values[s.bits] = est.value
-            d_sampled += 1
-            d_samples += est.samples_used
+    log_d = [math.log(k) for k in pool_multiplicities(G, params).values()]
+    nonempty = sum(1 for members, _, _ in families if members)
 
     if drop_xi:
         kp_status = KP_ASSUMED  # nothing was checked; the factor is dropped
@@ -432,29 +440,19 @@ def count_general(
             lambda: functools.cache(lambda mask: truncated_log_xi(universe, m, big_l, n, d, mask)),
         )
 
+    # every D is at least 1 (A counts itself), so no family term vanishes
     term_logs: list[float] = []
-    zero_estimates = 0
     config_total = 0
-    for family, covered, region in families:
+    for members, covered, region in families:
         log_term = (G.n_y - covered) * LN2
-        dead = False
-        for s in family.sets:
-            value = d_values[s.bits]
-            if value <= 0.0:
-                dead = True
-                break
-            log_term += math.log(value)
-        if dead:
-            zero_estimates += 1
-            continue
+        for i in members:
+            log_term += log_d[i]
         if not drop_xi:
             est_xi = log_xi(universe.within(region))
             config_total += est_xi.config_count
             log_term += est_xi.log_value
         term_logs.append(log_term)
 
-    if not term_logs:
-        raise InvalidInputError("every family term vanished; nothing to report")
     log_value = term_logs[0]
     for t in term_logs[1:]:
         log_value = _logaddexp(log_value, t)
@@ -464,22 +462,14 @@ def count_general(
         flags.append("xi-dropped (d > sqrt n)")
     if kp_status == KP_FAILED:
         flags.append("kp-failed-at-cap")
-    if d_sampled:
-        flags.append("d-sampled (holds w.p. >= 1 - delta)")
     if not flags:
         flags.append("certified")
     breakdown = (SideTerm(X_SIDE, 0.0, big_l, kp_status, config_total),)
     notes = {
         "families": len(families),
         "nonempty_families": nonempty,
-        "distinct_sets": len(pool),
+        "distinct_sets": len(log_d),
         "ell": big_l,
-        "epsilon_D": eps_d,
-        "delta_prime": delta_prime,
-        "d_exact": len(pool) - d_sampled,
-        "d_sampled": d_sampled,
-        "d_samples": d_samples,
-        "zero_estimates": zero_estimates,
     }
     return ApproxCount(
         log_value=log_value,

@@ -220,15 +220,18 @@ class BipartiteGraph:
 
         - ``("square", side)``: ``square_rows``;
         - ``("closure_candidates", side)``: ``closure_candidates``;
-        - ``("nonexpanding_closed", params)``: the container pool of
-          ``containers.distinct_nonexpanding_closed``;
+        - ``("nonexpanding_closed", params)``: the container pool with the
+          multiplicity D(A) of each pool set A, counted by the one walk of
+          ``containers.pool_multiplicities``;
         - ``("small_generator", A)``: ``containers.small_generator``'s pair;
-        - ``("exhaustive_D", A)``: the exact multiplicity D(A);
+        - ``("exhaustive_D", A)``: D(A) by ``general_count.exhaustive_D``'s
+          subset scan, the second route to the pool's counts;
         - ``("polymers", family, cap)``: the ``polymers.PolymerUniverse`` of
           ``enumerate_polymers``, which keeps on it the class counts of each
           (size budget, polymer mask) ``xi_size_polynomial`` has walked;
         - ``("families", params)``: the container families of
-          ``general_count``, each with |N(union)| and its region;
+          ``general_count``, each as its pool indices with |N(union)| and
+          its region;
         - ``("general_kp", params, ell)`` and
           ``("general_log_xi", params, ell)``: ``count_general``'s KP
           verdict and its per-region ln Xi(ell), taken once per polymer mask.

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, InvalidInputError
 from .graphs import BipartiteGraph, Graph, iter_bits, neighborhood_bits
@@ -158,8 +158,13 @@ def count_independent_in(G: Graph, mask: int) -> int:
 def iter_independent_sets(G: BipartiteGraph) -> Iterator[tuple[int, int]]:
     """All independent sets as (X-mask, Y-mask) pairs, cost O(1) per set."""
     full_y = G.full_mask("Y")
-    for s in range(1 << G.n_x):
-        free = full_y & ~neighborhood_bits(G, "X", s)
+    return _sets_avoiding(full_y & ~neighborhood_bits(G, "X", s) for s in range(1 << G.n_x))
+
+
+def _sets_avoiding(frees: Iterable[int]) -> Iterator[tuple[int, int]]:
+    # the sets (s, t) for the s-th free mask and every t inside it, in the
+    # order iter_independent_sets names them
+    for s, free in enumerate(frees):
         t = free
         while True:
             yield (s, t)
@@ -177,40 +182,45 @@ def check_table_sides(n_x: int, n_y: int) -> None:
         raise CapacityError(f"distribution table capped at {TABLE_CAP} sets, need at least {least}")
 
 
-def _checked_fugacity(G: BipartiteGraph, lam: Fraction) -> Fraction:
-    # a positive fugacity, and a graph with at most TABLE_CAP independent
-    # sets: refused from its side sizes when they suffice, else by the
-    # counting sweep, which stops once its running total passes the cap
-    # (every term is positive), so the sets it names are then a lower bound
+def _table_keys(G: BipartiteGraph, lam: Fraction) -> tuple[Fraction, list[tuple[int, int]]]:
+    """A positive fugacity, and the keys of a distribution table: every
+    independent set, in the order of ``iter_independent_sets``.
+
+    A table over TABLE_CAP sets is refused from the side sizes when they
+    suffice, else by one pass over X in ascending order, which counts the
+    2^(n_y - |N(S)|) sets of each S, with N(S) from N(S minus its lowest
+    vertex), and stops once its running total passes the cap (every term is
+    positive, so a total named before the last S is a lower bound).  The
+    sets are listed from those neighbourhoods only after the count fits, so
+    X is swept once and a refused table lists nothing."""
     lam = Fraction(lam)
     if lam <= 0:
         raise InvalidInputError("fugacity must be positive")
     check_table_sides(G.n_x, G.n_y)
-    pow2 = [1 << k for k in range(G.n_y + 1)]
-    running = 0
-    left = 1 << G.n_x  # terms of the sweep still to come
-
-    def term(s_size: int, covered: int) -> int:
-        nonlocal running, left
-        running += pow2[G.n_y - covered]
-        left -= 1
-        if running > TABLE_CAP:
-            need = running if not left else f"at least {running}"
+    rows = G.row_x
+    last = (1 << G.n_x) - 1
+    nbhds = [0]
+    total = 1 << G.n_y
+    for s in range(1, last + 1):
+        low = s & -s
+        nb = nbhds[s ^ low] | rows[low.bit_length() - 1]
+        nbhds.append(nb)
+        total += 1 << (G.n_y - nb.bit_count())
+        if total > TABLE_CAP:
+            need = total if s == last else f"at least {total}"
             raise CapacityError(f"distribution table capped at {TABLE_CAP} sets, need {need}")
-        return 0
-
-    _gray_sweep(G, term)
-    return lam
+    full_y = G.full_mask("Y")
+    return lam, list(_sets_avoiding(full_y & ~nb for nb in nbhds))
 
 
 def exact_distribution(
     G: BipartiteGraph, lam: Fraction = Fraction(1)
 ) -> dict[tuple[int, int], Fraction]:
     """The measure I -> lam^|I| / Z as an exact table keyed by (X-mask, Y-mask)."""
-    lam = _checked_fugacity(G, lam)
+    lam, keys = _table_keys(G, lam)
     z = exact_hardcore(G, lam).value
     table: dict[tuple[int, int], Fraction] = {}
-    for s, t in iter_independent_sets(G):
+    for s, t in keys:
         table[(s, t)] = lam ** (s.bit_count() + t.bit_count()) / z
     return table
 
@@ -237,9 +247,8 @@ class ExactSampler:
     ``thresholds`` is built only when it is read."""
 
     def __init__(self, G: BipartiteGraph, lam: Fraction = Fraction(1), seed: int = 0):
-        self._lam = _checked_fugacity(G, lam)
+        self._lam, self.keys = _table_keys(G, lam)
         self._top = G.n_x + G.n_y
-        self.keys = list(iter_independent_sets(G))
         self._uniform = self._lam == 1
         self.rng = random.Random(seed)
         self._getrandbits = self.rng.getrandbits

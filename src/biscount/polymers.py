@@ -18,7 +18,6 @@ exact arithmetic against a cluster enumerator of its own.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -312,6 +311,47 @@ def iter_compatible_configs(
     yield from walk(fits[budget] & mask, (), budget)
 
 
+def _count_cells(
+    universe: PolymerUniverse, budget: int, mask: int
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The configurations ``iter_compatible_configs(universe, budget, mask)``
+    visits, counted per class cell s * stride + w: their number, and each
+    cell with its count in the order the walk first meets it.
+
+    The same depth-first walk on an explicit stack, carrying each
+    configuration's cell as the sum of its polymers' keys, so a
+    configuration costs a few mask operations and no tuple of indices.  More
+    than ``CONFIG_BUDGET`` configurations raise the walk's CapacityError."""
+    incompat, sizes, keys = universe.incompat, universe.sizes, universe.keys
+    max_configs = CONFIG_BUDGET
+    over = f"more than {max_configs} polymer configurations"
+    if max_configs < 1:  # the empty configuration is the first one met
+        raise CapacityError(over)
+    fits = universe.fits(budget)
+    cells = {0: 1}
+    count = 1
+    stack = [(fits[budget] & mask, 0, budget)]
+    while stack:
+        free, cell, room = stack[-1]
+        if not free:
+            stack.pop()
+            continue
+        low = free & -free
+        free ^= low
+        stack[-1] = (free, cell, room)
+        count += 1
+        if count > max_configs:
+            raise CapacityError(over)
+        i = low.bit_length() - 1
+        cell += keys[i]
+        cells[cell] = cells.get(cell, 0) + 1
+        room -= sizes[i]
+        free &= ~incompat[i] & fits[room]
+        if free:
+            stack.append((free, cell, room))
+    return count, tuple(cells.items())
+
+
 class SizePolynomial(list):
     """Size-polynomial coefficients c_0, c_1, ... and ``configs``, the number
     of configurations summed into them."""
@@ -342,12 +382,7 @@ def xi_size_polynomial(
     key = (min(max(upto, 0), total), mask)
     walk = universe.walks.get(key)
     if walk is None:
-        keys = universe.keys
-        cells = Counter(
-            sum(map(keys.__getitem__, config))
-            for config in iter_compatible_configs(universe, key[0], mask)
-        )
-        walk = universe.walks[key] = (sum(cells.values()), tuple(cells.items()))
+        walk = universe.walks[key] = _count_cells(universe, key[0], mask)
     configs, cells = walk
     stride = universe.stride
     weights = m.class_weights(len(universe.holding), stride - 1)

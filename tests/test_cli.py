@@ -99,13 +99,27 @@ def test_count_hardcore_requires_lambda(c8_file):
 def test_count_general(capsys, c8_file):
     doc = run_json(capsys, [
         "count", "--graph", c8_file, "--mode", "general",
-        "--epsilon", "0.05", "--delta", "0.05", "--c1", "1.0", "--seed", "9",
+        "--epsilon", "0.05", "--c1", "1.0",
     ])
     res = doc["result"]
     assert res["method"] == "general"
     assert math.exp(res["log_value"]) == pytest.approx(47, rel=0.05)
     assert res["notes"]["families"] == 2
-    assert (res["notes"]["d_exact"], res["notes"]["d_sampled"]) == (1, 0)
+    assert res["notes"] == {"families": 2, "nonempty_families": 1, "distinct_sets": 1, "ell": 8}
+    # every D is exact, so the mode reads no failure budget and no seed
+    assert set(doc["config"]) - BASE_KEYS == {"mode", "epsilon", "c1"}
+    assert doc["seed"] is None
+
+
+@pytest.mark.parametrize("flag,value", [("--delta", "0.05"), ("--seed", "9")])
+def test_count_general_refuses_delta_and_seed(capsys, c8_file, flag, value):
+    # count_general reads every D from the pool walk and samples none, so no
+    # count mode reads a failure budget or a seed
+    assert not any(flag[2:] in reads for reads in READS["count"].values())
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--graph", c8_file, "--mode", "general", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_count_general_exact(capsys, c8_file):
@@ -120,8 +134,7 @@ def strip_timing(doc):
 
 def test_count_replay_identical(tmp_path, c8_file):
     f1, f2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    argv = ["count", "--graph", c8_file, "--mode", "general",
-            "--c1", "1.0", "--seed", "5", "--out"]
+    argv = ["count", "--graph", c8_file, "--mode", "general", "--c1", "1.0", "--out"]
     assert main(argv + [f1]) == 0
     assert main(argv + [f2]) == 0
     assert strip_timing(read_json(f1)) == strip_timing(read_json(f2))
@@ -202,7 +215,6 @@ GIVEN = {
     "lambda": ("1/3", "1/3"),
     "alpha": ("1/4", "1/4"),
     "epsilon": ("0.2", 0.2),
-    "delta": ("0.1", 0.1),
     "c1": ("1.0", 1.0),
     "seed": ("9", 9),
     "force_method": ("brute", "brute"),
@@ -214,7 +226,7 @@ GIVEN = {
 }
 BASE_KEYS = {"subcommand", "graph", "fingerprint", "n_x", "n_y", "d"}
 # flags the command line no longer has, which every mode refuses
-RETIRED = ["float_lambda"]
+RETIRED = ["delta", "float_lambda"]
 TABLE = [(sub, mode) for sub, modes in READS.items() for mode in modes]
 
 

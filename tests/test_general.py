@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import biscount
 from biscount import containers, general_count, polymers
 from biscount.cluster_expansion import KP_ASSUMED
-from biscount.containers import distinct_nonexpanding_closed
+from biscount.containers import distinct_nonexpanding_closed, pool_multiplicities
 from biscount.errors import CapacityError, InvalidInputError
 from biscount.expander import (
     HardCoreParams,
@@ -240,6 +240,52 @@ def test_d_hits_match_direct_scan_on_random_shifts(n, d, seed, side, params):
             assert is_two_linked(G, B)
 
 
+def assert_walk_counts_match_scans(G, params):
+    # the pool walk's count for each pool set A is D(A) as the covering
+    # scan of A's subsets counts it
+    counted = pool_multiplicities(G, params)
+    assert list(counted) == distinct_nonexpanding_closed(G, params)
+    for A, k in counted.items():
+        assert k == general_count._count_d_hits(G, A)
+    return len(counted)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([8, 10, 12]),
+    d=st.sampled_from([3, 4, 5]),
+    seed=st.integers(0, 1 << 16),
+    params=st.sampled_from([P1, P100]),
+)
+def test_pool_walk_counts_d_on_random_shifts(n, d, seed, params):
+    assert assert_walk_counts_match_scans(random_shift(n, d, seed), params) > 0
+
+
+@pytest.mark.parametrize("build,size", [
+    (lambda: even_cycle(8), 1), (lambda: even_cycle(24), 85), (lambda: hypercube(3), 1),
+    (lambda: hypercube(4), 9), (lambda: complete_bipartite(2), 1),
+    (lambda: random_shift(12, 4, 7), 19), (lambda: random_shift(16, 3, 1), 1269),
+], ids=["C8", "C24", "Q3", "Q4", "K22", "shift(12,4,7)", "shift(16,3)"])
+def test_pool_walk_counts_d_on_named_graphs(build, size):
+    assert assert_walk_counts_match_scans(build(), P1) == size
+
+
+@pytest.mark.parametrize("params,log_value", [
+    (P1, "0x1.ef28aacd97ef8p+2"), (P100, "0x1.ecc2cbc8c2a89p+2"),
+], ids=["c1=1", "c1=100"])
+def test_count_general_reads_every_d_from_the_pool_walk(params, log_value, monkeypatch):
+    # neither count scans a pool set's subsets or builds a generator pair:
+    # C16's values are the ones the scans gave
+    def unused(*args):
+        raise AssertionError("a D route besides the pool walk ran")
+
+    monkeypatch.setattr(general_count, "_count_d_hits", unused)
+    monkeypatch.setattr(containers, "_small_generator", unused)
+    G = even_cycle(16)
+    assert count_general(G, 0.05, 0.05, seed=1, params=params).log_value.hex() == log_value
+    assert count_general_exact(G, params).exact_value == 2207
+
+
 @pytest.mark.parametrize("n", [8, 10])
 def test_d_hit_test_matches_reference_membership(n):
     # the per-draw hit test estimate_D uses past 18 vertices names the
@@ -265,13 +311,13 @@ def test_d_hits_of_the_empty_set_is_zero(c8):
 
 
 def test_count_general_second_call_reads_the_graph_memo(monkeypatch):
-    # the pool, the generator pairs, the exact D values, the polymer
-    # universe and its walks, the KP verdict and the family list depend on
-    # the graph alone: a second call on the same graph object walks none of
-    # them and returns an identical result
+    # the pool with its D values, the polymer universe and its walks, the
+    # KP verdict and the family list depend on the graph alone: a second
+    # call on the same graph object walks none of them and returns an
+    # identical result
     G = even_cycle(16)
     first = count_general(G, 0.05, 0.05, seed=1, params=P1)
-    assert (first.notes["d_exact"], first.notes["d_sampled"]) == (25, 0)
+    assert first.notes["distinct_sets"] == 25
     walked = []
 
     def recording(module, name):
@@ -357,13 +403,13 @@ def test_graph_memo_keys_keep_c1_apart():
 
 
 def test_exact_d_routes_leave_numpy_unloaded():
-    # numpy is imported only when estimate_D samples; C8's sets are all
-    # scanned exactly, so neither the import nor the count loads it
+    # numpy is imported only when estimate_D samples; count_general reads
+    # every D from the pool walk, so neither the import nor the count loads it
     code = (
         "import sys, biscount\n"
         "out = biscount.count_general(biscount.even_cycle(8), 0.05, 0.05, seed=1,"
         " params=biscount.ExpansionParams(c1=1.0))\n"
-        "print(out.notes['d_sampled'], 'numpy' in sys.modules)\n"
+        "print(out.notes['distinct_sets'], 'numpy' in sys.modules)\n"
     )
     src = str(Path(biscount.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -373,7 +419,7 @@ def test_exact_d_routes_leave_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.split() == ["1", "False"]
 
 
 def test_exhaustive_d_capacity():
@@ -434,34 +480,28 @@ def test_estimate_d_draw_budget_refuses_before_drawing():
     G = even_cycle(50)
     with pytest.raises(CapacityError, match="draws"):
         estimate_D(G, SideSet(X_SIDE, G.full_mask(X_SIDE)), 0.05, 0.05, seed=0, params=P1)
+
+
+@pytest.mark.parametrize("params,match", [
+    (P100, "family stream exceeds"),
+    (P1, "polymer configurations"),
+], ids=["c1=100", "c1=1"])
+def test_count_general_on_c50_refuses_within_ten_seconds(params, match):
+    # every D of C50 is exact, so the run meets its first wall past the D's:
+    # at c1 = 100 the family listing passes FAMILY_BUDGET, at c1 = 1 a
+    # region's configuration walk passes CONFIG_BUDGET
     start = time.perf_counter()
-    with pytest.raises(CapacityError, match="draws"):
-        count_general(G, 0.05, 0.05, seed=1, params=P1)
-    assert time.perf_counter() - start < 10.0
-
-
-@pytest.mark.parametrize("params", [P100, P1], ids=["c1=100", "c1=1"])
-def test_count_general_refuses_before_listing_families(params, monkeypatch):
-    # every pool set is a nonempty family, so delta' <= delta / |pool|; C50's
-    # whole side (|A| = 25, past the scan cap) needs about 5e14 draws even
-    # at that bound, and the run refuses before any family is listed
-    def unlisted(*args):
-        raise AssertionError("families listed before the D draws were checked")
-
-    monkeypatch.setattr(general_count, "_families_over", unlisted)
-    start = time.perf_counter()
-    with pytest.raises(CapacityError, match="draws"):
+    with pytest.raises(CapacityError, match=match):
         count_general(even_cycle(50), 0.05, 0.05, seed=1, params=params)
     assert time.perf_counter() - start < 10.0
 
 
-def test_count_general_splits_delta_over_the_pool():
-    # each distinct set's D is taken once, so delta is split over the pool,
-    # not over the families; on C16 at c1 = 100 the two differ
-    result = count_general(even_cycle(16), 0.05, 0.05, seed=1, params=P100)
-    notes = result.notes
-    assert (notes["distinct_sets"], notes["nonempty_families"]) == (49, 247)
-    assert notes["delta_prime"] == 0.05 / 49
+def test_count_general_notes_count_the_pool_and_the_families():
+    # each distinct set's D is read once, from the pool walk, so the notes
+    # name no D route; on C16 at c1 = 100 the pool and the nonempty
+    # families differ
+    notes = count_general(even_cycle(16), 0.05, 0.05, seed=1, params=P100).notes
+    assert notes == {"families": 248, "nonempty_families": 247, "distinct_sets": 49, "ell": 9}
 
 
 def test_estimate_d_draws_at_any_width():
@@ -560,9 +600,6 @@ def test_count_general_c8_accuracy_and_flags(c8):
     assert out.notes["nonempty_families"] == 1
     assert out.notes["distinct_sets"] == 1
     assert out.notes["ell"] >= 1
-    assert out.notes["zero_estimates"] == 0
-    assert out.notes["d_exact"] == 1
-    assert out.notes["d_sampled"] == 0
 
 
 def test_count_general_certified_when_no_expanding_sets(c8):
@@ -588,32 +625,12 @@ def test_count_general_y_side(c8):
 
 
 def test_count_general_deterministic(c8):
-    # C8's one container set has 2^4 subsets, far inside the sample budget,
-    # so D is exact and the seed has nothing to drive
+    # every D is exact, read from the pool walk, so the seed and delta have
+    # nothing to drive
     a = count_general(c8, 0.1, 0.1, seed=6, params=P1)
     b = count_general(c8, 0.1, 0.1, seed=6, params=P1)
-    c = count_general(c8, 0.1, 0.1, seed=7, params=P1)
-    assert a.log_value == b.log_value == c.log_value
-    assert (a.notes["d_exact"], a.notes["d_sampled"], a.notes["d_samples"]) == (1, 0, 0)
-
-
-def test_count_general_samples_d_past_the_budget(c8, monkeypatch):
-    # a budget below 2^|A| sends D to the Monte-Carlo estimator, and there
-    # the seed drives the draws; C8's one container set has |A| = 4
-    draws = general_count._d_draws
-
-    def tight(epsilon, delta, a2_size):
-        assert draws(epsilon, delta, a2_size) >= 1 << 4
-        return (1 << 4) - 1
-
-    monkeypatch.setattr(general_count, "_d_draws", tight)
-    a = count_general(c8, 0.1, 0.1, seed=6, params=P1)
-    b = count_general(c8, 0.1, 0.1, seed=6, params=P1)
-    c = count_general(c8, 0.1, 0.1, seed=7, params=P1)
-    assert (a.notes["d_exact"], a.notes["d_sampled"], a.notes["d_samples"]) == (0, 1, 15)
-    assert "d-sampled (holds w.p. >= 1 - delta)" in a.flags
-    assert a.log_value == b.log_value
-    assert a.log_value != c.log_value
+    c = count_general(c8, 0.1, 0.2, seed=7, params=P1)
+    assert a == b == c
 
 
 def test_count_general_q3_lands_on_the_dense_branch_target(q3):
@@ -622,7 +639,6 @@ def test_count_general_q3_lands_on_the_dense_branch_target(q3):
     for seed in (0, 1):
         out = count_general(q3, 0.05, 0.05, seed=seed, params=P1)
         assert "xi-dropped (d > sqrt n)" in out.flags
-        assert out.notes["d_sampled"] == 0
         assert out.log_value == pytest.approx(math.log(27), rel=1e-15)
 
 

@@ -18,7 +18,7 @@ from biscount import (
     is_expanding,
 )
 from biscount import oracle
-from biscount.graphs import SideSet, two_linked_component_bits
+from biscount.graphs import SideSet, neighborhood_bits, two_linked_component_bits
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.oracle import (
     DRAW_BITS,
@@ -223,27 +223,50 @@ def test_table_cap_refused_from_side_sizes_before_the_sweep(monkeypatch):
 
 def test_table_cap_sweep_stops_once_past_the_cap(monkeypatch):
     # shift(20,3)'s sides pass the side-size check, but it has 38,526,849
-    # sets; every sweep term is positive, so the sweep stops at the 56th of
-    # its 2^20 terms, where the running total first passes the cap, and
-    # names that total as a lower bound
-    terms = 0
-    real = oracle._gray_sweep
+    # sets; the one pass over X counts the 2^(n_y - |N(S)|) sets of each S
+    # in ascending order, every term positive, and stops at the 33rd of its
+    # 2^20 subsets, where the running total first passes the cap, naming
+    # that total as a lower bound; no counting sweep runs and no set is
+    # listed
+    def never(*args):
+        raise AssertionError("a sweep or a listing ran")
 
-    def counted(G, term):
-        def counted_term(*args):
-            nonlocal terms
-            terms += 1
-            return term(*args)
-
-        return real(G, counted_term)
-
-    monkeypatch.setattr(oracle, "_gray_sweep", counted)
-    want = f"^distribution table capped at {oracle.TABLE_CAP} sets, need at least 2100480$"
+    G = random_shift(20, 3, 1)
+    running = [0]
+    for s in range(33):
+        running.append(running[-1] + (1 << (G.n_y - neighborhood_bits(G, "X", s).bit_count())))
+    assert running[32] <= oracle.TABLE_CAP < running[33] == 2125312
+    monkeypatch.setattr(oracle, "_gray_sweep", never)
+    monkeypatch.setattr(oracle, "_sets_avoiding", never)
+    want = f"^distribution table capped at {oracle.TABLE_CAP} sets, need at least 2125312$"
     for make in (ExactSampler, exact_distribution):
-        terms = 0
         with pytest.raises(CapacityError, match=want):
             make(random_shift(20, 3, 1))
-        assert terms == 56
+
+
+# the first draws of ExactSampler(random_shift(12, 3, 1), lam, seed=5)
+PINNED_ORACLE_DRAWS = {
+    Fraction(1): [(1808, 256), (1339, 256), (1795, 16), (580, 0), (456, 64)],
+    Fraction(1, 2): [(1120, 1024), (1025, 368), (1104, 532), (354, 16), (256, 320)],
+}
+
+
+@pytest.mark.parametrize("lam", sorted(PINNED_ORACLE_DRAWS), ids=str)
+def test_exact_sampler_builds_in_one_pass(lam, monkeypatch):
+    # the table is counted and listed in one pass over X, with no counting
+    # sweep: shift(12,3)'s 35,327 sets still build, in the order
+    # iter_independent_sets names them, and the draws are the ones a sweep
+    # followed by a listing gave
+    G = random_shift(12, 3, 1)
+    keys = list(iter_independent_sets(G))
+
+    def no_sweep(G, term):
+        raise AssertionError("a counting sweep ran")
+
+    monkeypatch.setattr(oracle, "_gray_sweep", no_sweep)
+    sampler = ExactSampler(G, lam, seed=5)
+    assert sampler.keys == keys and len(keys) == 35327
+    assert [sampler.sample() for _ in range(5)] == PINNED_ORACLE_DRAWS[lam]
 
 
 def test_exact_sampler_empirical_distribution(c8):

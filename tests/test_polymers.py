@@ -333,6 +333,42 @@ def test_iter_compatible_configs_matches_brute(c8, q3):
         assert len(configs) == len(want)
 
 
+@pytest.mark.parametrize("build,side", [
+    (lambda: even_cycle(16), "X"), (lambda: hypercube(4), "Y"),
+    (lambda: random_shift(10, 3, 7), "X"), (lambda: random_shift(12, 4, 3), "Y"),
+], ids=["C16", "Q4", "shift(10,3,7)", "shift(12,4,3)"])
+def test_cell_counts_match_the_configuration_walk(build, side):
+    # the explicit-stack cell count meets the configurations
+    # iter_compatible_configs yields, in the same order, under every size
+    # budget and on region masks
+    G = build()
+    uni = enumerate_polymers(G, PolymerFamily("expanding", side, P1), 8)
+    rng = random.Random(5)
+    masks = [uni.all] + [rng.getrandbits(len(uni)) for _ in range(3)]
+    for budget in (0, 1, 3, 6, sum(uni.sizes)):
+        for mask in masks:
+            cells: dict[int, int] = {}
+            for config in iter_compatible_configs(uni, budget, mask):
+                cell = sum(uni.keys[i] for i in config)
+                cells[cell] = cells.get(cell, 0) + 1
+            want = (sum(cells.values()), tuple(cells.items()))
+            assert polymers._count_cells(uni, budget, mask) == want
+
+
+def test_cell_count_capacity(monkeypatch):
+    # the cell count refuses at the configuration the walk refuses at
+    uni = enumerate_polymers(even_cycle(16), PolymerFamily("expanding", "X", P1), 8)
+    total = polymers._count_cells(uni, 8, uni.all)[0]
+    for budget in (0, 1, total - 1):
+        monkeypatch.setattr(polymers, "CONFIG_BUDGET", budget)
+        with pytest.raises(CapacityError, match=f"^more than {budget} polymer configurations$"):
+            polymers._count_cells(uni, 8, uni.all)
+        with pytest.raises(CapacityError, match=f"^more than {budget} polymer configurations$"):
+            list(iter_compatible_configs(uni, 8, uni.all))
+    monkeypatch.setattr(polymers, "CONFIG_BUDGET", total)
+    assert polymers._count_cells(uni, 8, uni.all)[0] == total
+
+
 def test_iter_compatible_configs_capacity(monkeypatch):
     fam = PolymerFamily("expanding", "X", P1)
     uni = enumerate_polymers(even_cycle(8), fam, 4)

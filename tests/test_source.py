@@ -118,6 +118,23 @@ def test_one_container_route_in_the_package():
     assert sorted(WITNESSES & (set(vars(biscount)) | set(vars(containers)))) == []
 
 
+def test_counts_read_d_from_the_pool_walk_alone():
+    # count_general and assemble_exact take every D from the counted pool
+    # walk; the sampled route and its generator pairs stay out of them
+    general_count = importlib.import_module("biscount.general_count")
+    banned = {"estimate_D", "_d_draws", "small_generator", "numpy"}
+    for func in (general_count.count_general, general_count.assemble_exact):
+        tree = ast.parse(inspect.getsource(func))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+        }
+        assert "pool_multiplicities" in named
+        assert sorted(named & banned) == []
+
+
 def test_failing_hypothesis_test_reports_as_a_failure(tmp_path):
     # the configured warning filters make warnings errors; a failing @given
     # test must still end as an ordinary failure (exit code 1) that shows its
