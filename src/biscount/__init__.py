@@ -48,11 +48,9 @@ from .expander import (
 )
 from .general_count import (
     DEstimate,
-    NonExpandingFamily,
     assemble_exact,
     count_general,
     count_general_exact,
-    enumerate_families,
     estimate_D,
     exhaustive_D,
 )

@@ -4,10 +4,13 @@ cluster expansions.
 Every independent set splits its X-side into 2-linked components; the
 non-expanding components are remembered through their closures (a family of
 pairwise far-apart container sets), the expanding ones through a polymer
-partition function on the part of X the family does not dominate.  Summing
-over families with exact multiplicities D(A) recovers i(G) exactly; the
-approximate route replaces the local partition functions by truncated
-cluster expansions.  Both read every D(A) from the pool walk of
+partition function on the part of X the family does not dominate, its
+region.  Summing over families with exact multiplicities D(A) recovers i(G)
+exactly; the approximate route replaces the local partition functions by
+truncated cluster expansions.  A family's local factor depends on its region
+alone, so both sums run over regions, each weighted by the exact total of
+its families' other factors (``_region_weights``), and no family list is
+kept.  Both read every D(A) from the pool walk of
 ``containers.pool_multiplicities``.  The subset scan ``exhaustive_D`` and
 the Monte-Carlo estimator ``estimate_D`` compute the same D(A) by other
 routes, for direct calls and for the tests that hold the walk to them.
@@ -34,7 +37,6 @@ from .cluster_expansion import (
 from .containers import distinct_nonexpanding_closed, pool_multiplicities, small_generator
 from .errors import CapacityError, InvalidInputError
 from .expander import (
-    LN2,
     METHOD_GENERAL,
     ApproxCount,
     SideTerm,
@@ -58,52 +60,7 @@ from .graphs import (
 from .polymers import PolymerFamily, WeightModel, enumerate_polymers
 
 
-@dataclass(frozen=True)
-class NonExpandingFamily:
-    """A set of closed, 2-linked, non-expanding container sets with pairwise
-    disjoint neighborhoods (hence also pairwise disjoint and far apart)."""
-
-    sets: tuple[SideSet, ...]
-
-    @property
-    def union_bits(self) -> int:
-        out = 0
-        for s in self.sets:
-            out |= s.bits
-        return out
-
-    @property
-    def anchors(self) -> tuple[int, ...]:
-        return tuple((s.bits & -s.bits).bit_length() - 1 for s in self.sets)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(s.size for s in self.sets)
-
-    def validate(self, G: BipartiteGraph, params: ExpansionParams) -> None:
-        seen_nbhd = 0
-        for s in self.sets:
-            _check_container_set(G, s, params)
-            nb = neighborhood_bits(G, s.side, s.bits)
-            if nb & seen_nbhd:
-                raise InvalidInputError("family neighborhoods overlap")
-            seen_nbhd |= nb
-        # d-regularity gives |N(A_i)| >= d, so disjointness caps the length
-        if self.sets and len(self.sets) * G.d > G.side_size(self.sets[0].side):
-            raise InvalidInputError("family too large for disjoint neighborhoods")
-
-
-FAMILY_BUDGET = 1 << 20  # families one listing may hold
-
-
-def enumerate_families(
-    G: BipartiteGraph, params: ExpansionParams = ExpansionParams()
-) -> Iterator[NonExpandingFamily]:
-    """All families over the distinct non-expanding closed sets of X, the
-    empty family first, then in ascending pool order."""
-    pool = distinct_nonexpanding_closed(G, params)
-    for members, _, _ in _families_over(G, pool):
-        yield NonExpandingFamily(tuple(pool[i] for i in members))
+FAMILY_BUDGET = 1 << 20  # families one listing may visit
 
 
 def _families_over(
@@ -112,16 +69,16 @@ def _families_over(
     """Each family over ``pool`` as (its pool indices, N(union),
     N(N(union))), depth first in pool order: the empty family, then each
     family followed by its extensions by a later set whose neighbourhood
-    avoids the family's.
+    avoids the family's.  The one family walk: ``_region_weights`` folds
+    each family into its region as it comes, so no family is kept, and
+    ``FAMILY_BUDGET`` bounds the families visited.
 
     The walk runs on an explicit stack.  A frame holds a family, the mask of
     pool indices still open to it and its two neighbourhoods, so each family
     costs a few mask operations.  A child's open indices are the parent's
     later open indices that avoid the new set's neighbourhood, read from
     ``compatible[i]``: the indices whose neighbourhood avoids N(pool[i]),
-    built from per-Y-vertex masks of the indices holding that vertex.  A
-    family is a tuple of ints, which the garbage collector stops tracking,
-    so a long listing is not rescanned as it grows."""
+    built from per-Y-vertex masks of the indices holding that vertex."""
     nbhds = [neighborhood_bits(G, X_SIDE, s.bits) for s in pool]
     seconds = [neighborhood_bits(G, Y_SIDE, nb) for nb in nbhds]
     holders = [0] * G.n_y
@@ -161,34 +118,32 @@ def _families_over(
             stack.append((members, avail, used, blocked))
 
 
-def _family_terms(
-    G: BipartiteGraph, p: ExpansionParams
-) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """Each family of ``enumerate_families``, in the same order, as its
-    indices into the pool of ``pool_multiplicities``, with |N(union)| and
-    its region (``family_region``: X minus N(N(union))).  They depend on the
-    graph and params alone, so they are listed once per graph object and
-    kept in its memo."""
+def _region_weights(G: BipartiteGraph, p: ExpansionParams) -> dict[int, tuple[int, int]]:
+    """The family sum folded by region: for each region R (X minus the
+    second neighbourhood of a family's union), the exact integer
+    W(R) = sum over the families F leaving R of
+    prod D(A) * 2^(n_y - |N(union F)|), with the number of those families.
+    A family's local partition function depends on its region alone, so
+    both sums read this fold instead of the families.  Regions come in the
+    order their first family is listed, the empty family's (all of X)
+    first.  The fold depends on the graph and params alone, so it is built
+    once per graph object and kept in its memo; no family is held."""
 
-    def build() -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    def build() -> dict[int, tuple[int, int]]:
         full = G.full_mask(X_SIDE)
         pool = distinct_nonexpanding_closed(G, p)
-        return tuple(
-            (members, used.bit_count(), full & ~blocked)
-            for members, used, blocked in _families_over(G, pool)
-        )
+        multiplicity = list(pool_multiplicities(G, p).values())
+        folded: dict[int, tuple[int, int]] = {}
+        for members, used, blocked in _families_over(G, pool):
+            weight = 1 << (G.n_y - used.bit_count())
+            for i in members:
+                weight *= multiplicity[i]
+            region = full & ~blocked
+            total, count = folded.get(region, (0, 0))
+            folded[region] = (total + weight, count + 1)
+        return folded
 
-    return G.memo(("families", p), build)
-
-
-def family_region(G: BipartiteGraph, union_bits: int) -> int:
-    """The polymer ground set left to a family: X minus the second
-    neighborhood of the family union."""
-    full = G.full_mask(X_SIDE)
-    if not union_bits:
-        return full
-    nb = neighborhood_bits(G, X_SIDE, union_bits)
-    return full & ~neighborhood_bits(G, Y_SIDE, nb)
+    return G.memo(("region_weights", p), build)
 
 
 # -- the container-set multiplicity D ------------------------------------------
@@ -363,22 +318,16 @@ def estimate_D(
 
 
 def assemble_exact(G: BipartiteGraph, params: ExpansionParams = ExpansionParams()) -> int:
-    """i(G) as the exact family sum over X: for each family, the product of
-    the multiplicities D(A) the pool walk counted, a free factor for the
-    untouched part of Y, and the exact polymer partition function on the
-    leftover region."""
+    """i(G) as the exact family sum over X, folded by region: each region's
+    weight W(R) from ``_region_weights`` (the families' products of the
+    multiplicities D(A) the pool walk counted, times the free factor for
+    the untouched part of Y) times the exact polymer partition function on
+    R."""
     m = WeightModel.unweighted()
     universe = enumerate_polymers(G, PolymerFamily("expanding", X_SIDE, params), G.n_x)
-    xi_of = functools.cache(lambda mask: exact_xi(universe, m, mask))
     total = Fraction(0)
-    families = _family_terms(G, params)
-    multiplicity = list(pool_multiplicities(G, params).values())
-    for members, covered, region in families:
-        xi = xi_of(universe.within(region))
-        prod = 1
-        for i in members:
-            prod *= multiplicity[i]
-        total += prod * Fraction(2) ** (G.n_y - covered) * Fraction(xi)
+    for region, (weight, _) in _region_weights(G, params).items():
+        total += weight * exact_xi(universe, m, universe.within(region))
     if total.denominator != 1:
         raise InvalidInputError("family sum did not reduce to an integer")
     return int(total)
@@ -395,20 +344,20 @@ def count_general(
     params: ExpansionParams = ExpansionParams(),
 ) -> ApproxCount:
     """Approximate i(G) by the family sum over X with truncated local
-    cluster expansions.
+    cluster expansions: the log-sum over regions R of ln W(R) + ln Xi(ell)(R),
+    with W(R) from ``_region_weights``.
 
     Every multiplicity D(A) is exact: the pool walk of
     ``pool_multiplicities`` counts it, so no D is sampled; ``delta`` is only
     checked to lie in (0, 1), and ``seed`` is unused.  The pool with its
-    D's, the family list (by params), the polymer universe, the KP verdict
+    D's, the region weights (by params), the polymer universe, the KP verdict
     and the per-region ln Xi(ell) (by params and ell) depend on the graph
     alone and are kept in its memo (``BipartiteGraph.memo``), so later calls
     on the same graph object take them from there.  One polymer universe, to
-    the truncation size, serves the convergence check and every family's
-    local expansion, taken once per distinct region mask.  When
-    d > sqrt(n) the local partition functions are dropped (replaced by 1),
-    as the defect structure is negligible in that regime, and the
-    convergence condition is reported as assumed."""
+    the truncation size, serves the convergence check and every region's
+    local expansion.  When d > sqrt(n) the local partition functions are
+    dropped (replaced by 1), as the defect structure is negligible in that
+    regime, and the convergence condition is reported as assumed."""
     _check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
@@ -417,10 +366,7 @@ def count_general(
     drop_xi = d * d > n
     m = WeightModel.unweighted()
 
-    families = _family_terms(G, params)
-    log_d = [math.log(k) for k in pool_multiplicities(G, params).values()]
-    nonempty = sum(1 for members, _, _ in families if members)
-
+    weights = _region_weights(G, params)
     if drop_xi:
         kp_status = KP_ASSUMED  # nothing was checked; the factor is dropped
     else:
@@ -440,22 +386,17 @@ def count_general(
             lambda: functools.cache(lambda mask: truncated_log_xi(universe, m, big_l, n, d, mask)),
         )
 
-    # every D is at least 1 (A counts itself), so no family term vanishes
-    term_logs: list[float] = []
-    config_total = 0
-    for members, covered, region in families:
-        log_term = (G.n_y - covered) * LN2
-        for i in members:
-            log_term += log_d[i]
+    # every W(R) is at least 1 (each D is), so no region's term vanishes
+    log_value = -math.inf
+    config_total = families = 0
+    for region, (weight, count) in weights.items():
+        log_term = math.log(weight)
         if not drop_xi:
             est_xi = log_xi(universe.within(region))
-            config_total += est_xi.config_count
+            config_total += count * est_xi.config_count
             log_term += est_xi.log_value
-        term_logs.append(log_term)
-
-    log_value = term_logs[0]
-    for t in term_logs[1:]:
-        log_value = _logaddexp(log_value, t)
+        log_value = _logaddexp(log_value, log_term)
+        families += count
 
     flags = []
     if drop_xi:
@@ -466,9 +407,9 @@ def count_general(
         flags.append("certified")
     breakdown = (SideTerm(X_SIDE, 0.0, big_l, kp_status, config_total),)
     notes = {
-        "families": len(families),
-        "nonempty_families": nonempty,
-        "distinct_sets": len(log_d),
+        "families": families,
+        "nonempty_families": families - 1,
+        "distinct_sets": len(pool_multiplicities(G, params)),
         "ell": big_l,
     }
     return ApproxCount(

@@ -229,9 +229,9 @@ class BipartiteGraph:
         - ``("polymers", family, cap)``: the ``polymers.PolymerUniverse`` of
           ``enumerate_polymers``, which keeps on it the class counts of each
           (size budget, polymer mask) ``xi_size_polynomial`` has walked;
-        - ``("families", params)``: the container families of
-          ``general_count``, each as its pool indices with |N(union)| and
-          its region;
+        - ``("region_weights", params)``: ``general_count``'s family sum
+          folded by region, each region's weight W(R) and family count (no
+          family is kept);
         - ``("general_kp", params, ell)`` and
           ``("general_log_xi", params, ell)``: ``count_general``'s KP
           verdict and its per-region ln Xi(ell), taken once per polymer mask.

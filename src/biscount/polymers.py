@@ -197,20 +197,26 @@ def incompatibility_masks(universe: Sequence[Polymer]) -> list[int]:
     holds y: mask[i] is the OR of the bins over N(gamma_i).  Two same-side
     polymers that share a vertex share its neighbours (graphs of degree 0
     are rejected and ``nbhd`` is N(bits)), so sharing a neighbour is exactly
-    incompatibility.  Masks over ``MASK_BUDGET``, counted from the largest
-    bin each one takes, raise CapacityError before any is built."""
+    incompatibility.  Masks over ``MASK_BUDGET`` raise CapacityError before
+    any bin is built: a mask is as long as the longest bin it takes, one
+    more than the highest index of a polymer holding that neighbour, so the
+    need is counted from those indices alone."""
     if len({p.side for p in universe}) > 1:
         raise InvalidInputError("compatibility is defined for same-side polymers")
     nbrs = [list(iter_bits(p.nbhd)) for p in universe]
+    top: dict[int, int] = {}
+    for i, ys in enumerate(nbrs):
+        for y in ys:
+            top[y] = i
+    need = sum(max(map(top.__getitem__, ys)) + 1 for ys in nbrs)
+    if need > MASK_BUDGET:
+        mib = need >> 23
+        raise CapacityError(f"incompatibility masks of {len(universe)} polymers need {mib} MiB")
     bins: dict[int, int] = {}
     for i, ys in enumerate(nbrs):
         bit = 1 << i
         for y in ys:
             bins[y] = bins.get(y, 0) | bit
-    need = sum(max(map(bins.__getitem__, ys)).bit_length() for ys in nbrs)
-    if need > MASK_BUDGET:
-        mib = need >> 23
-        raise CapacityError(f"incompatibility masks of {len(universe)} polymers need {mib} MiB")
     masks = []
     for ys in nbrs:
         mask = 0

@@ -27,14 +27,11 @@ from biscount.expander import (
     sample_hardcore_expander,
 )
 from biscount.general_count import (
-    NonExpandingFamily,
     assemble_exact,
     count_general,
     count_general_exact,
-    enumerate_families,
     estimate_D,
     exhaustive_D,
-    family_region,
 )
 from biscount.graphs import (
     X_SIDE,
@@ -49,7 +46,7 @@ from biscount.graphs import (
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.oracle import exact_count_bipartite
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
-from util import P1, P100
+from util import P1, P100, NonExpandingFamily, enumerate_families, family_region
 
 
 def container_pool(G, side, params):
@@ -271,11 +268,13 @@ def test_pool_walk_counts_d_on_named_graphs(build, size):
 
 
 @pytest.mark.parametrize("params,log_value", [
-    (P1, "0x1.ef28aacd97ef8p+2"), (P100, "0x1.ecc2cbc8c2a89p+2"),
+    (P1, "0x1.ef28aacd97ef8p+2"), (P100, "0x1.ecc2cbc8c2a88p+2"),
 ], ids=["c1=1", "c1=100"])
 def test_count_general_reads_every_d_from_the_pool_walk(params, log_value, monkeypatch):
     # neither count scans a pool set's subsets or builds a generator pair:
-    # C16's values are the ones the scans gave
+    # C16's values are the ones the scans gave.  At c1 = 100 the value is
+    # the log-sum of one exact integer weight per region, one ulp from the
+    # per-family float sum it replaced (...a89); ln 2207 is ...a8a
     def unused(*args):
         raise AssertionError("a D route besides the pool walk ran")
 
@@ -402,15 +401,8 @@ def test_graph_memo_keys_keep_c1_apart():
     assert distinct_nonexpanding_closed(G, P1) != distinct_nonexpanding_closed(G, P100)
 
 
-def test_exact_d_routes_leave_numpy_unloaded():
-    # numpy is imported only when estimate_D samples; count_general reads
-    # every D from the pool walk, so neither the import nor the count loads it
-    code = (
-        "import sys, biscount\n"
-        "out = biscount.count_general(biscount.even_cycle(8), 0.05, 0.05, seed=1,"
-        " params=biscount.ExpansionParams(c1=1.0))\n"
-        "print(out.notes['distinct_sets'], 'numpy' in sys.modules)\n"
-    )
+def run_fresh(code: str) -> list[str]:
+    """The words ``code`` prints, run in a fresh process on this checkout."""
     src = str(Path(biscount.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -419,7 +411,36 @@ def test_exact_d_routes_leave_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "False"]
+    return proc.stdout.split()
+
+
+def test_exact_d_routes_leave_numpy_unloaded():
+    # numpy is imported only when estimate_D samples; count_general reads
+    # every D from the pool walk, so neither the import nor the count loads it
+    assert run_fresh(
+        "import sys, biscount\n"
+        "out = biscount.count_general(biscount.even_cycle(8), 0.05, 0.05, seed=1,"
+        " params=biscount.ExpansionParams(c1=1.0))\n"
+        "print(out.notes['distinct_sets'], 'numpy' in sys.modules)\n"
+    ) == ["1", "False"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_count_general_on_c40_keeps_no_family_list():
+    # C40 at c1 = 100 has 1,048,556 families over 15,126 regions; the memo
+    # keeps the per-region fold alone, so the run peaks far below the
+    # 246 MB that a kept family list took.  The peak is the process's own
+    # VmHWM: ru_maxrss of a process this large suite starts also counts the
+    # suite's resident memory at the fork
+    families, peak_kb = run_fresh(
+        "import re, biscount\n"
+        "out = biscount.count_general(biscount.even_cycle(40), 0.05, 0.05, seed=1,"
+        " params=biscount.ExpansionParams(c1=100.0))\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(out.notes['families'], re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+    )
+    assert int(families) == 1048556
+    assert int(peak_kb) < 64 * 1024
 
 
 def test_exhaustive_d_capacity():
@@ -543,6 +564,28 @@ def test_assemble_exact_matches_oracle_on_random_shifts(n, d, seed, side, params
     G = random_shift(n, d, seed)
     H = G if side == X_SIDE else util.mirrored(G)
     assert assemble_exact(H, params) == exact_count_bipartite(G).value
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([6, 8, 10]),
+    d=st.sampled_from([3, 4]),
+    seed=st.integers(0, 1 << 16),
+    side=st.sampled_from([X_SIDE, Y_SIDE]),
+    params=st.sampled_from([P1, P100]),
+)
+def test_region_weights_fold_the_per_family_sums(n, d, seed, side, params):
+    # each region's W(R) and family count, in first-listed order, are what
+    # the families give one at a time with D from the direct subset scan
+    G = random_shift(n, d, seed)
+    H = G if side == X_SIDE else util.mirrored(G)
+    folded = general_count._region_weights(H, params)
+    reference = util.reference_region_weights(H, params)
+    assert list(folded.items()) == list(reference.items())
+    families = sum(1 for _ in enumerate_families(H, params))
+    assert sum(count for _, count in folded.values()) == families
+    notes = count_general(H, 0.05, 0.05, seed=1, params=params).notes
+    assert (notes["families"], notes["nonempty_families"]) == (families, families - 1)
 
 
 def test_count_general_takes_each_region_log_xi_once(monkeypatch):

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,27 @@ def test_oversized_universe_raises_capacity_error_not_memory_error():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("CapacityError incompatibility masks of 144568 polymers")
+
+
+def test_mask_budget_refuses_before_any_bin_is_built(monkeypatch):
+    # 2^18 polymers that all hold neighbours 0-7: every mask is as long as
+    # the universe, 2^36 bits in all.  Building the bins first, one 2^18-bit
+    # int OR-ed into per polymer and neighbour, took about 12 s before the
+    # refusal; the need is counted from each neighbour's highest holder
+    universe = [Polymer("X", 1, 0xFF)] * (1 << 18)
+    start = time.perf_counter()
+    refusal = "^incompatibility masks of 262144 polymers need 8192 MiB$"
+    with pytest.raises(CapacityError, match=refusal):
+        incompatibility_masks(universe)
+    assert time.perf_counter() - start < 2.0
+    # the need is the masks' total length: k polymers on one neighbour take
+    # k bits each, so k^2 bits fit a budget of k^2 and not one less
+    small = [Polymer("X", 1, 1)] * 5
+    monkeypatch.setattr(polymers, "MASK_BUDGET", 25)
+    assert incompatibility_masks(small) == [0b11111] * 5
+    monkeypatch.setattr(polymers, "MASK_BUDGET", 24)
+    with pytest.raises(CapacityError, match="of 5 polymers"):
+        incompatibility_masks(small)
 
 
 def test_mixed_side_universe_is_rejected():

@@ -118,21 +118,44 @@ def test_one_container_route_in_the_package():
     assert sorted(WITNESSES & (set(vars(biscount)) | set(vars(containers)))) == []
 
 
+def names_in(func) -> set[str]:
+    """Every name, attribute and import alias in ``func``'s source."""
+    tree = ast.parse(inspect.getsource(func))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    }
+    return named
+
+
 def test_counts_read_d_from_the_pool_walk_alone():
-    # count_general and assemble_exact take every D from the counted pool
-    # walk; the sampled route and its generator pairs stay out of them
+    # count_general and assemble_exact take every D through the region fold,
+    # which reads the counted pool walk; the sampled route and its generator
+    # pairs stay out of all three
     general_count = importlib.import_module("biscount.general_count")
     banned = {"estimate_D", "_d_draws", "small_generator", "numpy"}
     for func in (general_count.count_general, general_count.assemble_exact):
-        tree = ast.parse(inspect.getsource(func))
-        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        named |= {
-            alias.name for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
-        }
-        assert "pool_multiplicities" in named
+        named = names_in(func)
+        assert "_region_weights" in named
         assert sorted(named & banned) == []
+    named = names_in(general_count._region_weights)
+    assert {"pool_multiplicities", "_families_over"} <= named
+    assert sorted(named & banned) == []
+
+
+def test_package_keeps_no_per_family_api():
+    # the counts read families only through the region fold; the per-family
+    # types and walks the tests compare it with live in tests/util.py
+    per_family = ("NonExpandingFamily", "enumerate_families", "family_region")
+    found = sorted(
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in per_family
+        if name in path.read_text(encoding="utf-8")
+    )
+    assert found == []
 
 
 def test_failing_hypothesis_test_reports_as_a_failure(tmp_path):

@@ -22,11 +22,13 @@ from biscount import (
     Graph,
     InvalidInputError,
     SideSet,
+    distinct_nonexpanding_closed,
     is_expanding,
     is_small,
     is_two_linked,
     threshold_degree_set,
 )
+from biscount import general_count
 from biscount.expander import DRAW_BITS, quantize
 from biscount.graphs import bits_of, closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.graphs import two_linked_sets as graph_two_linked_sets
@@ -814,6 +816,86 @@ def mirrored(G: BipartiteGraph) -> BipartiteGraph:
     """G with its sides swapped: the X side of the mirror is G's Y side, so
     the package's X-side container route run on it is G's Y-side route."""
     return BipartiteGraph(G.n_y, G.n_x, G.d, G.row_y, G.row_x)
+
+
+# -- container families, one at a time ---------------------------------------
+#
+# No count keeps a family: `general_count._region_weights` folds each family
+# into its region as `general_count._families_over` lists it.  These wrap
+# that walk, family by family, as the reference the fold is held to.
+
+
+@dataclass(frozen=True)
+class NonExpandingFamily:
+    """A set of closed, 2-linked, non-expanding container sets with pairwise
+    disjoint neighborhoods (hence also pairwise disjoint and far apart)."""
+
+    sets: tuple[SideSet, ...]
+
+    @property
+    def union_bits(self) -> int:
+        out = 0
+        for s in self.sets:
+            out |= s.bits
+        return out
+
+    @property
+    def anchors(self) -> tuple[int, ...]:
+        return tuple((s.bits & -s.bits).bit_length() - 1 for s in self.sets)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(s.size for s in self.sets)
+
+    def validate(self, G: BipartiteGraph, params: ExpansionParams) -> None:
+        seen_nbhd = 0
+        for s in self.sets:
+            general_count._check_container_set(G, s, params)
+            nb = neighborhood_bits(G, s.side, s.bits)
+            if nb & seen_nbhd:
+                raise InvalidInputError("family neighborhoods overlap")
+            seen_nbhd |= nb
+        # d-regularity gives |N(A_i)| >= d, so disjointness caps the length
+        if self.sets and len(self.sets) * G.d > G.side_size(self.sets[0].side):
+            raise InvalidInputError("family too large for disjoint neighborhoods")
+
+
+def enumerate_families(
+    G: BipartiteGraph, params: ExpansionParams = ExpansionParams()
+) -> Iterator[NonExpandingFamily]:
+    """All families over the distinct non-expanding closed sets of X, the
+    empty family first, then in the order of the package's family walk."""
+    pool = distinct_nonexpanding_closed(G, params)
+    for members, _, _ in general_count._families_over(G, pool):
+        yield NonExpandingFamily(tuple(pool[i] for i in members))
+
+
+def family_region(G: BipartiteGraph, union_bits: int) -> int:
+    """The polymer ground set left to a family: X minus the second
+    neighborhood of the family union."""
+    full = G.full_mask("X")
+    if not union_bits:
+        return full
+    nb = neighborhood_bits(G, "X", union_bits)
+    return full & ~neighborhood_bits(G, "Y", nb)
+
+
+def reference_region_weights(
+    G: BipartiteGraph, params: ExpansionParams
+) -> dict[int, tuple[int, int]]:
+    """{region: (W(R), families)} summed family by family: each family's
+    prod D(A) from the subset scan, times 2^(n_y - |N(union)|)."""
+    out: dict[int, tuple[int, int]] = {}
+    D = {A: reference_exhaustive_D(G, A) for A in distinct_nonexpanding_closed(G, params)}
+    for fam in enumerate_families(G, params):
+        union = fam.union_bits
+        weight = 2 ** (G.n_y - neighborhood_bits(G, "X", union).bit_count())
+        for A in fam.sets:
+            weight *= D[A]
+        region = family_region(G, union)
+        total, count = out.get(region, (0, 0))
+        out[region] = (total + weight, count + 1)
+    return out
 
 
 # -- reconstruction witnesses: the anchored container route ---------------------
