@@ -3,7 +3,8 @@
 The count is assembled from both sides at once: i(G) is approximated by
 2^n (Xi^X(ell) + Xi^Y(ell)) with truncated cluster expansions of the two
 defect-polymer partition functions, and the weighted analogue replaces the
-2^n prefactor by (1+lambda)^n with the small-set polymer family.  The
+2^n prefactor by (1+lambda)^n with the small-set polymer family.  When the
+graph's claimed side swap verifies, Xi^Y = Xi^X and X's term serves both.  The
 samplers realize the two-step measure behind that estimate: pick a side
 proportional to its partition function, draw a defect configuration, fill
 the opposite side independently.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
 
@@ -36,6 +37,8 @@ from .graphs import (
     Y_SIDE,
     BipartiteGraph,
     ExpansionParams,
+    SideSwap,
+    is_side_swap,
     iter_bits,
     neighborhood_bits,
     opposite,
@@ -281,6 +284,15 @@ def _exact_result(value: int | Fraction, method: str, notes: dict | None = None)
     )
 
 
+def _side_swap(G: BipartiteGraph) -> SideSwap | None:
+    """G's claimed side swap once it is verified (once per graph object and
+    claim, in the graph's memo), else None."""
+    swap = G.claimed_swap
+    if swap is None or not G.memo(("side_swap", swap), lambda: is_side_swap(G, swap)):
+        return None
+    return swap
+
+
 def _two_sided(
     G: BipartiteGraph,
     m: WeightModel,
@@ -297,8 +309,15 @@ def _two_sided(
     convergence condition verifies at the cap on both sides."""
     n = G.n_x
     ell = choose_ell(n, G.d, epsilon / 4.0, model=m.variant)
-    fams = (PolymerFamily(_membership(m), side, p) for side in (X_SIDE, Y_SIDE))
-    term_x, term_y = (_side_estimate(G, fam, m, kp, ell) for fam in fams)
+    swap = _side_swap(G)
+    term_x = _side_estimate(G, PolymerFamily(_membership(m), X_SIDE, p), m, kp, ell)
+    if swap is None:
+        term_y = _side_estimate(G, PolymerFamily(_membership(m), Y_SIDE, p), m, kp, ell)
+    else:
+        # a side swap maps X's polymers onto Y's, sizes and neighbourhood
+        # sizes kept, so Xi^Y = Xi^X and X's term serves both
+        term_y = replace(term_x, side=Y_SIDE)
+    notes["side_swap"] = None if swap is None else swap.name
     if KP_FAILED in (term_x.kp_status, term_y.kp_status):
         flags.append("kp-failed-at-cap")
     if not flags:

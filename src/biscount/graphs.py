@@ -87,6 +87,17 @@ class SideSet:
 
 
 @dataclass(frozen=True)
+class SideSwap:
+    """A claimed automorphism that exchanges the sides, as two index maps:
+    x_u goes to y_{x_to_y[u]} and y_v to x_{y_to_x[v]}.  A claim is only a
+    claim until ``is_side_swap`` verifies it on the graph."""
+
+    name: str
+    x_to_y: tuple[int, ...]
+    y_to_x: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class ExpansionParams:
     """Constants entering the expansion predicate and container caps.
 
@@ -144,7 +155,10 @@ class Graph:
 
 
 class BipartiteGraph:
-    """A d-regular bipartite graph with equal sides (enforced by regularity)."""
+    """A d-regular bipartite graph with equal sides (enforced by regularity).
+
+    ``claimed_swap`` is a side swap the graph's maker knows of (the instance
+    generators set one), or None; it is not trusted until verified."""
 
     def __init__(self, n_x: int, n_y: int, d: int, row_x: list[int], row_y: list[int]):
         self.n_x = n_x
@@ -154,6 +168,7 @@ class BipartiteGraph:
         self.row_y = row_y
         self.adj_x = [list(iter_bits(r)) for r in row_x]
         self.adj_y = [list(iter_bits(r)) for r in row_y]
+        self.claimed_swap: SideSwap | None = None
         self._cache: dict = {}
 
     @classmethod
@@ -234,7 +249,10 @@ class BipartiteGraph:
           family is kept);
         - ``("general_kp", params, ell)`` and
           ``("general_log_xi", params, ell)``: ``count_general``'s KP
-          verdict and its per-region ln Xi(ell), taken once per polymer mask.
+          verdict and its per-region ln Xi(ell), taken once per polymer mask;
+        - ``("side_swap", swap)``: whether the claimed side swap ``swap``
+          is an automorphism (``is_side_swap``), checked once by the
+          expander counters before one side's term stands for both.
 
         The container keys hold the X side alone, the one side the family
         sum runs over.
@@ -276,6 +294,17 @@ class BipartiteGraph:
             ]
 
         return self.memo(("closure_candidates", side), build)
+
+
+def is_side_swap(G: BipartiteGraph, swap: SideSwap) -> bool:
+    """Whether ``swap`` is an automorphism of G that exchanges the sides:
+    both maps are permutations and every edge goes to an edge, in O(nd).
+    The edge map is then injective on a finite edge set, so onto as well."""
+    if sorted(swap.x_to_y) != list(range(G.n_y)) or sorted(swap.y_to_x) != list(range(G.n_x)):
+        return False
+    return all(
+        G.row_x[swap.y_to_x[v]] >> swap.x_to_y[u] & 1 for u in range(G.n_x) for v in G.adj_x[u]
+    )
 
 
 # -- set operations ---------------------------------------------------------

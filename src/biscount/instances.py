@@ -2,7 +2,9 @@
 
 All generators return :class:`~biscount.graphs.BipartiteGraph` with a
 canonical vertex labelling, so the same parameters (and seed, where one
-applies) reproduce a byte-identical edge list.
+applies) reproduce a byte-identical edge list.  Every generator but
+``random_regular`` also claims a side swap it knows of (``claimed_swap``),
+which the expander counters verify before they use it.
 """
 
 from __future__ import annotations
@@ -13,13 +15,20 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import CapacityError, InvalidInputError
-from .graphs import MAX_SIDE, BipartiteGraph, check_side_size
+from .graphs import MAX_SIDE, BipartiteGraph, SideSwap, check_side_size
+
+
+def _negation(n: int) -> SideSwap:
+    # u -> -u mod n on both sides: a side swap of every bipartite circulant
+    neg = tuple(-u % n for u in range(n))
+    return SideSwap("u -> -u mod n", neg, neg)
 
 
 def even_cycle(m: int) -> BipartiteGraph:
     """The cycle C_m, m even and >= 4, labelled x0 y0 x1 y1 ... around the cycle.
 
-    So x_i is adjacent to y_i and to y_{i-1 mod m/2}.
+    So x_i is adjacent to y_i and to y_{i-1 mod m/2}.  Claims the side swap
+    x_u -> y_{-u}, y_v -> x_{-v} (indices mod m/2).
     """
     if m < 4 or m % 2:
         raise InvalidInputError("cycle length must be even and at least 4")
@@ -29,21 +38,27 @@ def even_cycle(m: int) -> BipartiteGraph:
     for i in range(n):
         edges.append((i, i))
         edges.append((i, (i - 1) % n))
-    return BipartiteGraph.from_edges(n, n, edges, d=2)
+    G = BipartiteGraph.from_edges(n, n, edges, d=2)
+    G.claimed_swap = _negation(n)
+    return G
 
 
 def complete_bipartite(d: int) -> BipartiteGraph:
+    """K_{d,d}; claims the identity side swap x_u -> y_u, y_v -> x_v."""
     if d < 1:
         raise InvalidInputError("complete bipartite block needs d >= 1")
     check_side_size(d)
     edges = [(u, v) for u in range(d) for v in range(d)]
-    return BipartiteGraph.from_edges(d, d, edges, d=d)
+    G = BipartiteGraph.from_edges(d, d, edges, d=d)
+    G.claimed_swap = SideSwap("identity", tuple(range(d)), tuple(range(d)))
+    return G
 
 
 def hypercube(d: int) -> BipartiteGraph:
     """The d-dimensional hypercube; X is the even-parity class.
 
-    Vertices within a class are indexed by increasing binary value.
+    Vertices within a class are indexed by increasing binary value.  Claims
+    the side swap v -> v xor 1, which flips the parity.
     """
     if d < 1:
         raise InvalidInputError("hypercube dimension must be >= 1")
@@ -59,13 +74,18 @@ def hypercube(d: int) -> BipartiteGraph:
     for v in evens:
         for k in range(d):
             edges.append((xi[v], yi[v ^ (1 << k)]))
-    return BipartiteGraph.from_edges(len(evens), len(odds), edges, d=d)
+    G = BipartiteGraph.from_edges(len(evens), len(odds), edges, d=d)
+    G.claimed_swap = SideSwap(
+        "v -> v xor 1", tuple(yi[v ^ 1] for v in evens), tuple(xi[v ^ 1] for v in odds)
+    )
+    return G
 
 
 def even_torus(dims: list[int]) -> BipartiteGraph:
     """A product of cycles with even side lengths (each >= 4); degree 2*len(dims).
 
     The bipartition is by coordinate-sum parity, indices lexicographic per side.
+    Claims the side swap of a unit step along axis 0, which flips the parity.
     """
     if not dims:
         raise InvalidInputError("torus needs at least one dimension")
@@ -85,7 +105,16 @@ def even_torus(dims: list[int]) -> BipartiteGraph:
                 w = list(v)
                 w[axis] = (w[axis] + step) % L
                 edges.append((xi[v], yi[tuple(w)]))
-    return BipartiteGraph.from_edges(len(evens), len(odds), edges, d=2 * len(dims))
+    G = BipartiteGraph.from_edges(len(evens), len(odds), edges, d=2 * len(dims))
+
+    def step(v: tuple[int, ...]) -> tuple[int, ...]:
+        return ((v[0] + 1) % dims[0],) + v[1:]
+
+    G.claimed_swap = SideSwap(
+        "unit step along axis 0",
+        tuple(yi[step(v)] for v in evens), tuple(xi[step(v)] for v in odds),
+    )
+    return G
 
 
 STUB_BUDGET = 1 << 21  # stub positions the configuration model may shuffle in all
@@ -131,7 +160,8 @@ def random_shift(n: int, d: int, seed: int) -> BipartiteGraph:
     """Random bipartite circulant: x_u ~ y_{(u+s) mod n} for d seeded shifts.
 
     Always simple and d-regular, so it covers degrees where restart rejection
-    of the configuration model is hopeless.
+    of the configuration model is hopeless.  Claims the side swap
+    x_u -> y_{-u}, y_v -> x_{-v} (indices mod n).
     """
     if d < 1 or d > n:
         raise InvalidInputError("need 1 <= d <= n")
@@ -139,7 +169,9 @@ def random_shift(n: int, d: int, seed: int) -> BipartiteGraph:
     rng = random.Random(seed)
     shifts = rng.sample(range(n), d)
     edges = [(u, (u + s) % n) for u in range(n) for s in shifts]
-    return BipartiteGraph.from_edges(n, n, sorted(edges), d=d)
+    G = BipartiteGraph.from_edges(n, n, sorted(edges), d=d)
+    G.claimed_swap = _negation(n)
+    return G
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,22 @@ from biscount.graphs import (
     X_SIDE,
     Y_SIDE,
     BipartiteGraph,
+    SideSwap,
+    dump_graph,
+    is_side_swap,
     iter_bits,
+    load_graph,
     neighborhood_bits,
     opposite,
 )
-from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
+from biscount.instances import (
+    complete_bipartite,
+    even_cycle,
+    even_torus,
+    hypercube,
+    random_regular,
+    random_shift,
+)
 from biscount.oracle import DRAW_DEN, exact_count_bipartite
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
 from util import P1, P100
@@ -560,11 +571,16 @@ def test_table_draws_pinned(c8, lam):
     assert draws == TABLE_DRAWS[lam]
 
 
-@pytest.mark.parametrize("G", [even_cycle(8), hypercube(4)], ids=["C8", "Q4"])
-def test_forced_count_builds_masks_once_per_side_universe(G, monkeypatch):
+@pytest.mark.parametrize(
+    "G,builds",
+    [(even_cycle(8), 1), (hypercube(4), 1), (random_regular(8, 3, 1), 2)],
+    ids=["C8", "Q4", "rr(8,3,1)"],
+)
+def test_forced_count_builds_masks_once_per_side_universe(G, builds, monkeypatch):
     # the convergence check and the configuration walk read the masks the
     # side's universe was built with; every module binding the builder is
-    # watched
+    # watched.  C8 and Q4 carry a verified side swap, so Y's universe is
+    # never built; the random graph has no claim and builds both
     real = biscount.polymers.incompatibility_masks
     built = []
 
@@ -576,7 +592,7 @@ def test_forced_count_builds_masks_once_per_side_universe(G, monkeypatch):
         if name.startswith("biscount") and getattr(module, "incompatibility_masks", None) is real:
             monkeypatch.setattr(module, "incompatibility_masks", recording)
     out = count_expander(G, 0.2, P1, force_method="expander-CE")
-    assert len(built) == 2
+    assert len(built) == builds
     assert [t.config_count > 0 for t in out.side_breakdown] == [True, True]
 
 
@@ -694,3 +710,125 @@ def test_peeling_identity_raises_under_python_optimize():
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1 False"
     assert lines[1].startswith("raised peeling identity broken at vertex 0 of side ")
+
+
+# -- side swap -------------------------------------------------------------------
+
+
+def _forced_outputs(G):
+    """log value, flags and side terms of the forced count and of the
+    hard-core count at lambda = 1/2 and 1, with each report's side swap."""
+    outs = [count_expander(G, 0.2, P1, force_method="expander-CE")]
+    outs += [
+        count_hardcore_expander(G, HardCoreParams(lam), 0.2, P1, force_method="expander-CE")
+        for lam in (Fraction(1, 2), Fraction(1))
+    ]
+    return (
+        [(o.log_value, o.flags, o.side_breakdown) for o in outs],
+        [o.notes["side_swap"] for o in outs],
+    )
+
+
+def _claimless(G):
+    G.claimed_swap = None
+    return G
+
+
+def _assert_swap_changes_nothing(build):
+    G = build()
+    assert is_side_swap(G, G.claimed_swap)
+    with_swap, names = _forced_outputs(G)
+    both_sides, no_names = _forced_outputs(_claimless(build()))
+    assert with_swap == both_sides
+    assert names == [G.claimed_swap.name] * 3
+    assert no_names == [None] * 3
+
+
+SWAP_GRAPHS = {
+    **{f"C{m}": (lambda m=m: even_cycle(m)) for m in (8, 10, 12, 14, 16)},
+    "Q3": lambda: hypercube(3),
+    "Q4": lambda: hypercube(4),
+    "K33": lambda: complete_bipartite(3),
+    "K44": lambda: complete_bipartite(4),
+    "torus[4,4]": lambda: even_torus([4, 4]),
+    "torus[4,6]": lambda: even_torus([4, 6]),
+}
+
+
+@pytest.mark.parametrize("build", list(SWAP_GRAPHS.values()), ids=list(SWAP_GRAPHS))
+def test_side_swap_gives_the_two_sided_outputs(build):
+    _assert_swap_changes_nothing(build)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([8, 10, 12]), d=st.sampled_from([3, 4, 5]), seed=st.integers(0, 1 << 16))
+def test_side_swap_gives_the_two_sided_outputs_on_random_shifts(n, d, seed):
+    _assert_swap_changes_nothing(lambda: random_shift(n, d, seed))
+
+
+def _exchanged(swap):
+    x_to_y = list(swap.x_to_y)
+    x_to_y[0], x_to_y[1] = x_to_y[1], x_to_y[0]
+    return SideSwap("exchanged", tuple(x_to_y), swap.y_to_x)
+
+
+def _identity(G):
+    return SideSwap("identity", tuple(range(G.n_x)), tuple(range(G.n_y)))
+
+
+def _not_a_permutation(G):
+    return SideSwap("constant", (0,) * G.n_x, tuple(range(G.n_y)))
+
+
+@pytest.mark.parametrize(
+    "build,claim",
+    [
+        (lambda: even_cycle(12), lambda G: _exchanged(G.claimed_swap)),
+        (lambda: random_regular(8, 3, 1), _identity),
+        (lambda: even_cycle(12), _not_a_permutation),
+    ],
+    ids=["C12-exchanged", "rr(8,3,1)-identity", "C12-not-a-permutation"],
+)
+def test_false_side_swap_is_refused_and_both_sides_run(build, claim, monkeypatch):
+    real = biscount.expander._side_estimate
+    sides = []
+
+    def recording(G, fam, m, kp, ell):
+        sides.append(fam.side)
+        return real(G, fam, m, kp, ell)
+
+    monkeypatch.setattr(biscount.expander, "_side_estimate", recording)
+    G = build()
+    G.claimed_swap = claim(G)
+    assert not is_side_swap(G, G.claimed_swap)
+    refused, names = _forced_outputs(G)
+    assert sides == [X_SIDE, Y_SIDE] * 3
+    assert names == [None] * 3
+    assert refused == _forced_outputs(_claimless(build()))[0]
+
+
+def test_side_swap_is_checked_once_per_graph_object(monkeypatch):
+    real = biscount.expander.is_side_swap
+    checked = []
+
+    def recording(G, swap):
+        checked.append(G)
+        return real(G, swap)
+
+    monkeypatch.setattr(biscount.expander, "is_side_swap", recording)
+    G = even_cycle(10)
+    _forced_outputs(G)
+    count_expander(G, 0.2, P1, force_method="expander-CE")
+    assert checked == [G]
+    H = even_cycle(10)
+    _forced_outputs(H)
+    assert checked == [G, H]
+
+
+def test_loaded_graph_carries_no_claim_and_counts_both_sides():
+    G = hypercube(3)
+    H = load_graph(dump_graph(G))
+    assert H.claimed_swap is None
+    loaded, names = _forced_outputs(H)
+    assert names == [None] * 3
+    assert loaded == _forced_outputs(G)[0]

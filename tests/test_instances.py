@@ -5,7 +5,7 @@ import time
 import pytest
 
 from biscount import CapacityError, InvalidInputError, dump_graph, instances, load_graph
-from biscount.graphs import MAX_SIDE
+from biscount.graphs import MAX_SIDE, is_side_swap
 from biscount.instances import (
     InstanceSpec,
     complete_bipartite,
@@ -39,6 +39,17 @@ def test_every_generator_output_passes_loader_validation():
     for G in named_instances():
         H = load_graph(dump_graph(G))
         assert H.fingerprint() == G.fingerprint()
+
+
+def test_generators_claim_a_side_swap_that_verifies():
+    # every generator but the configuration model knows a side swap; the
+    # odd shift and the three-axis torus cover what the named list misses
+    named = named_instances()
+    for G in named + [random_shift(9, 4, seed=5), even_torus([4, 6, 4])]:
+        if G.claimed_swap is not None:
+            assert is_side_swap(G, G.claimed_swap), G.claimed_swap.name
+    assert [G.claimed_swap is None for G in named].count(True) == 1
+    assert random_regular(6, 3, seed=1).claimed_swap is None
 
 
 def test_even_cycle_shape():
