@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 
 from .cluster_expansion import (
@@ -83,6 +84,9 @@ FILL_TOPS = [
 # multiplier, shift back and vertices; then, per further window, its first
 # word's offset and the same four
 FillPlan = tuple[int, int, int, int, int, tuple[tuple[int, int, int, int, int], ...]]
+# a table draw's lead bits: its side draw, then its configuration draw
+LEAD_BITS = 2 * DRAW_BITS
+DRAW_MASK = (1 << DRAW_BITS) - 1
 
 
 def _log_int(v: int) -> float:
@@ -305,8 +309,11 @@ def _two_sided(
 ) -> ApproxCount:
     """n log_prefactor + ln(Xi^X(ell) + Xi^Y(ell)), with ell chosen for an
     additive log error of epsilon/4 per side.  ``flags`` are the caller's
-    hypothesis flags; "certified" is added only when there are none and the
-    convergence condition verifies at the cap on both sides."""
+    hypothesis flags.  When there are none and the convergence condition
+    verifies at the cap on both sides, "certified" is added, unless a side's
+    universe at the cap is empty: there the condition holds vacuously and
+    the estimate is the bare prefactor, so "uncertified (empty universe)"
+    stands in its place."""
     n = G.n_x
     ell = choose_ell(n, G.d, epsilon / 4.0, model=m.variant)
     swap = _side_swap(G)
@@ -321,7 +328,10 @@ def _two_sided(
     if KP_FAILED in (term_x.kp_status, term_y.kp_status):
         flags.append("kp-failed-at-cap")
     if not flags:
-        flags.append("certified")
+        # every polymer of a universe capped at ell walks alone, so a walk
+        # of the empty configuration only is an empty universe
+        empty = 1 in (term_x.config_count, term_y.config_count)
+        flags.append("uncertified (empty universe)" if empty else "certified")
     return ApproxCount(
         log_value=n * log_prefactor + _logaddexp(term_x.log_xi, term_y.log_xi),
         rel_error_bound=epsilon,
@@ -459,7 +469,11 @@ class SamplerTables:
         return self.x if side == X_SIDE else self.y
 
 
-def _build_side_table(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> SideTable:
+def _build_side_table(
+    G: BipartiteGraph, fam: PolymerFamily, m: WeightModel
+) -> tuple[SideTable, PolymerUniverse, list[tuple[int, ...]]]:
+    """One side's table, with the universe it walks and each configuration's
+    polymer indices, in walk order."""
     side, other = fam.side, opposite(fam.side)
     n, n_other = G.side_size(side), G.side_size(other)
     universe = enumerate_polymers(G, fam, n)
@@ -467,6 +481,7 @@ def _build_side_table(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> 
     # configuration of size s and |N| = w weighs what its class (s, w) does
     weights = m.class_weights(n, n_other)
     full = G.full_mask(other)
+    configs: list[tuple[int, ...]] = []
     bits_list: list[int] = []
     free_list: list[int] = []
     cum: list[int] = []
@@ -476,15 +491,65 @@ def _build_side_table(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> 
         for i in config:
             bits |= universe[i].bits
             nbhd |= universe[i].nbhd
-        s, w = bits.bit_count(), nbhd.bit_count()
-        acc += weights.numerator(s, w)
+        acc += weights.numerator(bits.bit_count(), nbhd.bit_count())
+        configs.append(config)
         bits_list.append(bits)
         free_list.append(full & ~nbhd)
         cum.append(acc)
-    den = weights.denominator
+    return _side_table(side, bits_list, free_list, cum, weights.denominator), universe, configs
+
+
+def _side_table(side: str, bits: list[int], free: list[int], cum: list[int], den: int) -> SideTable:
+    acc = cum[-1]
     thresholds = tuple((c << DRAW_BITS) // acc for c in cum)
-    return SideTable(
-        side, tuple(bits_list), tuple(free_list), tuple(cum), den, thresholds, Fraction(acc, den)
+    return SideTable(side, tuple(bits), tuple(free), tuple(cum), den, thresholds, Fraction(acc, den))
+
+
+def _mask_map(perm: tuple[int, ...]):
+    """The map taking a mask to its image under the index map ``perm``, one
+    table lookup per byte of the mask."""
+    tables = []
+    for base in range(0, len(perm), 8):
+        chunk = perm[base : base + 8]
+        table = [0] * (1 << len(chunk))
+        for mask in range(1, len(table)):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << chunk[low.bit_length() - 1]
+        tables.append(table)
+
+    def image(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 0xFF]
+            mask >>= 8
+        return out
+
+    return image
+
+
+def _swapped_table(
+    tx: SideTable, universe: PolymerUniverse, configs: list[tuple[int, ...]], swap: SideSwap
+) -> SideTable:
+    """Y's table from X's under a verified side swap, in the order Y's own
+    build lists it.  The swap maps X's polymers onto Y's, sizes and
+    neighbourhood sizes kept, so each configuration keeps its weight.  Y's
+    universe is sorted by bit mask and its walk yields index tuples in
+    lexicographic order, so ranking the mapped polymers by mask and sorting
+    the configurations by their tuples of ranks gives Y's order."""
+    x_to_y, y_to_x = _mask_map(swap.x_to_y), _mask_map(swap.y_to_x)
+    mapped = [x_to_y(p.bits) for p in universe]
+    rank = [0] * len(mapped)
+    for r, i in enumerate(sorted(range(len(mapped)), key=mapped.__getitem__)):
+        rank[i] = r
+    keys = [tuple(sorted(map(rank.__getitem__, config))) for config in configs]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    cum = tx.cumulative
+    return _side_table(
+        Y_SIDE,
+        [x_to_y(tx.config_bits[j]) for j in order],
+        [y_to_x(tx.free_bits[j]) for j in order],
+        list(accumulate(cum[j] - (cum[j - 1] if j else 0) for j in order)),
+        tx.denominator,
     )
 
 
@@ -494,12 +559,19 @@ def sampler_tables(
     lam: Fraction | None = None,
 ) -> SamplerTables:
     """Precomputed exact inversion tables for the two-step sampler: over the
-    expanding family unweighted, or the small-set family at fugacity lam."""
+    expanding family unweighted, or the small-set family at fugacity lam.
+
+    When G's claimed side swap verifies, only X's universe is built and
+    walked, and Y's table is X's mapped through the swap and put in the
+    order Y's own walk lists it, so every field equals the two-sided
+    build's.  Without a verified claim both sides are built."""
     m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
-    tx, ty = (
-        _build_side_table(G, PolymerFamily(_membership(m), side, params), m)
-        for side in (X_SIDE, Y_SIDE)
-    )
+    tx, universe, configs = _build_side_table(G, PolymerFamily(_membership(m), X_SIDE, params), m)
+    swap = _side_swap(G)
+    if swap is None:
+        ty = _build_side_table(G, PolymerFamily(_membership(m), Y_SIDE, params), m)[0]
+    else:
+        ty = _swapped_table(tx, universe, configs, swap)
     fill = Fraction(1, 2) if lam is None else Fraction(lam) / (1 + Fraction(lam))
     return SamplerTables(quantize(tx.xi / (tx.xi + ty.xi)), tx, ty, fill)
 
@@ -665,6 +737,51 @@ def _fair_fill(plan: FillPlan, getrandbits) -> int:
     return fill
 
 
+def _table_draws(tables: SamplerTables, rng: Random, samples: int) -> list[tuple[int, int]]:
+    """``samples`` draws by inverting ``tables``, each reading the generator
+    as a 96-bit side draw, a 96-bit configuration draw and the fill (96 bits
+    per free vertex ascending, or ``_fair_fill``'s one call at lambda = 1)
+    do.  ``getrandbits`` fills its words from the low end, so for a and b
+    multiples of 32 one ``getrandbits(a + b)`` reads what ``getrandbits(a)``
+    then ``getrandbits(b)`` read: the side and configuration draws are the
+    halves of one 192-bit read, and a fair fill's read takes the next
+    draw's 192 lead bits too."""
+    getrandbits = rng.getrandbits
+    side_threshold = tables.side_threshold
+    row_x, row_y = ((t.thresholds, t.config_bits, t.free_bits) for t in (tables.x, tables.y))
+    fair = tables.fill_num == Fraction(1, 2)
+    fill_threshold = quantize(tables.fill_num)
+    plans: dict[int, FillPlan] = {}
+    out = []
+    lead = getrandbits(LEAD_BITS)
+    for _ in range(samples):
+        on_x = lead & DRAW_MASK < side_threshold
+        thresholds, config_bits, free_bits = row_x if on_x else row_y
+        i = bisect_left(thresholds, (lead >> DRAW_BITS) + 1)
+        bits, free = config_bits[i], free_bits[i]
+        if fair:
+            # _fair_fill inlined, its one call reading the next lead too
+            plan = plans.get(free)
+            if plan is None:
+                plan = plans[free] = _fair_fill_plan(free)
+            nbits, tops, mult, shift, window, more = plan
+            words = getrandbits(nbits + LEAD_BITS)
+            fill = (words & tops) * mult >> shift & window
+            for first, tops, mult, shift, window in more:
+                fill |= (words >> first & tops) * mult >> shift & window
+            lead = words >> nbits
+        else:
+            fill = 0
+            while free:
+                low = free & -free
+                free ^= low
+                if getrandbits(DRAW_BITS) < fill_threshold:
+                    fill |= low
+            lead = getrandbits(LEAD_BITS)
+        out.append((bits, fill) if on_x else (fill, bits))
+    return out
+
+
 def _sample_run(
     G: BipartiteGraph,
     m: WeightModel,
@@ -683,48 +800,33 @@ def _sample_run(
     if samples < 1:
         raise InvalidInputError("samples must be positive")
     rng = Random(seed)
-    getrandbits = rng.getrandbits
     lam = m.lam if m.variant == "hardcore" else None
     if mode == "table":
-        tables = sampler_tables(G, p, lam=lam)
-        side_threshold = tables.side_threshold
-        rows = {
-            t.side: (t.thresholds, t.config_bits, t.free_bits) for t in (tables.x, tables.y)
-        }
-
-        def defect(side: str) -> tuple[int, int]:
-            thresholds, config_bits, free_bits = rows[side]
-            i = bisect_left(thresholds, getrandbits(DRAW_BITS) + 1)
-            return config_bits[i], free_bits[i]
-
-    elif mode == "sequential":
-        def peeling(side: str) -> tuple[_Peeling, Fraction]:
-            # one universe per side for the whole run, a region a mask over
-            # it, and one memo that the side choice reads the whole side
-            # from too: Xi as its integer numerator over the universe's one
-            # denominator
-            u = enumerate_polymers(G, PolymerFamily(_membership(m), side, p), G.side_size(side))
-            den = m.class_weights(len(u.holding), u.stride - 1).denominator
-
-            @functools.cache
-            def xi_of(mask: int) -> int:
-                scaled = exact_xi(u, m, mask) * den
-                if scaled.denominator != 1:
-                    raise RuntimeError(f"Xi of side {side} is not over its common denominator")
-                return scaled.numerator
-
-            return _Peeling(G, side, u, m, xi_of), Fraction(xi_of(u.all), den)
-
-        (peel_x, vx), (peel_y, vy) = (peeling(side) for side in (X_SIDE, Y_SIDE))
-        peelings = {X_SIDE: peel_x, Y_SIDE: peel_y}
-        side_threshold = quantize(vx / (vx + vy))
-
-        def defect(side: str) -> tuple[int, int]:
-            bits = _sequential_defect(peelings[side], rng)
-            return bits, G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
-
-    else:
+        return _table_draws(sampler_tables(G, p, lam=lam), rng, samples)
+    if mode != "sequential":
         raise InvalidInputError(f"unknown sampling mode {mode!r}")
+
+    def peeling(side: str) -> tuple[_Peeling, Fraction]:
+        # one universe per side for the whole run, a region a mask over
+        # it, and one memo that the side choice reads the whole side
+        # from too: Xi as its integer numerator over the universe's one
+        # denominator
+        u = enumerate_polymers(G, PolymerFamily(_membership(m), side, p), G.side_size(side))
+        den = m.class_weights(len(u.holding), u.stride - 1).denominator
+
+        @functools.cache
+        def xi_of(mask: int) -> int:
+            scaled = exact_xi(u, m, mask) * den
+            if scaled.denominator != 1:
+                raise RuntimeError(f"Xi of side {side} is not over its common denominator")
+            return scaled.numerator
+
+        return _Peeling(G, side, u, m, xi_of), Fraction(xi_of(u.all), den)
+
+    (peel_x, vx), (peel_y, vy) = (peeling(side) for side in (X_SIDE, Y_SIDE))
+    peelings = {X_SIDE: peel_x, Y_SIDE: peel_y}
+    side_threshold = quantize(vx / (vx + vy))
+    getrandbits = rng.getrandbits
     fill_num = Fraction(1, 2) if lam is None else lam / (1 + lam)
     fair = fill_num == Fraction(1, 2)
     fill_threshold = quantize(fill_num)
@@ -732,7 +834,8 @@ def _sample_run(
     out = []
     for _ in range(samples):
         side = X_SIDE if getrandbits(DRAW_BITS) < side_threshold else Y_SIDE
-        bits, free = defect(side)
+        bits = _sequential_defect(peelings[side], rng)
+        free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
         if fair:
             # one call for the whole free side, planned once per free mask
             plan = plans.get(free)

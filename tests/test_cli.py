@@ -510,3 +510,17 @@ def test_exit_code_internal_on_broken_peeling_identity(capsys, c8_file, monkeypa
     assert "in _sequential_defect" in err
     assert "RuntimeError: peeling identity broken" in err
     assert err.rstrip().splitlines()[-1].startswith("internal error: RuntimeError")
+
+
+def test_count_expander_empty_universe_is_not_certified(capsys, tmp_path):
+    # torus [8,32] at the default c1 = 100: both expanding families are empty,
+    # so the 2^(n+1) answer is reported without the certified flag
+    path = tmp_path / "torus.graph"
+    assert main(["gen", "--kind", "torus", "--dims", "8", "32", "--out", str(path)]) == 0
+    doc = run_json(capsys, [
+        "count", "--graph", str(path), "--mode", "expander", "--epsilon", "0.5",
+    ])
+    res = doc["result"]
+    assert res["method"] == "expander-CE"
+    assert res["certified"] is False
+    assert res["flags"] == ["uncertified (empty universe)"]

@@ -832,3 +832,113 @@ def test_loaded_graph_carries_no_claim_and_counts_both_sides():
     loaded, names = _forced_outputs(H)
     assert names == [None] * 3
     assert loaded == _forced_outputs(G)[0]
+
+
+# -- side swap in the sampler tables -------------------------------------------
+
+
+LAMBDAS = [None, Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+def _tables_and_mu_hat(G, lam):
+    """The sampler tables and, where its pairs number in the tens of
+    thousands at most, the exact two-step measure.  Q5's measure lists
+    millions of pairs; it is a function of the tables, which are compared."""
+    tables = sampler_tables(G, P1, lam)
+    return tables, (exact_mu_hat(G, P1, lam) if G.n_x <= 12 else None)
+
+
+def _assert_swapped_tables_are_two_sided(build, lam):
+    G = build()
+    assert is_side_swap(G, G.claimed_swap)
+    # SideTable equality is every field's: bits, free sides, cumulative
+    # weights, denominator, thresholds and Xi
+    assert _tables_and_mu_hat(G, lam) == _tables_and_mu_hat(_claimless(build()), lam)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS, ids=["unweighted", "lam=1/2", "lam=1", "lam=2"])
+@pytest.mark.parametrize(
+    "build", list({**SWAP_GRAPHS, "Q5": lambda: hypercube(5)}.values()),
+    ids=list(SWAP_GRAPHS) + ["Q5"],
+)
+def test_swapped_sampler_tables_are_the_two_sided_build(build, lam):
+    _assert_swapped_tables_are_two_sided(build, lam)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([8, 10, 12]),
+    d=st.sampled_from([3, 4, 5]),
+    seed=st.integers(0, 1 << 16),
+    lam=st.sampled_from(LAMBDAS),
+)
+def test_swapped_sampler_tables_are_the_two_sided_build_on_random_shifts(n, d, seed, lam):
+    _assert_swapped_tables_are_two_sided(lambda: random_shift(n, d, seed), lam)
+
+
+def _recorded_memo_keys(G):
+    """G with its memo wrapped so that every key asked for is recorded."""
+    real, keys = G.memo, []
+
+    def recording(key, build):
+        keys.append(key)
+        return real(key, build)
+
+    G.memo = recording
+    return G, keys
+
+
+def _polymer_sides(keys):
+    return {key[1].side for key in keys if key[0] == "polymers"}
+
+
+@pytest.mark.parametrize("lam", [None, Fraction(1, 2)], ids=["unweighted", "lam=1/2"])
+def test_swapped_sampler_tables_build_no_y_universe(lam):
+    G, keys = _recorded_memo_keys(hypercube(4))
+    if lam is None:
+        sample_expander(G, 0.2, P1, seed=1, samples=5)
+    else:
+        sample_hardcore_expander(G, HardCoreParams(lam), 0.2, P1, seed=1, samples=5)
+    assert _polymer_sides(keys) == {X_SIDE}
+
+
+@pytest.mark.parametrize(
+    "build,claim",
+    [
+        (lambda: even_cycle(12), lambda G: _exchanged(G.claimed_swap)),
+        (lambda: random_regular(8, 3, 1), _identity),
+    ],
+    ids=["C12-exchanged", "rr(8,3,1)-identity"],
+)
+@pytest.mark.parametrize("lam", [None, Fraction(1, 2)], ids=["unweighted", "lam=1/2"])
+def test_false_side_swap_builds_both_sampler_tables(build, claim, lam):
+    G, keys = _recorded_memo_keys(build())
+    G.claimed_swap = claim(G)
+    assert not is_side_swap(G, G.claimed_swap)
+    refused = _tables_and_mu_hat(G, lam)
+    assert _polymer_sides(keys) == {X_SIDE, Y_SIDE}
+    assert refused == _tables_and_mu_hat(_claimless(build()), lam)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(a=st.integers(0, 12), b=st.integers(0, 12), seed=st.integers(0, 1 << 30))
+def test_getrandbits_fills_words_from_the_low_end(a, b, seed):
+    # the fair fill and the table draws' fused reads rest on this: one read
+    # of a + b bits, both multiples of 32, is a read of a bits below a read
+    # of b bits, and leaves the generator where the two reads do
+    a, b = 32 * a, 32 * b
+    one, two = Random(seed), Random(seed)
+    assert one.getrandbits(a + b) == two.getrandbits(a) | two.getrandbits(b) << a
+    assert one.getstate() == two.getstate()
+
+
+def test_empty_universe_is_not_certified():
+    # at the default c1 = 100 the expanding family of torus [8,32] is empty,
+    # and n = 128 is past the small-n regime: the convergence condition holds
+    # vacuously and the count is the bare 2^(n+1), about 14.9 nats below i(G)
+    out = count_expander(even_torus([8, 32]), 0.5)
+    assert out.method == "expander-CE"
+    assert [t.config_count for t in out.side_breakdown] == [1, 1]
+    assert out.kp_status == "verified-to-cap"
+    assert out.flags == ("uncertified (empty universe)",)
+    assert not out.certified
