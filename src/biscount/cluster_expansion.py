@@ -29,6 +29,7 @@ from .polymers import (
     PolymerFamily,
     PolymerUniverse,
     WeightModel,
+    class_counts,
     enumerate_polymers,
     log_series_coefficients,
     xi_size_polynomial,
@@ -215,9 +216,18 @@ def truncated_log_xi(
 
 def exact_xi(universe: PolymerUniverse, m: WeightModel, mask: int = -1) -> Fraction:
     """Xi of the polymers ``mask`` (default -1: all) of a complete universe,
-    the sum of its size polynomial over every compatible configuration;
-    more than polymers.CONFIG_BUDGET of them raise CapacityError."""
-    return sum(xi_size_polynomial(universe, m, mask=mask))
+    the sum of its size polynomial over every compatible configuration: one
+    integer, sum count * numerator(s, w) over the class cells of the
+    universe's kept walk, over the weights' one common denominator.  More
+    than polymers.CONFIG_BUDGET configurations raise CapacityError."""
+    stride = universe.stride
+    weights = m.class_weights(len(universe.holding), stride - 1)
+    numerator = weights.numerator
+    total = 0
+    for cell, count in class_counts(universe, mask=mask)[1]:
+        s, w = divmod(cell, stride)
+        total += count * numerator(s, w)
+    return Fraction(total, weights.denominator)
 
 
 def exact_log_xi(G: BipartiteGraph, fam: PolymerFamily, m: WeightModel) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -745,36 +745,49 @@ def _table_draws(tables: SamplerTables, rng: Random, samples: int) -> list[tuple
     multiples of 32 one ``getrandbits(a + b)`` reads what ``getrandbits(a)``
     then ``getrandbits(b)`` read: the side and configuration draws are the
     halves of one 192-bit read, and a fair fill's read takes the next
-    draw's 192 lead bits too."""
+    draw's 192 lead bits too.
+
+    Each side keeps one draw record per configuration, made on its first
+    draw: its bits and its free side's fill plan at lambda = 1, else its
+    bits and its free vertices' bits in ascending order."""
     getrandbits = rng.getrandbits
     side_threshold = tables.side_threshold
-    row_x, row_y = ((t.thresholds, t.config_bits, t.free_bits) for t in (tables.x, tables.y))
     fair = tables.fill_num == Fraction(1, 2)
     fill_threshold = quantize(tables.fill_num)
-    plans: dict[int, FillPlan] = {}
+
+    def record(table: SideTable, i: int) -> tuple:
+        free = table.free_bits[i]
+        if fair:
+            return table.config_bits[i], _fair_fill_plan(free)
+        lows = []
+        while free:
+            low = free & -free
+            free ^= low
+            lows.append(low)
+        return table.config_bits[i], tuple(lows)
+
+    sides = [(t, t.thresholds, [None] * len(t.thresholds)) for t in (tables.x, tables.y)]
     out = []
     lead = getrandbits(LEAD_BITS)
     for _ in range(samples):
         on_x = lead & DRAW_MASK < side_threshold
-        thresholds, config_bits, free_bits = row_x if on_x else row_y
-        i = bisect_left(thresholds, (lead >> DRAW_BITS) + 1)
-        bits, free = config_bits[i], free_bits[i]
+        table, thresholds, records = sides[0] if on_x else sides[1]
+        i = bisect_right(thresholds, lead >> DRAW_BITS)
+        rec = records[i]
+        if rec is None:
+            rec = records[i] = record(table, i)
         if fair:
             # _fair_fill inlined, its one call reading the next lead too
-            plan = plans.get(free)
-            if plan is None:
-                plan = plans[free] = _fair_fill_plan(free)
-            nbits, tops, mult, shift, window, more = plan
+            bits, (nbits, tops, mult, shift, window, more) = rec
             words = getrandbits(nbits + LEAD_BITS)
             fill = (words & tops) * mult >> shift & window
             for first, tops, mult, shift, window in more:
                 fill |= (words >> first & tops) * mult >> shift & window
             lead = words >> nbits
         else:
+            bits, lows = rec
             fill = 0
-            while free:
-                low = free & -free
-                free ^= low
+            for low in lows:
                 if getrandbits(DRAW_BITS) < fill_threshold:
                     fill |= low
             lead = getrandbits(LEAD_BITS)

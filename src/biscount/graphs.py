@@ -234,7 +234,9 @@ class BipartiteGraph:
         holds, by key:
 
         - ``("square", side)``: ``square_rows``;
-        - ``("closure_candidates", side)``: ``closure_candidates``;
+        - ``("closure_reads", side)``: ``closure_reads``, the walk's
+          per-vertex closure candidates and byte tables, each built on its
+          first read;
         - ``("nonexpanding_closed", params)``: the container pool with the
           multiplicity D(A) of each pool set A, counted by the one walk of
           ``containers.pool_multiplicities``;
@@ -280,20 +282,54 @@ class BipartiteGraph:
 
         return self.memo(("square", side), build)
 
-    def closure_candidates(self, side: str) -> list[tuple[tuple[int, int], ...]]:
-        """Per vertex u, the pairs (1 << v, row of v) for u itself and its
-        square-graph neighbours: the only vertices that can join [S] when u
-        joins S, as a vertex that newly fits inside N(S) has a neighbour in
-        N(u)."""
+    def closure_reads(self, side: str) -> ClosureReads:
+        """The lazy per-vertex closure reads of one side (``ClosureReads``)."""
+        return self.memo(("closure_reads", side), lambda: ClosureReads(self, side))
 
-        def build() -> list[tuple[tuple[int, int], ...]]:
-            rows = self.rows(side)
-            return [
-                tuple((1 << v, rows[v]) for v in iter_bits(square | 1 << u))
-                for u, square in enumerate(self.square_rows(side))
-            ]
 
-        return self.memo(("closure_candidates", side), build)
+class ClosureReads:
+    """Per vertex u of one side, ``entries[u]`` is None until ``entry(u)``
+    builds it: the closure candidates ``cand`` (u and its square-graph
+    neighbours, the only vertices that can join [S] when u joins S, as a
+    vertex that newly fits inside N(S) has a neighbour in N(u)) and the
+    (shift, table) reads over the bytes their neighbours meet.
+
+    The byte table at shift 8k maps 8 bits of the other side, from 8k, to
+    the OR of their rows, so a candidate fits inside a neighbourhood W
+    exactly when it is missing from the OR of
+    ``table[(full ^ W) >> shift & 0xFF]`` over the reads, ``full`` the other
+    side's mask: a vertex outside W that no candidate neighbours blocks no
+    candidate.  Each table is built on its first read as well."""
+
+    def __init__(self, G: BipartiteGraph, side: str) -> None:
+        self.rows = G.rows(side)
+        self.square = G.square_rows(side)
+        self.other = G.rows(opposite(side))
+        self.full = G.full_mask(opposite(side))
+        self.entries: list[tuple | None] = [None] * len(self.rows)
+        self.tables: list[list[int] | None] = [None] * (len(self.other) + 7 >> 3)
+
+    def entry(self, u: int) -> tuple[int, tuple[tuple[int, list[int]], ...]]:
+        rows, tables, cand = self.rows, self.tables, self.square[u] | 1 << u
+        touch, rest = 0, cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            touch |= rows[low.bit_length() - 1]
+        reads = []
+        rest = touch
+        while rest:
+            k = (rest & -rest).bit_length() - 1 >> 3
+            table = tables[k]
+            if table is None:
+                # entry m is the OR of the rows of the bits of m, doubled per row
+                table = tables[k] = [0]
+                for row in self.other[k << 3 : k + 1 << 3]:
+                    table += [t | row for t in table]
+            reads.append((k << 3, table))
+            rest &= ~(0xFF << (k << 3))
+        entry = self.entries[u] = (cand, tuple(reads))
+        return entry
 
 
 def is_side_swap(G: BipartiteGraph, swap: SideSwap) -> bool:
@@ -468,33 +504,55 @@ def two_linked_sets(
 
     A forbidden-set walk over the connected sets of the square graph,
     min-rooted over every root: S grows only above its lowest vertex.  N(S)
-    and [S] are carried, grown by the rows of each added vertex.  With
-    ``top``, a set with |N(S)| > top[|[S]|] is neither yielded nor grown.
-    Both sizes only grow with S, so when ``top`` never increases every
-    superset of such a set fails too, and the walk yields exactly the sets
-    within the bound.  A cap below 1 yields nothing."""
+    and [S] are carried, grown by the rows of each added vertex u: [S] gains
+    the closure candidates of u that no vertex outside N(S) blocks, read
+    from the byte tables of ``G.closure_reads``.  Sets at the cap are
+    yielded where the stack would pop them and never pushed.
+
+    With ``top``, a set with |N(S)| > top[|[S]|] is neither yielded nor
+    grown, and it is cut before it is pushed: first, before its closure is
+    computed, when |N(S)| exceeds every top entry at or after |S| (sound as
+    |[S]| >= |S|), then by top[|[S]|] itself.  Both sizes only grow with S,
+    so when ``top`` never increases every superset of such a set fails too,
+    and the walk yields exactly the sets within the bound.  A walk whose
+    roots are all cut reads no closure.  A cap below 1 yields nothing."""
     n = G.side_size(side)
     cap = min(size_cap, n)
     if cap < 1:
         return
     rows = G.rows(side)
     square = G.square_rows(side)
-    gains = G.closure_candidates(side)
+    reads_of = G.closure_reads(side)
+    entries, entry, full = reads_of.entries, reads_of.entry, reads_of.full
+    pruned = top is not None
+    if pruned:
+        # most[k]: the largest top entry at or after k
+        most = list(top)
+        for k in range(len(most) - 2, -1, -1):
+            most[k] = max(most[k], most[k + 1])
     for r in range(n):
-        forbidden = (2 << r) - 1
         nbhd = rows[r]
-        closed = 0
-        for bit, row in gains[r]:
-            if not row & ~nbhd:
-                closed |= bit
+        if pruned and nbhd.bit_count() > most[1]:
+            continue
+        cand, reads = entries[r] or entry(r)
+        outside = full ^ nbhd
+        blocked = 0
+        for shift, table in reads:
+            blocked |= table[outside >> shift & 0xFF]
+        closed = cand & ~blocked
+        if pruned and nbhd.bit_count() > top[closed.bit_count()]:
+            continue
+        forbidden = (2 << r) - 1
         stack = [(1 << r, 1, nbhd, closed, square[r] & ~forbidden, forbidden)]
         while stack:
             s, size, nbhd, closed, frontier, forbidden = stack.pop()
-            if top is not None and nbhd.bit_count() > top[closed.bit_count()]:
-                continue
             yield s, nbhd, closed
             if size == cap:
                 continue
+            size += 1
+            # children at the cap are yielded as the stack would pop them,
+            # last first, and never pushed
+            leaves = [] if size == cap else None
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
@@ -503,19 +561,32 @@ def two_linked_sets(
                 wider = nbhd | rows[u]
                 grown = closed
                 if wider != nbhd:
-                    # [S] grows only by u and the vertices sharing a
-                    # neighbour with it, once their rows fit inside N(S)
-                    for bit, row in gains[u]:
-                        if not row & ~wider:
-                            grown |= bit
-                stack.append((
-                    s | low,
-                    size + 1,
-                    wider,
-                    grown,
-                    frontier | (square[u] & ~forbidden),
-                    forbidden,
-                ))
+                    # with N(S) unchanged the child passes the parent's test
+                    if pruned:
+                        width = wider.bit_count()
+                        if width > most[size]:
+                            continue
+                    cand, reads = entries[u] or entry(u)
+                    outside = full ^ wider
+                    blocked = 0
+                    for shift, table in reads:
+                        blocked |= table[outside >> shift & 0xFF]
+                    grown |= cand & ~blocked
+                    if pruned and width > top[grown.bit_count()]:
+                        continue
+                if leaves is None:
+                    stack.append((
+                        s | low,
+                        size,
+                        wider,
+                        grown,
+                        frontier | (square[u] & ~forbidden),
+                        forbidden,
+                    ))
+                else:
+                    leaves.append((s | low, wider, grown))
+            if leaves:
+                yield from reversed(leaves)
 
 
 # -- text format ---------------------------------------------------------------

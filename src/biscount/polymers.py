@@ -243,8 +243,12 @@ class PolymerUniverse(tuple):
         self.holding, reach = {}, 0
         for i, p in enumerate(self):
             reach |= p.nbhd
-            for v in iter_bits(p.bits):
-                self.holding[v] = self.holding.get(v, 0) | 1 << i
+            bit, rest = 1 << i, p.bits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                self.holding[v] = self.holding.get(v, 0) | bit
         # a configuration covers w <= |union of N(gamma)| neighbours, so the
         # cell s * stride + w is a sum of per-polymer keys without carries
         self.stride = reach.bit_count() + 1
@@ -365,6 +369,23 @@ class SizePolynomial(list):
     configs = 0
 
 
+def class_counts(
+    universe: PolymerUniverse, upto: int | None = None, mask: int = -1,
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The universe's ``walks`` entry of the configurations of ``mask``
+    (default -1: all) with total size at most ``upto`` (default: every
+    one): their number, and each class cell s * stride + w with its count,
+    walked on first use.  A budget at or past the mask's total size walks
+    every configuration and shares one entry."""
+    mask &= universe.all
+    total = sum(map(universe.sizes.__getitem__, iter_bits(mask)))
+    key = (total if upto is None else min(max(upto, 0), total), mask)
+    walk = universe.walks.get(key)
+    if walk is None:
+        walk = universe.walks[key] = _count_cells(universe, key[0], mask)
+    return walk
+
+
 def xi_size_polynomial(
     universe: PolymerUniverse, m: WeightModel, upto: int | None = None, mask: int = -1,
 ) -> SizePolynomial:
@@ -376,20 +397,13 @@ def xi_size_polynomial(
     Compatible polymers have disjoint vertices and disjoint neighbourhoods,
     so a configuration's weight depends only on its class (s, w), its total
     size and total neighbourhood size: the walk only counts configurations
-    per class, and each nonzero class is weighed once, in integers over one
-    common denominator.  The counts are kept in the universe's ``walks``,
-    so a later call on the same (budget, mask), under any weight model,
-    only weighs them; a budget at or past the mask's total size walks every
-    configuration and shares one entry."""
-    mask &= universe.all
-    total = sum(map(universe.sizes.__getitem__, iter_bits(mask)))
+    per class (``class_counts``), and each nonzero class is weighed once, in
+    integers over one common denominator.  The counts are kept in the
+    universe's ``walks``, so a later call on the same (budget, mask), under
+    any weight model, only weighs them."""
     if upto is None:
-        upto = total
-    key = (min(max(upto, 0), total), mask)
-    walk = universe.walks.get(key)
-    if walk is None:
-        walk = universe.walks[key] = _count_cells(universe, key[0], mask)
-    configs, cells = walk
+        upto = sum(map(universe.sizes.__getitem__, iter_bits(mask & universe.all)))
+    configs, cells = class_counts(universe, upto, mask)
     stride = universe.stride
     weights = m.class_weights(len(universe.holding), stride - 1)
     nums = [0] * (upto + 1)

@@ -393,3 +393,30 @@ def test_grouped_kp_matches_pairwise_on_named_graphs(name, model):
     uni = enumerate_polymers(G, PolymerFamily(membership, "X", P1), min(ell, G.n_x))
     assert uni
     assert_kp_matches_pairwise(uni, m, kp)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: even_cycle(8), lambda: even_cycle(12), lambda: hypercube(3), lambda: hypercube(4),
+     lambda: random_shift(8, 3, 1)],
+    ids=["C8", "C12", "Q3", "Q4", "shift(8,3)"],
+)
+@pytest.mark.parametrize(
+    "lam", [None, Fraction(1, 2), Fraction(1), Fraction(3, 7), Fraction(2)],
+    ids=["unweighted", "1/2", "1", "3/7", "2"],
+)
+def test_exact_xi_is_the_sum_of_the_size_polynomial_on_every_region(make, lam):
+    # Xi summed as one integer over the class cells equals the sum of the
+    # size polynomial's coefficients; the polynomial walks a second graph
+    # object, so the two read independently kept walks
+    m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
+    membership = "expanding" if lam is None else "small"
+    G, H = make(), make()
+    for side in ("X", "Y"):
+        fam = PolymerFamily(membership, side, P1)
+        n = G.side_size(side)
+        full, twin = enumerate_polymers(G, fam, n), enumerate_polymers(H, fam, n)
+        for region in range(1 << n):
+            xi = exact_xi(full, m, full.within(region))
+            assert isinstance(xi, Fraction)
+            assert xi == sum(xi_size_polynomial(twin, m, mask=twin.within(region)))

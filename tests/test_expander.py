@@ -572,6 +572,29 @@ def test_table_draws_pinned(c8, lam):
 
 
 @pytest.mark.parametrize(
+    "G",
+    [even_cycle(12), hypercube(4), random_shift(10, 3, 1), random_shift(10, 3, 2),
+     random_regular(8, 3, 1)],
+    ids=["C12", "Q4", "shift(10,3,1)", "shift(10,3,2)", "rr(8,3,1)"],
+)
+@pytest.mark.parametrize(
+    "lam", [None, Fraction(1, 2), Fraction(3, 7), Fraction(2)],
+    ids=["unweighted", "1/2", "3/7", "2"],
+)
+def test_table_draws_match_the_free_mask_loop(G, lam):
+    # one draw record per configuration, made on its first draw, gives the
+    # draws of the loop that keeps fill plans per free mask and bisects on
+    # r + 1; rr(8,3,1) claims no side swap, so both sides are built
+    tables = sampler_tables(G, P1, lam=lam)
+    for seed in (1, 7, 11):
+        if lam is None:
+            draws = sample_expander(G, 0.2, P1, seed=seed, samples=2000)
+        else:
+            draws = sample_hardcore_expander(G, HardCoreParams(lam), 0.2, P1, seed=seed, samples=2000)
+        assert draws == util.free_mask_table_draws(tables, Random(seed), 2000)
+
+
+@pytest.mark.parametrize(
     "G,builds",
     [(even_cycle(8), 1), (hypercube(4), 1), (random_regular(8, 3, 1), 2)],
     ids=["C8", "Q4", "rr(8,3,1)"],

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biscount import (
     BipartiteGraph,
@@ -14,6 +16,7 @@ from biscount import (
     SideSet,
     check_alpha_expander,
     closure,
+    count_expander,
     dump_graph,
     is_expanding,
     is_two_linked,
@@ -33,9 +36,17 @@ from biscount.graphs import (
     two_linked_component_bits,
     two_linked_sets,
 )
-from biscount.instances import even_cycle, random_regular, random_shift
+from biscount.instances import (
+    complete_bipartite,
+    even_cycle,
+    even_torus,
+    hypercube,
+    random_regular,
+    random_shift,
+)
+from biscount.polymers import PolymerFamily
 
-from util import P1, P100, random_instances
+from util import P1, P100, closure_candidates, random_instances, reference_two_linked_sets
 
 
 def random_subsets(G, side, rng, count=40):
@@ -198,7 +209,7 @@ def test_closure_candidates_are_each_vertex_and_its_square_neighbours():
         for side in ("X", "Y"):
             rows, sq = G.rows(side), G.square_rows(side)
             n = G.side_size(side)
-            table = G.closure_candidates(side)
+            table = closure_candidates(G, side)
             assert len(table) == n
             for u, pairs in enumerate(table):
                 want = tuple((1 << v, rows[v]) for v in range(n) if v == u or sq[u] >> v & 1)
@@ -321,3 +332,61 @@ def test_random_regular_reproducible():
     a = random_regular(8, 3, seed=99)
     b = random_regular(8, 3, seed=99)
     assert dump_graph(a) == dump_graph(b)
+
+
+def family_top(G, fam):
+    """The largest |N| a polymer family admits beside each |[S]|, the bound
+    ``polymers.enumerate_polymers`` walks under (-1 where it admits none)."""
+    n, n_other = G.side_size(fam.side), G.side_size(opposite(fam.side))
+    return [
+        max((w for w in range(n_other + 1) if fam.admits_sizes(G, w, a)), default=-1)
+        for a in range(n + 1)
+    ]
+
+
+WALK_GRAPHS = st.one_of(
+    st.builds(random_shift, st.integers(8, 16), st.integers(2, 6), st.integers(0, 999)),
+    st.builds(
+        lambda half, d, seed: random_regular(2 * half, d, seed),
+        st.integers(3, 6), st.integers(2, 4), st.integers(0, 999),
+    ),
+    st.sampled_from([3, 4, 5]).map(hypercube),
+    st.sampled_from([[4, 4], [4, 6], [6, 4]]).map(even_torus),
+    st.integers(1, 8).map(complete_bipartite),
+    st.integers(2, 16).map(lambda half: even_cycle(2 * half)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(G=WALK_GRAPHS, data=st.data())
+def test_two_linked_sets_yields_the_reference_walk_in_order(G, data):
+    # the byte-table closures and the cuts made before a push leave the
+    # (S, N(S), [S]) sequence as the walk that re-tests every candidate and
+    # bounds a set when it is popped yields it, on a cold and a warm graph
+    # any top, increasing or not, leaves the sequence alone too
+    side = data.draw(st.sampled_from(["X", "Y"]))
+    n, n_other = G.side_size(side), G.side_size(opposite(side))
+    cap = data.draw(st.integers(1, n))
+    family = data.draw(st.sampled_from(
+        [None, ("expanding", P1), ("expanding", P100), ("small", P1), "any"]
+    ))
+    if family is None:
+        top = None
+    elif family == "any":
+        top = data.draw(st.lists(st.integers(-1, n_other), min_size=n + 1, max_size=n + 1))
+    else:
+        top = family_top(G, PolymerFamily(family[0], side, family[1]))
+    want = list(reference_two_linked_sets(G, side, cap, top))
+    assert list(two_linked_sets(G, side, cap, top)) == want
+    assert list(two_linked_sets(G, side, cap, top)) == want
+
+
+def test_a_walk_with_every_root_cut_builds_no_byte_table():
+    # at the default c1 no set of random_shift(512, 8, 1) expands, so every
+    # root is cut before its closure is read and the lazy reads stay empty
+    G = random_shift(512, 8, 1)
+    count_expander(G, 0.2)
+    for side in ("X", "Y"):
+        reads = G.closure_reads(side)
+        assert reads.entries == [None] * G.side_size(side)
+        assert reads.tables == [None] * len(reads.tables)

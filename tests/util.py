@@ -29,7 +29,7 @@ from biscount import (
     threshold_degree_set,
 )
 from biscount import general_count
-from biscount.expander import DRAW_BITS, quantize
+from biscount.expander import DRAW_BITS, DRAW_MASK, LEAD_BITS, _fair_fill_plan, quantize
 from biscount.graphs import bits_of, closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.graphs import two_linked_sets as graph_two_linked_sets
 from biscount.instances import random_regular, random_shift
@@ -86,6 +86,68 @@ def two_linked_sets(G: BipartiteGraph, side: str) -> list[SideSet]:
         for bits in range(1, 1 << n)
         if is_two_linked(G, SideSet(side, bits))
     ]
+
+
+def closure_candidates(G: BipartiteGraph, side: str) -> list[tuple[tuple[int, int], ...]]:
+    """Per vertex u, the pairs (1 << v, row of v) for u itself and its
+    square-graph neighbours: the only vertices that can join [S] when u
+    joins S, as a vertex that newly fits inside N(S) has a neighbour in
+    N(u)."""
+    rows = G.rows(side)
+    return [
+        tuple((1 << v, rows[v]) for v in iter_bits(square | 1 << u))
+        for u, square in enumerate(G.square_rows(side))
+    ]
+
+
+def reference_two_linked_sets(
+    G: BipartiteGraph, side: str, size_cap: int, top: Sequence[int] | None = None,
+) -> Iterator[tuple[int, int, int]]:
+    """The 2-linked walk written the direct way: each child re-tests every
+    closure candidate of the added vertex, every child is pushed, and the
+    ``top`` bound is applied when a set is popped.  ``graphs.two_linked_sets``
+    must yield the same (S, N(S), [S]) sequence in the same order."""
+    n = G.side_size(side)
+    cap = min(size_cap, n)
+    if cap < 1:
+        return
+    rows = G.rows(side)
+    square = G.square_rows(side)
+    gains = closure_candidates(G, side)
+    for r in range(n):
+        forbidden = (2 << r) - 1
+        nbhd = rows[r]
+        closed = 0
+        for bit, row in gains[r]:
+            if not row & ~nbhd:
+                closed |= bit
+        stack = [(1 << r, 1, nbhd, closed, square[r] & ~forbidden, forbidden)]
+        while stack:
+            s, size, nbhd, closed, frontier, forbidden = stack.pop()
+            if top is not None and nbhd.bit_count() > top[closed.bit_count()]:
+                continue
+            yield s, nbhd, closed
+            if size == cap:
+                continue
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                u = low.bit_length() - 1
+                forbidden |= low
+                wider = nbhd | rows[u]
+                grown = closed
+                if wider != nbhd:
+                    for bit, row in gains[u]:
+                        if not row & ~wider:
+                            grown |= bit
+                stack.append((
+                    s | low,
+                    size + 1,
+                    wider,
+                    grown,
+                    frontier | (square[u] & ~forbidden),
+                    forbidden,
+                ))
 
 
 def random_instances(count: int, seed: int, max_side: int = 12):
@@ -336,6 +398,47 @@ def reference_table_draws(
         bits_list, thresholds, _ = sides[side]
         bits = bits_list[bisect_left(thresholds, rng.getrandbits(DRAW_BITS) + 1)]
         out.append(reference_fill(G, side, bits, lam, rng))
+    return out
+
+
+def free_mask_table_draws(tables, rng: random.Random, samples: int) -> list[tuple[int, int]]:
+    """Table-mode draws from the package's ``SamplerTables`` by a second
+    loop: the configuration found by ``bisect_left(thresholds, r + 1)``,
+    its free side's fill plan kept per free mask, and a lambda != 1 fill
+    walking the free mask's bits on every draw.  It reads the generator as
+    ``expander._table_draws`` does."""
+    getrandbits = rng.getrandbits
+    side_threshold = tables.side_threshold
+    row_x, row_y = ((t.thresholds, t.config_bits, t.free_bits) for t in (tables.x, tables.y))
+    fair = tables.fill_num == Fraction(1, 2)
+    fill_threshold = quantize(tables.fill_num)
+    plans = {}
+    out = []
+    lead = getrandbits(LEAD_BITS)
+    for _ in range(samples):
+        on_x = lead & DRAW_MASK < side_threshold
+        thresholds, config_bits, free_bits = row_x if on_x else row_y
+        i = bisect_left(thresholds, (lead >> DRAW_BITS) + 1)
+        bits, free = config_bits[i], free_bits[i]
+        if fair:
+            plan = plans.get(free)
+            if plan is None:
+                plan = plans[free] = _fair_fill_plan(free)
+            nbits, tops, mult, shift, window, more = plan
+            words = getrandbits(nbits + LEAD_BITS)
+            fill = (words & tops) * mult >> shift & window
+            for first, tops, mult, shift, window in more:
+                fill |= (words >> first & tops) * mult >> shift & window
+            lead = words >> nbits
+        else:
+            fill = 0
+            while free:
+                low = free & -free
+                free ^= low
+                if getrandbits(DRAW_BITS) < fill_threshold:
+                    fill |= low
+            lead = getrandbits(LEAD_BITS)
+        out.append((bits, fill) if on_x else (fill, bits))
     return out
 
 
