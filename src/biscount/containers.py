@@ -226,18 +226,13 @@ def pool_multiplicities(
     are kept in the graph's memo and handed out as a read-only view."""
 
     def build() -> Mapping[SideSet, int]:
-        width = G.n_x + 1
-        expands = [
-            params.expands(G.d, nbhd, closed)
-            for nbhd in range(G.n_y + 1)
-            for closed in range(width)
-        ]
+        expands = params.expands_table(G.d, G.n_x, G.n_y)
         hits: dict[int, int] = {}
         for _, nbhd, closed in two_linked_sets(G, X_SIDE, G.n_x):
             k = hits.get(closed)
             if k is not None:
                 hits[closed] = k + 1
-            elif not expands[nbhd.bit_count() * width + closed.bit_count()]:
+            elif not expands[closed.bit_count()][nbhd.bit_count()]:
                 hits[closed] = 1
         return MappingProxyType({SideSet(X_SIDE, bits): hits[bits] for bits in sorted(hits)})
 

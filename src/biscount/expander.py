@@ -51,12 +51,13 @@ from .oracle import (
     exact_hardcore,
     quantize,
 )
+from . import polymers
 from .polymers import (
     PolymerFamily,
     PolymerUniverse,
     WeightModel,
+    compatible_configs,
     enumerate_polymers,
-    iter_compatible_configs,
 )
 
 LN2 = math.log(2)
@@ -473,7 +474,7 @@ def _build_side_table(
     G: BipartiteGraph, fam: PolymerFamily, m: WeightModel
 ) -> tuple[SideTable, PolymerUniverse, list[tuple[int, ...]]]:
     """One side's table, with the universe it walks and each configuration's
-    polymer indices, in walk order."""
+    polymer indices, in walk order, under ``polymers.CONFIG_BUDGET``."""
     side, other = fam.side, opposite(fam.side)
     n, n_other = G.side_size(side), G.side_size(other)
     universe = enumerate_polymers(G, fam, n)
@@ -481,16 +482,13 @@ def _build_side_table(
     # configuration of size s and |N| = w weighs what its class (s, w) does
     weights = m.class_weights(n, n_other)
     full = G.full_mask(other)
-    configs: list[tuple[int, ...]] = []
-    bits_list: list[int] = []
-    free_list: list[int] = []
-    cum: list[int] = []
+    configs, bits_list, free_list, cum = [], [], [], []
     acc = 0
-    for config in iter_compatible_configs(universe):
-        bits = nbhd = 0
-        for i in config:
-            bits |= universe[i].bits
-            nbhd |= universe[i].nbhd
+    budget = polymers.CONFIG_BUDGET
+    for config, bits, nbhd in compatible_configs(
+        universe.incompat, [p.bits for p in universe], [p.nbhd for p in universe],
+        budget, f"more than {budget} polymer configurations",
+    ):
         acc += weights.numerator(bits.bit_count(), nbhd.bit_count())
         configs.append(config)
         bits_list.append(bits)

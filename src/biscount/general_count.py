@@ -53,11 +53,17 @@ from .graphs import (
     closure_bits,
     is_expanding,
     is_two_linked,
-    iter_bits,
     linked_in,
     neighborhood_bits,
 )
-from .polymers import PolymerFamily, WeightModel, enumerate_polymers
+from .polymers import (
+    Polymer,
+    PolymerFamily,
+    WeightModel,
+    compatible_configs,
+    enumerate_polymers,
+    incompatibility_masks,
+)
 
 
 FAMILY_BUDGET = 1 << 20  # families one listing may visit
@@ -67,55 +73,14 @@ def _families_over(
     G: BipartiteGraph, pool: list[SideSet]
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Each family over ``pool`` as (its pool indices, N(union),
-    N(N(union))), depth first in pool order: the empty family, then each
-    family followed by its extensions by a later set whose neighbourhood
-    avoids the family's.  The one family walk: ``_region_weights`` folds
-    each family into its region as it comes, so no family is kept, and
-    ``FAMILY_BUDGET`` bounds the families visited.
-
-    The walk runs on an explicit stack.  A frame holds a family, the mask of
-    pool indices still open to it and its two neighbourhoods, so each family
-    costs a few mask operations.  A child's open indices are the parent's
-    later open indices that avoid the new set's neighbourhood, read from
-    ``compatible[i]``: the indices whose neighbourhood avoids N(pool[i]),
-    built from per-Y-vertex masks of the indices holding that vertex."""
+    N(N(union))): the compatible collections of the pool sets taken as X
+    polymers, in ``compatible_configs``' order under ``FAMILY_BUDGET``."""
     nbhds = [neighborhood_bits(G, X_SIDE, s.bits) for s in pool]
     seconds = [neighborhood_bits(G, Y_SIDE, nb) for nb in nbhds]
-    holders = [0] * G.n_y
-    for i, nb in enumerate(nbhds):
-        for y in iter_bits(nb):
-            holders[y] |= 1 << i
-    everyone = (1 << len(pool)) - 1
-    compatible = []
-    for nb in nbhds:
-        clash = 0
-        for y in iter_bits(nb):
-            clash |= holders[y]
-        compatible.append(everyone & ~clash)
-
+    clash = incompatibility_masks([Polymer(X_SIDE, s.bits, nb) for s, nb in zip(pool, nbhds)])
     budget = FAMILY_BUDGET
-    produced = 1
-    yield (), 0, 0
-    stack = [((), everyone, 0, 0)]
-    while stack:
-        members, avail, used, blocked = stack[-1]
-        if not avail:
-            stack.pop()
-            continue
-        low = avail & -avail
-        avail ^= low
-        stack[-1] = (members, avail, used, blocked)
-        produced += 1
-        if produced > budget:
-            raise CapacityError(f"family stream exceeds {budget} members")
-        i = low.bit_length() - 1
-        members += (i,)
-        used |= nbhds[i]
-        blocked |= seconds[i]
-        yield members, used, blocked
-        avail &= compatible[i]
-        if avail:
-            stack.append((members, avail, used, blocked))
+    over = f"family stream exceeds {budget} members"
+    return compatible_configs(clash, nbhds, seconds, budget, over)
 
 
 def _region_weights(G: BipartiteGraph, p: ExpansionParams) -> dict[int, tuple[int, int]]:

@@ -115,6 +115,13 @@ class ExpansionParams:
         """The expansion rule on sizes: |N(A)| - |[A]| >= threshold(d, |N(A)|)."""
         return nbhd_size - closure_size >= self.threshold(d, nbhd_size)
 
+    def expands_table(self, d: int, max_closure: int, max_nbhd: int) -> list[list[bool]]:
+        """``expands(d, w, a)`` as table[a][w] for every a <= max_closure and
+        w <= max_nbhd, the threshold's slope in w taken once: its value at 1."""
+        slope = self.threshold(d, 1)
+        bars = [slope * w for w in range(max_nbhd + 1)]
+        return [[w - a >= bar for w, bar in enumerate(bars)] for a in range(max_closure + 1)]
+
 
 def is_small_closure(side_size: int, closure_size: int) -> bool:
     """The smallness rule on sizes: [A] covers at most half of its side."""

@@ -1,10 +1,11 @@
 """Exact reference counters, distributions, and samplers.
 
 Everything in this module is arbitrary-precision integer or Fraction
-arithmetic; it exists to verify the approximate algorithms, not to compete
-with them.  Counts use two independent routes (a one-side subset sweep for
-bipartite inputs and a branching recursion for arbitrary graphs) so each can
-check the other.
+arithmetic.  It is the yardstick the approximate counters and samplers are
+measured against: their answers are checked against it, and their speed is
+worth something only where they beat it.  Counts use two independent routes
+(a one-side subset sweep for bipartite inputs and a branching recursion for
+arbitrary graphs) so each can check the other.
 """
 
 from __future__ import annotations

@@ -79,6 +79,14 @@ class PolymerFamily:
             return is_small_closure(G.side_size(self.side), closure_size)
         raise InvalidInputError(f"unknown membership {self.membership!r}")
 
+    def admitted_table(self, G: BipartiteGraph) -> list[list[bool]]:
+        """``admits_sizes`` as table[|[S]|][|N(S)|] over the family's side and
+        the other; the smallness rule reads |[S]| alone."""
+        n, n_other = G.side_size(self.side), G.side_size(opposite(self.side))
+        if self.membership == "expanding":
+            return self.params.expands_table(G.d, n, n_other)
+        return [[self.admits_sizes(G, 0, a)] * (n_other + 1) for a in range(n + 1)]
+
 
 class WeightModel:
     """Polymer weight assignment with exact-rational and log evaluation."""
@@ -171,11 +179,7 @@ def _build_universe(G: BipartiteGraph, fam: PolymerFamily, size_cap: int) -> Pol
     ``admits_sizes`` accepts beside each |[S]|: both only grow with S and
     |N| never exceeds the other side, so past it no superset is a polymer."""
     side = fam.side
-    n = G.side_size(side)
-    n_other = G.side_size(opposite(side))
-    admitted = [
-        [fam.admits_sizes(G, w, a) for w in range(n_other + 1)] for a in range(n + 1)
-    ]
+    admitted = fam.admitted_table(G)
     top = [max((w for w, ok in enumerate(row) if ok), default=-1) for row in admitted]
     out: list[Polymer] = []
     for bits, nbhd, closed in two_linked_sets(G, side, size_cap, top=top):
@@ -290,48 +294,52 @@ def _fits_masks(sizes: Sequence[int], budget: int) -> list[int]:
     return fits
 
 
-def iter_compatible_configs(
-    universe: PolymerUniverse, max_size: int | None = None, mask: int = -1,
-) -> Iterator[tuple[int, ...]]:
-    """Every collection of pairwise-compatible polymers of ``mask`` (default
-    -1: all) as a tuple of ascending universe indices; the empty collection
-    comes first.  With ``max_size``, only those of total size at most
-    ``max_size``: a polymer too large for the budget left is masked out
-    before it is tried.  More than ``CONFIG_BUDGET`` of them raise CapacityError."""
-    incompat, sizes = universe.incompat, universe.sizes
-    max_configs = CONFIG_BUDGET  # read once, not per configuration
-    budget = sum(sizes) if max_size is None else max(max_size, 0)
-    fits = universe.fits(budget)
-    count = 0
-
-    def walk(free: int, chosen: tuple[int, ...], room: int) -> Iterator[tuple[int, ...]]:
-        # free: the polymers after the last choice compatible with all of it
-        nonlocal count
+def compatible_configs(
+    incompat: Sequence[int], firsts: Sequence[int], seconds: Sequence[int], budget: int, over: str,
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every collection of items that pairwise clear ``incompat`` (bit j of
+    incompat[i]: i and j clash), as (its ascending indices, the OR of its
+    ``firsts``, the OR of its ``seconds``), the empty one first, then depth
+    first.  Past ``budget`` collections it raises CapacityError(``over``).
+    A stack frame holds a collection, the later items still open to it and
+    its two ORs, so a collection costs a few mask operations."""
+    if budget < 1:  # the empty collection is the first one met
+        raise CapacityError(over)
+    everyone = (1 << len(incompat)) - 1
+    clear = [everyone & ~clash for clash in incompat]  # nonnegative, so & stays cheap
+    count = 1
+    yield (), 0, 0
+    stack = [((), everyone, 0, 0)]
+    while stack:
+        chosen, free, first, second = stack[-1]
+        if not free:
+            stack.pop()
+            continue
+        low = free & -free
+        free ^= low
+        stack[-1] = (chosen, free, first, second)
         count += 1
-        if count > max_configs:
-            raise CapacityError(f"more than {max_configs} polymer configurations")
-        yield chosen
-        while free:
-            low = free & -free
-            free ^= low
-            i = low.bit_length() - 1
-            left = room - sizes[i]
-            yield from walk(free & ~incompat[i] & fits[left], chosen + (i,), left)
-
-    yield from walk(fits[budget] & mask, (), budget)
+        if count > budget:
+            raise CapacityError(over)
+        i = low.bit_length() - 1
+        chosen += (i,)
+        first |= firsts[i]
+        second |= seconds[i]
+        yield chosen, first, second
+        free &= clear[i]
+        if free:
+            stack.append((chosen, free, first, second))
 
 
 def _count_cells(
     universe: PolymerUniverse, budget: int, mask: int
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The configurations ``iter_compatible_configs(universe, budget, mask)``
-    visits, counted per class cell s * stride + w: their number, and each
-    cell with its count in the order the walk first meets it.
-
-    The same depth-first walk on an explicit stack, carrying each
-    configuration's cell as the sum of its polymers' keys, so a
-    configuration costs a few mask operations and no tuple of indices.  More
-    than ``CONFIG_BUDGET`` configurations raise the walk's CapacityError."""
+    """The configurations of ``mask`` with total size at most ``budget``, in
+    ``compatible_configs``' order, counted per class cell s * stride + w:
+    their number, and each cell with its count in the order the walk first
+    meets it.  A polymer too large for the budget left is masked out before
+    it is tried, and each cell is carried as a sum of per-polymer keys, with
+    no tuple of indices.  Past ``CONFIG_BUDGET`` configurations it raises."""
     incompat, sizes, keys = universe.incompat, universe.sizes, universe.keys
     max_configs = CONFIG_BUDGET
     over = f"more than {max_configs} polymer configurations"

@@ -29,14 +29,19 @@ from biscount.polymers import (
     PolymerUniverse,
     WeightModel,
     enumerate_polymers,
-    iter_compatible_configs,
     log_series_coefficients,
     xi_size_polynomial,
 )
 from biscount.graphs import iter_bits
 
 import util
-from util import P1, brute_polymer_sets, enumerate_clusters, random_instances
+from util import (
+    P1,
+    brute_polymer_sets,
+    enumerate_clusters,
+    iter_compatible_configs,
+    random_instances,
+)
 
 
 def test_beta_weight_frozen_anchor():

@@ -879,6 +879,42 @@ def _assert_swapped_tables_are_two_sided(build, lam):
     assert _tables_and_mu_hat(G, lam) == _tables_and_mu_hat(_claimless(build()), lam)
 
 
+@pytest.mark.parametrize("lam", [None, Fraction(1, 2), Fraction(2)],
+                         ids=["unweighted", "lam=1/2", "lam=2"])
+@pytest.mark.parametrize("build", [
+    lambda: even_cycle(8), lambda: even_cycle(12), lambda: hypercube(3),
+    lambda: random_shift(8, 3, 1), lambda: random_regular(8, 3, 1),
+], ids=["C8", "C12", "Q3", "shift(8,3,1)", "rr(8,3,1)"])
+def test_sampler_tables_are_the_reference_tables_field_by_field(build, lam):
+    # each side's table, swapped or walked, against the configurations the
+    # recursive walk lists, weighed one polymer at a time in Fractions
+    G = build()
+    membership = "expanding" if lam is None else "small"
+    m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
+    tables = sampler_tables(G, P1, lam=lam)
+    side_threshold, ref = util.reference_tables(G, P1, lam, membership)
+    assert tables.side_threshold == side_threshold
+    assert tables.fill_num == (Fraction(1, 2) if lam is None else lam / (1 + lam))
+    for table in (tables.x, tables.y):
+        bits_ref, thresholds_ref, xi_ref = ref[table.side]
+        universe = full_universe(G, membership, table.side, P1)
+        configs = list(util.iter_compatible_configs(universe))
+        full = G.full_mask(opposite(table.side))
+        free_ref, weights_ref = [], []
+        for config in configs:
+            nbhd, weight = 0, Fraction(1)
+            for i in config:
+                nbhd |= universe[i].nbhd
+                weight *= m.weight(universe[i])
+            free_ref.append(full & ~nbhd)
+            weights_ref.append(weight)
+        assert table.config_bits == tuple(bits_ref)
+        assert table.free_bits == tuple(free_ref)
+        assert [table.config_weight(i) for i in range(len(configs))] == weights_ref
+        assert table.thresholds == tuple(thresholds_ref)
+        assert table.xi == xi_ref == Fraction(table.cumulative[-1], table.denominator)
+
+
 @pytest.mark.parametrize("lam", LAMBDAS, ids=["unweighted", "lam=1/2", "lam=1", "lam=2"])
 @pytest.mark.parametrize(
     "build", list({**SWAP_GRAPHS, "Q5": lambda: hypercube(5)}.values()),

@@ -144,6 +144,14 @@ def test_enumerate_families_capacity(monkeypatch):
         list(enumerate_families(even_cycle(8), P100))
 
 
+def test_family_listing_builds_its_clash_masks_under_mask_budget(monkeypatch):
+    # the pool's clash masks are incompatibility masks of the pool sets as X
+    # polymers, so the masks' budget and message hold for them too
+    monkeypatch.setattr(polymers, "MASK_BUDGET", 1)
+    with pytest.raises(CapacityError, match="^incompatibility masks of 49 polymers need 0 MiB$"):
+        general_count._region_weights(even_cycle(16), P100)
+
+
 @pytest.mark.parametrize("params", [P1, P100])
 def test_family_region_is_second_neighborhood_complement(params, request):
     for name in ("c8", "q3"):
@@ -332,7 +340,7 @@ def test_count_general_second_call_reads_the_graph_memo(monkeypatch):
     recording(containers, "_small_generator")
     recording(general_count, "_count_d_hits")
     recording(polymers, "two_linked_sets")
-    recording(polymers, "iter_compatible_configs")
+    recording(polymers, "_count_cells")
     recording(general_count, "verify_kp")
     recording(general_count, "_families_over")
     assert count_general(G, 0.05, 0.05, seed=1, params=P1) == first
@@ -586,6 +594,19 @@ def test_region_weights_fold_the_per_family_sums(n, d, seed, side, params):
     assert sum(count for _, count in folded.values()) == families
     notes = count_general(H, 0.05, 0.05, seed=1, params=params).notes
     assert (notes["families"], notes["nonempty_families"]) == (families, families - 1)
+
+
+@pytest.mark.parametrize("params", [P1, P100], ids=["c1=1", "c1=100"])
+@pytest.mark.parametrize("build", [
+    *(lambda m=m: even_cycle(m) for m in (8, 10, 12, 14, 16)),
+    lambda: hypercube(3), lambda: hypercube(4), lambda: random_shift(8, 3, 1),
+], ids=["C8", "C10", "C12", "C14", "C16", "Q3", "Q4", "shift(8,3,1)"])
+def test_region_weights_are_the_reference_fold(build, params):
+    # the fold over the shared walk's families gives the regions, in order,
+    # with the W(R) and family counts the recursive walk over the pool gives
+    G = build()
+    folded = general_count._region_weights(G, params)
+    assert list(folded.items()) == list(util.reference_region_weights(G, params).items())
 
 
 def test_count_general_takes_each_region_log_xi_once(monkeypatch):

@@ -29,6 +29,7 @@ from biscount.graphs import (
     MAX_SIDE,
     bits_of,
     closure_bits,
+    is_small_closure,
     iter_bits,
     neighborhood_bits,
     opposite,
@@ -157,6 +158,36 @@ def test_is_expanding_definition():
 def test_expansion_params_threshold():
     p = ExpansionParams(c1=2.0)
     assert p.threshold(4, 6) == pytest.approx(2.0 * 0.5 * (2.0**2 / 4) * 6)
+
+
+@pytest.mark.parametrize("c1", [0.3, 1.0, 7.0, 100.0])
+def test_expands_table_is_the_expansion_rule_cell_by_cell(c1):
+    # the table takes the threshold's slope in w once; every cell is still
+    # the per-cell rule's verdict, on non-square tables too
+    p = ExpansionParams(c1=c1)
+    for d in [*range(2, 9), 12, 16, 32, 64]:
+        table = p.expands_table(d, 129, 129)
+        assert len(table) == 130 and {len(row) for row in table} == {130}
+        for a, row in enumerate(table):
+            assert row == [p.expands(d, w, a) for w in range(130)]
+        assert p.expands_table(d, 5, 9) == [row[:10] for row in table[:6]]
+
+
+def test_admitted_tables_are_the_membership_rules():
+    # a family's table is admits_sizes cell by cell: the expansion rule's
+    # through expands_table, the smallness rule's from |[S]| alone
+    for G in (even_cycle(10), hypercube(3), random_shift(12, 4, 3), complete_bipartite(5)):
+        for side in ("X", "Y"):
+            n, n_other = G.side_size(side), G.side_size(opposite(side))
+            for params in (P1, P100):
+                small = PolymerFamily("small", side, params).admitted_table(G)
+                assert small == [[is_small_closure(n, a)] * (n_other + 1) for a in range(n + 1)]
+                expanding = PolymerFamily("expanding", side, params).admitted_table(G)
+                assert expanding == [
+                    [params.expands(G.d, w, a) for w in range(n_other + 1)] for a in range(n + 1)
+                ]
+    with pytest.raises(InvalidInputError, match="unknown membership"):
+        PolymerFamily("tiny", "X", P1).admitted_table(even_cycle(8))
 
 
 def test_check_alpha_expander_verified_and_falsified():

@@ -14,9 +14,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biscount
-from biscount import polymers
+from biscount import general_count, polymers
 from biscount import (
     CapacityError,
     ExpansionParams,
@@ -25,6 +27,7 @@ from biscount import (
     enumerate_polymers,
     exact_xi,
     log_series_coefficients,
+    sampler_tables,
     xi_size_polynomial,
 )
 from biscount.graphs import (
@@ -33,6 +36,7 @@ from biscount.graphs import (
     iter_bits,
     neighborhood_bits,
 )
+from biscount.containers import distinct_nonexpanding_closed
 from biscount.instances import complete_bipartite, even_cycle, hypercube, random_shift
 from biscount.polymers import (
     Polymer,
@@ -40,7 +44,6 @@ from biscount.polymers import (
     PolymerUniverse,
     WeightModel,
     incompatibility_masks,
-    iter_compatible_configs,
 )
 
 from util import (
@@ -50,6 +53,8 @@ from util import (
     brute_compatible_collections,
     brute_polymer_sets,
     enumerate_clusters,
+    iter_compatible_configs,
+    pool_universe,
     random_instances,
     ursell,
 )
@@ -391,12 +396,75 @@ def test_cell_count_capacity(monkeypatch):
     assert polymers._count_cells(uni, 8, uni.all)[0] == total
 
 
-def test_iter_compatible_configs_capacity(monkeypatch):
-    fam = PolymerFamily("expanding", "X", P1)
-    uni = enumerate_polymers(even_cycle(8), fam, 4)
+def test_sampler_tables_config_capacity(monkeypatch):
+    # a side's table lists its 11 configurations under CONFIG_BUDGET
     monkeypatch.setattr(polymers, "CONFIG_BUDGET", 5)
     with pytest.raises(CapacityError, match="^more than 5 polymer configurations$"):
-        list(iter_compatible_configs(uni))
+        sampler_tables(even_cycle(8), P1)
+    monkeypatch.setattr(polymers, "CONFIG_BUDGET", 11)
+    assert len(sampler_tables(even_cycle(8), P1).x.config_bits) == 11
+
+
+def shared_walk(universe, budget=None, over="over budget"):
+    """``polymers.compatible_configs`` over a universe's clash masks, with
+    each polymer's vertices and neighbourhood as the two per-item masks."""
+    return polymers.compatible_configs(
+        universe.incompat, [p.bits for p in universe], [p.nbhd for p in universe],
+        polymers.CONFIG_BUDGET if budget is None else budget, over,
+    )
+
+
+def assert_shared_walk_is_the_reference(universe):
+    listed = list(shared_walk(universe))
+    assert [config for config, _, _ in listed] == list(iter_compatible_configs(universe))
+    for config, bits, nbhd in listed:
+        want_bits = want_nbhd = 0
+        for i in config:
+            want_bits |= universe[i].bits
+            want_nbhd |= universe[i].nbhd
+        assert (bits, nbhd) == (want_bits, want_nbhd)
+    return listed
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([8, 10, 12]),
+    d=st.sampled_from([3, 4, 5]),
+    seed=st.integers(0, 1 << 16),
+)
+def test_shared_walk_lists_the_reference_configurations(n, d, seed):
+    # the explicit-stack walk yields the recursive walk's configurations in
+    # its order, on both families' universes and on the container pools,
+    # where it is also the family listing with its two neighbourhoods
+    G = random_shift(n, d, seed)
+    for side in ("X", "Y"):
+        for membership in ("expanding", "small"):
+            assert_shared_walk_is_the_reference(
+                enumerate_polymers(G, PolymerFamily(membership, side, P1), n)
+            )
+    for params in (P1, P100):
+        listed = assert_shared_walk_is_the_reference(pool_universe(G, params))
+        families = list(general_count._families_over(G, distinct_nonexpanding_closed(G, params)))
+        assert [members for members, _, _ in families] == [c for c, _, _ in listed]
+        for (_, _, nbhd), (_, used, blocked) in zip(listed, families):
+            assert used == nbhd
+            assert blocked == neighborhood_bits(G, "Y", used)
+
+
+def test_shared_walk_refuses_past_its_budget():
+    # the walk yields exactly ``budget`` configurations, then raises its
+    # message before the next one; the empty configuration counts
+    uni = enumerate_polymers(even_cycle(16), PolymerFamily("expanding", "X", P1), 8)
+    total = len(list(iter_compatible_configs(uni)))
+    for budget in (0, 1, 2, total - 1):
+        got = []
+        with pytest.raises(CapacityError, match="^no more$"):
+            for item in shared_walk(uni, budget, "no more"):
+                got.append(item)
+        assert len(got) == budget
+    assert len(list(shared_walk(uni, total))) == total
+    # no item on an empty list: the empty configuration alone
+    assert list(polymers.compatible_configs([], [], [], 1, "no more")) == [((), 0, 0)]
 
 
 def test_size_budgeted_walk_is_the_filtered_full_walk(c8, q3):

@@ -145,6 +145,24 @@ def test_counts_read_d_from_the_pool_walk_alone():
     assert sorted(named & banned) == []
 
 
+def test_one_configuration_listing_in_the_package():
+    # the sampler tables and the family listing share polymers'
+    # explicit-stack walk over clash masks from incompatibility_masks; the
+    # recursive listing is the tests' reference and no package module
+    # defines it
+    defined = sorted(
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "iter_compatible_configs"
+    )
+    assert defined == []
+    general_count = importlib.import_module("biscount.general_count")
+    expander = importlib.import_module("biscount.expander")
+    assert {"incompatibility_masks", "compatible_configs"} <= names_in(general_count._families_over)
+    assert "compatible_configs" in names_in(expander._build_side_table)
+
+
 def test_package_keeps_no_per_family_api():
     # the counts read families only through the region fold; the per-family
     # types and walks the tests compare it with live in tests/util.py

@@ -28,7 +28,7 @@ from biscount import (
     is_two_linked,
     threshold_degree_set,
 )
-from biscount import general_count
+from biscount import general_count, polymers
 from biscount.expander import DRAW_BITS, DRAW_MASK, LEAD_BITS, _fair_fill_plan, quantize
 from biscount.graphs import bits_of, closure_bits, iter_bits, neighborhood_bits, opposite
 from biscount.graphs import two_linked_sets as graph_two_linked_sets
@@ -38,12 +38,12 @@ from biscount.cluster_expansion import KPPolymerCheck, KPReport, exact_xi
 from biscount.polymers import (
     Polymer,
     PolymerFamily,
+    PolymerUniverse,
     SizePolynomial,
     WeightModel,
     _fits_masks,
     enumerate_polymers,
     incompatibility_masks,
-    iter_compatible_configs,
 )
 
 P1 = ExpansionParams(c1=1.0)
@@ -559,6 +559,54 @@ def reference_verify_kp(universe, m: WeightModel, kp) -> KPReport:
     return KPReport(tuple(checks), all(c.passed for c in checks))
 
 
+# -- the reference configuration listing ----------------------------------------
+#
+# The package lists compatible collections with one explicit-stack walk,
+# `polymers.compatible_configs`, and counts them per class with another,
+# `polymers._count_cells`.  This recursive walk lists the same collections,
+# in the same order under the same budget, as the reference both are held to.
+
+
+def iter_compatible_configs(
+    universe: PolymerUniverse, max_size: int | None = None, mask: int = -1,
+) -> Iterator[tuple[int, ...]]:
+    """Every collection of pairwise-compatible polymers of ``mask`` (default
+    -1: all) as a tuple of ascending universe indices; the empty collection
+    comes first.  With ``max_size``, only those of total size at most
+    ``max_size``: a polymer too large for the budget left is masked out
+    before it is tried.  More than ``CONFIG_BUDGET`` of them raise CapacityError."""
+    incompat, sizes = universe.incompat, universe.sizes
+    max_configs = polymers.CONFIG_BUDGET  # read once, not per configuration
+    budget = sum(sizes) if max_size is None else max(max_size, 0)
+    fits = universe.fits(budget)
+    count = 0
+
+    def walk(free: int, chosen: tuple[int, ...], room: int) -> Iterator[tuple[int, ...]]:
+        # free: the polymers after the last choice compatible with all of it
+        nonlocal count
+        count += 1
+        if count > max_configs:
+            raise CapacityError(f"more than {max_configs} polymer configurations")
+        yield chosen
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            left = room - sizes[i]
+            yield from walk(free & ~incompat[i] & fits[left], chosen + (i,), left)
+
+    yield from walk(fits[budget] & mask, (), budget)
+
+
+def pool_universe(G: BipartiteGraph, params: ExpansionParams) -> PolymerUniverse:
+    """The container pool of X as a universe of X polymers, in pool order:
+    its compatible collections are the families."""
+    return PolymerUniverse(
+        Polymer("X", A.bits, neighborhood_bits(G, "X", A.bits))
+        for A in distinct_nonexpanding_closed(G, params)
+    )
+
+
 def reference_size_polynomial(universe, m: WeightModel, upto: int | None = None):
     """The size polynomial weighed one configuration at a time: a product of
     per-polymer Fractions added at its size."""
@@ -925,7 +973,9 @@ def mirrored(G: BipartiteGraph) -> BipartiteGraph:
 #
 # No count keeps a family: `general_count._region_weights` folds each family
 # into its region as `general_count._families_over` lists it.  These wrap
-# that walk, family by family, as the reference the fold is held to.
+# that walk, family by family; `reference_region_weights` lists the families
+# with `iter_compatible_configs` over the pool instead, as the reference the
+# fold is held to.
 
 
 @dataclass(frozen=True)
@@ -986,15 +1036,19 @@ def family_region(G: BipartiteGraph, union_bits: int) -> int:
 def reference_region_weights(
     G: BipartiteGraph, params: ExpansionParams
 ) -> dict[int, tuple[int, int]]:
-    """{region: (W(R), families)} summed family by family: each family's
+    """{region: (W(R), families)} summed family by family, the families
+    listed by the recursive walk over ``pool_universe``: each family's
     prod D(A) from the subset scan, times 2^(n_y - |N(union)|)."""
     out: dict[int, tuple[int, int]] = {}
-    D = {A: reference_exhaustive_D(G, A) for A in distinct_nonexpanding_closed(G, params)}
-    for fam in enumerate_families(G, params):
-        union = fam.union_bits
+    pool = pool_universe(G, params)
+    D = [reference_exhaustive_D(G, p.as_side_set()) for p in pool]
+    for members in iter_compatible_configs(pool):
+        union = 0
+        for i in members:
+            union |= pool[i].bits
         weight = 2 ** (G.n_y - neighborhood_bits(G, "X", union).bit_count())
-        for A in fam.sets:
-            weight *= D[A]
+        for i in members:
+            weight *= D[i]
         region = family_region(G, union)
         total, count = out.get(region, (0, 0))
         out[region] = (total + weight, count + 1)
