@@ -271,11 +271,6 @@ def _side_estimate(
     return SideTerm(fam.side, est.log_value, ell, status, est.config_count, est.certified_bound)
 
 
-def _membership(m: WeightModel) -> str:
-    # the polymer family each weight model expands over
-    return "small" if m.variant == "hardcore" else "expanding"
-
-
 def _exact_result(value: int | Fraction, method: str, notes: dict | None = None) -> ApproxCount:
     """An exact count in the common result type: the one place an exact
     ``ApproxCount`` is built, for every method that counts exactly."""
@@ -318,9 +313,9 @@ def _two_sided(
     n = G.n_x
     ell = choose_ell(n, G.d, epsilon / 4.0, model=m.variant)
     swap = _side_swap(G)
-    term_x = _side_estimate(G, PolymerFamily(_membership(m), X_SIDE, p), m, kp, ell)
+    term_x = _side_estimate(G, PolymerFamily(m.membership, X_SIDE, p), m, kp, ell)
     if swap is None:
-        term_y = _side_estimate(G, PolymerFamily(_membership(m), Y_SIDE, p), m, kp, ell)
+        term_y = _side_estimate(G, PolymerFamily(m.membership, Y_SIDE, p), m, kp, ell)
     else:
         # a side swap maps X's polymers onto Y's, sizes and neighbourhood
         # sizes kept, so Xi^Y = Xi^X and X's term serves both
@@ -458,6 +453,10 @@ class SideTable:
     def config_weight(self, i: int) -> Fraction:
         return Fraction(self.cumulative[i] - (self.cumulative[i - 1] if i else 0), self.denominator)
 
+    def config(self, i: int) -> tuple[int, int]:
+        """Configuration i's bits and its opposite side's free vertices."""
+        return self.config_bits[i], self.free_bits[i]
+
 
 @dataclass(frozen=True)
 class SamplerTables:
@@ -465,9 +464,6 @@ class SamplerTables:
     x: SideTable
     y: SideTable
     fill_num: Fraction  # per-vertex inclusion probability for the free side
-
-    def table(self, side: str) -> SideTable:
-        return self.x if side == X_SIDE else self.y
 
 
 def _build_side_table(
@@ -564,14 +560,13 @@ def sampler_tables(
     order Y's own walk lists it, so every field equals the two-sided
     build's.  Without a verified claim both sides are built."""
     m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
-    tx, universe, configs = _build_side_table(G, PolymerFamily(_membership(m), X_SIDE, params), m)
+    tx, universe, configs = _build_side_table(G, PolymerFamily(m.membership, X_SIDE, params), m)
     swap = _side_swap(G)
     if swap is None:
-        ty = _build_side_table(G, PolymerFamily(_membership(m), Y_SIDE, params), m)[0]
+        ty = _build_side_table(G, PolymerFamily(m.membership, Y_SIDE, params), m)[0]
     else:
         ty = _swapped_table(tx, universe, configs, swap)
-    fill = Fraction(1, 2) if lam is None else Fraction(lam) / (1 + Fraction(lam))
-    return SamplerTables(quantize(tx.xi / (tx.xi + ty.xi)), tx, ty, fill)
+    return SamplerTables(quantize(tx.xi / (tx.xi + ty.xi)), tx, ty, m.fill)
 
 
 def exact_mu_hat(
@@ -583,15 +578,17 @@ def exact_mu_hat(
     side chosen proportional to Xi, defect configuration by its Gibbs
     weight, free side filled vertex-wise."""
     tables = sampler_tables(G, params, lam)
-    lam_f = Fraction(1) if lam is None else Fraction(lam)
+    # the fill rate q: a free vertex stays out with 1 - q, odds q / (1 - q)
+    stay = 1 - tables.fill_num
+    odds = tables.fill_num / stay
     xi_total = tables.x.xi + tables.y.xi
     out: dict[tuple[int, int], Fraction] = {}
     for table in (tables.x, tables.y):
         for i, (bits, free) in enumerate(zip(table.config_bits, table.free_bits)):
-            # side, configuration and fill: Xi/total * w/Xi * lam^k/(1+lam)^f
+            # side, configuration and fill: Xi/total * w/Xi * q^k (1-q)^(f-k)
             free_n = free.bit_count()
-            p_config = table.config_weight(i) / xi_total / (1 + lam_f) ** free_n
-            by_size = [p_config * lam_f**k for k in range(free_n + 1)]
+            p_config = table.config_weight(i) / xi_total * stay**free_n
+            by_size = [p_config * odds**k for k in range(free_n + 1)]
             sub = free
             while True:
                 key = (bits, sub) if table.side == X_SIDE else (sub, bits)
@@ -603,7 +600,8 @@ def exact_mu_hat(
 
 
 class _Peeling:
-    """One side's sequential peeling for one run.
+    """One side's sequential peeling for one run, over one universe of the
+    side's polymers: a region is a mask over it.
 
     A step depends on its region alone: every vertex below the region's
     lowest one is gone, either removed or blocked by a chosen polymer, and
@@ -618,22 +616,35 @@ class _Peeling:
     (a+b)^|N(gamma)| with lambda = a/b, and each threshold is the floor
     ``quantize`` takes.  The division is exact, as no configuration of M'
     touches N(gamma) and |N(gamma)| >= |gamma| in a regular bipartite
-    graph."""
+    graph.  ``xi``, the whole side's Xi, is read from the same memo."""
 
-    def __init__(
-        self, G: BipartiteGraph, side: str, universe: PolymerUniverse, m: WeightModel, xi_of,
-    ) -> None:
-        self.side, self.universe, self.xi_of = side, universe, xi_of
+    def __init__(self, G: BipartiteGraph, side: str, m: WeightModel, p: ExpansionParams) -> None:
+        universe = enumerate_polymers(G, PolymerFamily(m.membership, side, p), G.side_size(side))
+        den = m.class_weights(len(universe.holding), universe.stride - 1).denominator
+
+        @functools.cache
+        def xi_of(mask: int) -> int:
+            scaled = exact_xi(universe, m, mask) * den
+            if scaled.denominator != 1:
+                raise RuntimeError(f"Xi of side {side} is not over its common denominator")
+            return scaled.numerator
+
+        self.G, self.side, self.universe, self.xi_of = G, side, universe, xi_of
+        self.xi = Fraction(xi_of(universe.all), den)
         self.full = G.full_mask(side)
         self.within = functools.cache(universe.within)
         # N^2(gamma): gamma and every vertex sharing a neighbour with it
-        self.square = [neighborhood_bits(G, opposite(side), p.nbhd) for p in universe]
-        lam = m.lam if m.variant == "hardcore" else Fraction(1)
-        a, b = lam.numerator, lam.denominator
+        self.square = [neighborhood_bits(G, opposite(side), g.nbhd) for g in universe]
+        a, b = m.lam.numerator, m.lam.denominator
         self.weights = [
-            (a**p.size * b ** (p.nbhd_size - p.size), (a + b) ** p.nbhd_size) for p in universe
+            (a**g.size * b ** (g.nbhd_size - g.size), (a + b) ** g.nbhd_size) for g in universe
         ]
         self.steps: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+
+    def config(self, bits: int) -> tuple[int, int]:
+        """A peeled configuration's bits and its opposite side's free vertices."""
+        G = self.G
+        return bits, G.full_mask(opposite(self.side)) & ~neighborhood_bits(G, self.side, bits)
 
     def step(self, region: int) -> tuple[list[int], list[tuple[int, int]]]:
         """The thresholds and outcomes of peeling ``region``'s lowest vertex v:
@@ -724,60 +735,68 @@ def _fair_fill_plan(free: int) -> FillPlan:
     return FILL_WORD * first, tops, mult, shift, window, tuple(windows[1:])
 
 
-def _fair_fill(plan: FillPlan, getrandbits) -> int:
-    """The fair fill of a free side, drawn through its ``_fair_fill_plan``:
-    one call (``getrandbits(0)`` draws nothing) and one multiply a window."""
-    nbits, tops, mult, shift, window, more = plan
-    words = getrandbits(nbits)
-    fill = (words & tops) * mult >> shift & window
-    for first, tops, mult, shift, window in more:
-        fill |= (words >> first & tops) * mult >> shift & window
-    return fill
+def _draw_record(bits: int, free: int, fair: bool) -> tuple:
+    """A configuration's draw record: its bits and its free side's fill plan
+    for a fair fill, else its bits and its free vertices' bits ascending."""
+    if fair:
+        return bits, _fair_fill_plan(free)
+    lows = []
+    while free:
+        low = free & -free
+        free ^= low
+        lows.append(low)
+    return bits, tuple(lows)
 
 
-def _table_draws(tables: SamplerTables, rng: Random, samples: int) -> list[tuple[int, int]]:
-    """``samples`` draws by inverting ``tables``, each reading the generator
-    as a 96-bit side draw, a 96-bit configuration draw and the fill (96 bits
-    per free vertex ascending, or ``_fair_fill``'s one call at lambda = 1)
-    do.  ``getrandbits`` fills its words from the low end, so for a and b
-    multiples of 32 one ``getrandbits(a + b)`` reads what ``getrandbits(a)``
-    then ``getrandbits(b)`` read: the side and configuration draws are the
-    halves of one 192-bit read, and a fair fill's read takes the next
-    draw's 192 lead bits too.
+def _draws(
+    x: SideTable | _Peeling, y: SideTable | _Peeling, fill_rate: Fraction, rng: Random,
+    samples: int, sequential: bool,
+) -> list[tuple[int, int]]:
+    """``samples`` draws from the two-step measure over the sides ``x`` and
+    ``y``: a side by its Xi, a configuration on it, the opposite side's free
+    vertices filled at ``fill_rate``.  The sides are two ``SideTable``s,
+    whose configuration draw bisects a 96-bit draw, or two ``_Peeling``s,
+    whose configuration draw is ``_sequential_defect``'s.
 
-    Each side keeps one draw record per configuration, made on its first
-    draw: its bits and its free side's fill plan at lambda = 1, else its
-    bits and its free vertices' bits in ascending order."""
+    Each draw reads the generator as a 96-bit side draw, the configuration
+    draw and the fill (96 bits per free vertex ascending, or at rate 1/2
+    ``_fair_fill_plan``'s one call) do.  ``getrandbits`` fills its words
+    from the low end, so for a and b multiples of 32 one
+    ``getrandbits(a + b)`` reads what ``getrandbits(a)`` then
+    ``getrandbits(b)`` read: a draw's lead is its side draw, with a table's
+    configuration draw above it in one 192-bit read, and a fair fill's read
+    takes the next draw's lead too.
+
+    Each side keeps one ``_draw_record`` per configuration, made on its
+    first draw and keyed by its table index or by its peeled bits."""
     getrandbits = rng.getrandbits
-    side_threshold = tables.side_threshold
-    fair = tables.fill_num == Fraction(1, 2)
-    fill_threshold = quantize(tables.fill_num)
-
-    def record(table: SideTable, i: int) -> tuple:
-        free = table.free_bits[i]
-        if fair:
-            return table.config_bits[i], _fair_fill_plan(free)
-        lows = []
-        while free:
-            low = free & -free
-            free ^= low
-            lows.append(low)
-        return table.config_bits[i], tuple(lows)
-
-    sides = [(t, t.thresholds, [None] * len(t.thresholds)) for t in (tables.x, tables.y)]
+    side_threshold = quantize(x.xi / (x.xi + y.xi))
+    fair = fill_rate == Fraction(1, 2)
+    fill_threshold = quantize(fill_rate)
+    lead_bits = DRAW_BITS if sequential else LEAD_BITS
+    # per side: what its configuration draw reads, bound once, its source
+    # of configurations and its records
+    if sequential:
+        sides = [(s, s, {}) for s in (x, y)]
+    else:
+        sides = [(s.thresholds, s, [None] * len(s.thresholds)) for s in (x, y)]
     out = []
-    lead = getrandbits(LEAD_BITS)
+    lead = getrandbits(lead_bits)
     for _ in range(samples):
         on_x = lead & DRAW_MASK < side_threshold
-        table, thresholds, records = sides[0] if on_x else sides[1]
-        i = bisect_right(thresholds, lead >> DRAW_BITS)
-        rec = records[i]
+        draw, source, records = sides[0] if on_x else sides[1]
+        if sequential:
+            key = _sequential_defect(draw, rng)
+            rec = records.get(key)
+        else:
+            key = bisect_right(draw, lead >> DRAW_BITS)
+            rec = records[key]
         if rec is None:
-            rec = records[i] = record(table, i)
+            rec = records[key] = _draw_record(*source.config(key), fair)
         if fair:
-            # _fair_fill inlined, its one call reading the next lead too
+            # one call for the whole free side and the next lead
             bits, (nbits, tops, mult, shift, window, more) = rec
-            words = getrandbits(nbits + LEAD_BITS)
+            words = getrandbits(nbits + lead_bits)
             fill = (words & tops) * mult >> shift & window
             for first, tops, mult, shift, window in more:
                 fill |= (words >> first & tops) * mult >> shift & window
@@ -788,82 +807,37 @@ def _table_draws(tables: SamplerTables, rng: Random, samples: int) -> list[tuple
             for low in lows:
                 if getrandbits(DRAW_BITS) < fill_threshold:
                     fill |= low
-            lead = getrandbits(LEAD_BITS)
+            lead = getrandbits(lead_bits)
         out.append((bits, fill) if on_x else (fill, bits))
     return out
 
 
 def _sample_run(
     G: BipartiteGraph,
-    m: WeightModel,
+    lam: Fraction | None,
     epsilon: float,
     p: ExpansionParams,
     seed: int,
     samples: int,
     mode: str,
 ) -> list[tuple[int, int]]:
-    """Draws from the two-step measure of weight model ``m``: a side with
-    probability proportional to its Xi, a defect configuration on it (from
-    the exact tables, or by sequential peeling), then the opposite side's
-    free vertices filled independently.  Both modes are exact, so
-    ``epsilon`` is checked and spends nothing."""
+    """Draws from the two-step measure, unweighted (``lam`` None) or at
+    fugacity ``lam``: a side with probability proportional to its Xi, a
+    defect configuration on it (from the exact tables, or by sequential
+    peeling), then the opposite side's free vertices filled independently.
+    Both modes are exact, so ``epsilon`` is checked and spends nothing."""
     _check_epsilon(epsilon)
     if samples < 1:
         raise InvalidInputError("samples must be positive")
-    rng = Random(seed)
-    lam = m.lam if m.variant == "hardcore" else None
+    m = WeightModel.unweighted() if lam is None else WeightModel.hardcore(lam)
     if mode == "table":
-        return _table_draws(sampler_tables(G, p, lam=lam), rng, samples)
-    if mode != "sequential":
+        tables = sampler_tables(G, p, lam)
+        x, y = tables.x, tables.y
+    elif mode == "sequential":
+        x, y = (_Peeling(G, side, m, p) for side in (X_SIDE, Y_SIDE))
+    else:
         raise InvalidInputError(f"unknown sampling mode {mode!r}")
-
-    def peeling(side: str) -> tuple[_Peeling, Fraction]:
-        # one universe per side for the whole run, a region a mask over
-        # it, and one memo that the side choice reads the whole side
-        # from too: Xi as its integer numerator over the universe's one
-        # denominator
-        u = enumerate_polymers(G, PolymerFamily(_membership(m), side, p), G.side_size(side))
-        den = m.class_weights(len(u.holding), u.stride - 1).denominator
-
-        @functools.cache
-        def xi_of(mask: int) -> int:
-            scaled = exact_xi(u, m, mask) * den
-            if scaled.denominator != 1:
-                raise RuntimeError(f"Xi of side {side} is not over its common denominator")
-            return scaled.numerator
-
-        return _Peeling(G, side, u, m, xi_of), Fraction(xi_of(u.all), den)
-
-    (peel_x, vx), (peel_y, vy) = (peeling(side) for side in (X_SIDE, Y_SIDE))
-    peelings = {X_SIDE: peel_x, Y_SIDE: peel_y}
-    side_threshold = quantize(vx / (vx + vy))
-    getrandbits = rng.getrandbits
-    fill_num = Fraction(1, 2) if lam is None else lam / (1 + lam)
-    fair = fill_num == Fraction(1, 2)
-    fill_threshold = quantize(fill_num)
-    plans: dict[int, FillPlan] = {}
-    out = []
-    for _ in range(samples):
-        side = X_SIDE if getrandbits(DRAW_BITS) < side_threshold else Y_SIDE
-        bits = _sequential_defect(peelings[side], rng)
-        free = G.full_mask(opposite(side)) & ~neighborhood_bits(G, side, bits)
-        if fair:
-            # one call for the whole free side, planned once per free mask
-            plan = plans.get(free)
-            if plan is None:
-                plan = plans[free] = _fair_fill_plan(free)
-            fill = _fair_fill(plan, getrandbits)
-        else:
-            # one 96-bit draw per free vertex, ascending, against the
-            # quantized fill probability
-            fill = 0
-            while free:
-                low = free & -free
-                free ^= low
-                if getrandbits(DRAW_BITS) < fill_threshold:
-                    fill |= low
-        out.append((bits, fill) if side == X_SIDE else (fill, bits))
-    return out
+    return _draws(x, y, m.fill, Random(seed), samples, mode == "sequential")
 
 
 def sample_expander(
@@ -878,7 +852,7 @@ def sample_expander(
     polymer family.  Table mode inverts exact configuration tables; the
     sequential mode peels one vertex at a time through exact
     partition-function ratios."""
-    return _sample_run(G, WeightModel.unweighted(), epsilon, params, seed, samples, mode)
+    return _sample_run(G, None, epsilon, params, seed, samples, mode)
 
 
 def sample_hardcore_expander(
@@ -892,4 +866,4 @@ def sample_hardcore_expander(
 ) -> list[tuple[int, int]]:
     """Hard-core analogue of sample_expander: small-set polymers, weighted
     defect configurations, free side filled at rate lambda/(1+lambda)."""
-    return _sample_run(G, WeightModel.hardcore(hp.lam), epsilon, params, seed, samples, mode)
+    return _sample_run(G, hp.lam, epsilon, params, seed, samples, mode)

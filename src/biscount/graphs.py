@@ -174,7 +174,6 @@ class BipartiteGraph:
         self.row_x = row_x
         self.row_y = row_y
         self.adj_x = [list(iter_bits(r)) for r in row_x]
-        self.adj_y = [list(iter_bits(r)) for r in row_y]
         self.claimed_swap: SideSwap | None = None
         self._cache: dict = {}
 
@@ -209,9 +208,6 @@ class BipartiteGraph:
 
     def rows(self, side: str) -> list[int]:
         return self.row_x if side == X_SIDE else self.row_y
-
-    def adj(self, side: str) -> list[list[int]]:
-        return self.adj_x if side == X_SIDE else self.adj_y
 
     def full_mask(self, side: str) -> int:
         return (1 << self.side_size(side)) - 1

@@ -17,6 +17,7 @@ exact arithmetic against a cluster enumerator of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,17 +90,25 @@ class PolymerFamily:
 
 
 class WeightModel:
-    """Polymer weight assignment with exact-rational and log evaluation."""
+    """Polymer weight assignment with exact-rational and log evaluation.
+
+    Everything the fugacity decides is read off the model: ``lam`` (1
+    unweighted, where lam^s (1+lam)^-w is 2^-w), the polymer family
+    ``membership`` it expands over, and ``fill`` = lam/(1+lam), the rate
+    at which the samplers fill the free opposite side.  ``fill`` and the
+    logs of lam and 1+lam are taken on first read, so a count that builds
+    a model does no more Fraction work than lam itself."""
 
     def __init__(self, variant: str, lam: Fraction | None = None):
         if variant not in ("unweighted", "hardcore"):
             raise InvalidInputError(f"unknown weight variant {variant!r}")
-        if variant == "hardcore":
-            if lam is None or lam <= 0:
-                raise InvalidInputError("hardcore weights need lambda > 0")
-            lam = Fraction(lam)
+        if variant == "unweighted":
+            lam = 1
+        elif lam is None or lam <= 0:
+            raise InvalidInputError("hardcore weights need lambda > 0")
         self.variant = variant
-        self.lam = lam
+        self.lam = Fraction(lam)
+        self.membership = "small" if variant == "hardcore" else "expanding"
 
     @classmethod
     def unweighted(cls) -> "WeightModel":
@@ -107,21 +116,29 @@ class WeightModel:
 
     @classmethod
     def hardcore(cls, lam: Fraction) -> "WeightModel":
-        return cls("hardcore", lam=Fraction(lam))
+        return cls("hardcore", Fraction(lam))
+
+    @functools.cached_property
+    def fill(self) -> Fraction:
+        return self.lam / (1 + self.lam)
+
+    @functools.cached_property
+    def _logs(self) -> tuple[float, float]:
+        # the logs of the floats lam and 1 + lam convert to, from integers:
+        # 1 + a/b is (a+b)/b in lowest terms
+        a, b = self.lam.numerator, self.lam.denominator
+        return math.log(a / b), math.log((a + b) / b)
 
     def weight(self, p: Polymer) -> Fraction:
-        if self.variant == "unweighted":
-            return Fraction(1, 1 << p.nbhd_size)
         return self.lam**p.size / (1 + self.lam) ** p.nbhd_size
 
     def log_weight(self, p: Polymer) -> float:
-        if self.variant == "unweighted":
-            return -p.nbhd_size * math.log(2)
-        return p.size * math.log(self.lam) - p.nbhd_size * math.log(1 + self.lam)
+        ln_lam, ln_one_plus = self._logs
+        return p.size * ln_lam - p.nbhd_size * ln_one_plus
 
     def class_weights(self, n: int, n_other: int) -> ClassWeights:
         """Exact weights by class (s, w) for s <= n and w <= n_other."""
-        return ClassWeights(self.lam if self.variant == "hardcore" else Fraction(1), n, n_other)
+        return ClassWeights(self.lam, n, n_other)
 
     def describe(self) -> str:
         if self.variant == "hardcore":

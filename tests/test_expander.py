@@ -20,7 +20,6 @@ from biscount.errors import CapacityError, InvalidInputError
 from biscount.expander import (
     ApproxCount,
     HardCoreParams,
-    _fair_fill,
     _fair_fill_plan,
     count_expander,
     count_hardcore_expander,
@@ -55,7 +54,7 @@ from biscount.instances import (
 )
 from biscount.oracle import DRAW_DEN, exact_count_bipartite
 from biscount.polymers import PolymerFamily, WeightModel, enumerate_polymers
-from util import P1, P100
+from util import P1, P100, fair_fill
 
 
 def full_universe(G, membership, side, params):
@@ -348,8 +347,6 @@ def test_sampler_tables_structure(c8):
     # symmetric sides split evenly
     assert tables.side_threshold == DRAW_DEN // 2
     assert tables.fill_num == Fraction(1, 2)
-    assert tables.table(X_SIDE) is tables.x
-    assert tables.table(Y_SIDE) is tables.y
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -386,7 +383,7 @@ def test_integer_tables_match_fraction_reference(n, seed, lam):
 @given(
     n=st.sampled_from([8, 10]),
     seed=st.integers(0, 1 << 16),
-    lam=st.sampled_from([None, Fraction(1, 2), Fraction(2)]),
+    lam=st.sampled_from([None, Fraction(1, 2), Fraction(1), Fraction(2)]),
     draw_seed=st.integers(0, 1 << 16),
 )
 def test_integer_peeling_matches_fraction_reference(n, seed, lam, draw_seed):
@@ -411,7 +408,7 @@ def test_fair_fill_reads_what_per_vertex_bits_read(free, seed):
     # where f ascending getrandbits(1) calls do, across several windows
     mask = sum(1 << v for v in free)
     batched, looped = Random(seed), Random(seed)
-    fill = _fair_fill(_fair_fill_plan(mask), batched.getrandbits)
+    fill = fair_fill(_fair_fill_plan(mask), batched.getrandbits)
     want = sum(1 << v for v in sorted(free) if looped.getrandbits(1))
     assert fill == want
     assert batched.getstate() == looped.getstate()
@@ -497,7 +494,9 @@ def test_sequential_sampler_matches_table_law(c8):
 
 
 # 20 sequential draws at seed 3 (epsilon 0.2, c1 = 1), pinned so that how
-# the region partition functions are obtained cannot move a draw
+# the region partition functions are obtained cannot move a draw; at
+# lambda = 1 the fill is fair and, on these cycles, the small family's
+# draws are the unweighted ones
 SEQUENTIAL_DRAWS = {
     ("c8", None): [
         (8, 3), (14, 0), (1, 2), (9, 2), (12, 1), (0, 10), (9, 0), (13, 0), (2, 12),
@@ -518,14 +517,28 @@ SEQUENTIAL_DRAWS = {
         (24, 32), (0, 60), (1, 10), (2, 12), (16, 4), (8, 18), (1, 22), (32, 2), (0, 32),
         (41, 2), (0, 33),
     ],
+    ("c8", Fraction(1)): [
+        (8, 3), (14, 0), (1, 2), (9, 2), (12, 1), (0, 10), (9, 0), (13, 0), (2, 12),
+        (2, 0), (0, 11), (5, 0), (12, 0), (1, 6), (3, 4), (0, 4), (0, 11), (6, 0), (8, 2),
+        (8, 2),
+    ],
+    ("c12", Fraction(1)): [
+        (16, 7), (29, 0), (0, 20), (2, 52), (8, 17), (11, 16), (12, 33), (0, 36), (1, 22),
+        (8, 48), (8, 19), (24, 3), (0, 45), (14, 32), (32, 5), (16, 36), (53, 0), (18, 4),
+        (35, 0), (8, 50),
+    ],
 }
 
 
+def _sequential_id(name, lam):
+    # lambda = 1/2 keeps the bare "hardcore" id it had before lambda = 1 joined
+    if lam is None:
+        return f"{name}-unweighted-exact"
+    return f"{name}-hardcore-exact" if lam == Fraction(1, 2) else f"{name}-hardcore-{lam}-exact"
+
+
 @pytest.mark.parametrize(
-    "name,lam",
-    list(SEQUENTIAL_DRAWS),
-    ids=[f"{name}-{'unweighted' if lam is None else 'hardcore'}-exact"
-         for name, lam in SEQUENTIAL_DRAWS],
+    "name,lam", list(SEQUENTIAL_DRAWS), ids=[_sequential_id(*key) for key in SEQUENTIAL_DRAWS]
 )
 def test_sequential_draws_pinned(name, lam):
     G = even_cycle(int(name[1:]))

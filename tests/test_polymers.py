@@ -603,6 +603,32 @@ def test_weight_models():
         WeightModel("nonsense")
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weight_model_carries_what_lambda_decides(seed):
+    # lambda is a Fraction on both constructors, 1 unweighted, and the model
+    # carries its polymer family and fill rate lambda/(1+lambda)
+    unweighted, one = WeightModel.unweighted(), WeightModel.hardcore(1)
+    half = WeightModel.hardcore(Fraction(1, 2))
+    carried = [(type(m.lam), m.lam, m.membership, m.fill) for m in (unweighted, one, half)]
+    assert carried == [
+        (Fraction, 1, "expanding", Fraction(1, 2)),
+        (Fraction, 1, "small", Fraction(1, 2)),
+        (Fraction, Fraction(1, 2), "small", Fraction(1, 3)),
+    ]
+    # at lambda = 1 the hard-core model weighs as the unweighted one, the log
+    # weight bit for bit: s ln 1 - w ln 2 is -w ln 2 exactly
+    G = random_shift(8, 3, seed)
+    universe = enumerate_polymers(G, PolymerFamily("small", "X", P1), G.n_x)
+    assert len(universe) > 0
+    for p in universe:
+        assert one.weight(p) == unweighted.weight(p) == Fraction(1, 1 << p.nbhd_size)
+        assert one.log_weight(p).hex() == unweighted.log_weight(p).hex()
+    a, b = one.class_weights(G.n_x, G.n_y), unweighted.class_weights(G.n_x, G.n_y)
+    assert a.denominator == b.denominator
+    cells = [(s, w) for s in range(G.n_x + 1) for w in range(G.n_y + 1)]
+    assert [a.numerator(s, w) for s, w in cells] == [b.numerator(s, w) for s, w in cells]
+
+
 def test_polymer_family_rejects_unknown_membership(c8):
     fam = PolymerFamily("neither", "X", P1)
     with pytest.raises(InvalidInputError):

@@ -120,7 +120,11 @@ def test_one_container_route_in_the_package():
 
 def names_in(func) -> set[str]:
     """Every name, attribute and import alias in ``func``'s source."""
-    tree = ast.parse(inspect.getsource(func))
+    return names_under(ast.parse(inspect.getsource(func)))
+
+
+def names_under(tree: ast.AST) -> set[str]:
+    """Every name, attribute and import alias under ``tree``."""
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     named |= {
@@ -161,6 +165,26 @@ def test_one_configuration_listing_in_the_package():
     expander = importlib.import_module("biscount.expander")
     assert {"incompatibility_masks", "compatible_configs"} <= names_in(general_count._families_over)
     assert "compatible_configs" in names_in(expander._build_side_table)
+
+
+def test_samplers_share_one_draw_loop():
+    # table and sequential mode differ only in how a configuration is drawn:
+    # one function loops over the samples reading the generator, and the
+    # sampler entry point computes no free side and no threshold of its own
+    expander = importlib.import_module("biscount.expander")
+    path = Path(expander.__file__)
+    loops = sorted(
+        node.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(loop, ast.For) and "samples" in ast.unparse(loop.iter)
+            for loop in ast.walk(node)
+        )
+        and "getrandbits" in names_under(node)
+    )
+    assert len(loops) == 1, loops
+    assert sorted(names_in(expander._sample_run) & {"neighborhood_bits", "quantize"}) == []
 
 
 def test_package_keeps_no_per_family_api():

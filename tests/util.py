@@ -406,7 +406,7 @@ def free_mask_table_draws(tables, rng: random.Random, samples: int) -> list[tupl
     loop: the configuration found by ``bisect_left(thresholds, r + 1)``,
     its free side's fill plan kept per free mask, and a lambda != 1 fill
     walking the free mask's bits on every draw.  It reads the generator as
-    ``expander._table_draws`` does."""
+    ``expander._draws`` does in table mode."""
     getrandbits = rng.getrandbits
     side_threshold = tables.side_threshold
     row_x, row_y = ((t.thresholds, t.config_bits, t.free_bits) for t in (tables.x, tables.y))
@@ -440,6 +440,19 @@ def free_mask_table_draws(tables, rng: random.Random, samples: int) -> list[tupl
             lead = getrandbits(LEAD_BITS)
         out.append((bits, fill) if on_x else (fill, bits))
     return out
+
+
+def fair_fill(plan, getrandbits) -> int:
+    """The fair fill of a free side, drawn through its
+    ``expander._fair_fill_plan``: one call (``getrandbits(0)`` draws
+    nothing) and one multiply a window.  The package's draw loop reads a
+    plan the same way, its one call taking the next draw's lead too."""
+    nbits, tops, mult, shift, window, more = plan
+    words = getrandbits(nbits)
+    fill = (words & tops) * mult >> shift & window
+    for first, tops, mult, shift, window in more:
+        fill |= (words >> first & tops) * mult >> shift & window
+    return fill
 
 
 def reference_fill(
